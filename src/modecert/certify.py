@@ -342,10 +342,8 @@ def _single_pole_zero_numeric(residue, omega_pole, window):
     span = 20.0 * abs(omega_pole.imag) + (window[1] - window[0])
     lo, hi = omega_pole.real - span, omega_pole.real + span
     om = np.linspace(lo, hi, 4001)
-    vals = np.array([fn(w) for w in om])
-    sgn = np.sign(vals)
-    idx = [i for i in range(1, om.size) if sgn[i] != 0 and sgn[i - 1] != 0
-           and sgn[i] != sgn[i - 1]]
+    sgn = np.sign(fn(om))
+    idx = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0] + 1
     if len(idx) != 1:
         return None
     i = idx[0]
@@ -484,7 +482,7 @@ def xray_mode_report(material_table, mode_index: int,
     emitter = problem.stack.emitter
 
     # energy window: one local FSR around the probed energy-scan minimum
-    omega_bp = _xray_branch_point(problem, table)
+    omega_bp = _xray_branch_point(problem)
     e_off = OMEGA_NUC_KEV - omega_bp
     span = (omega_bp + 0.02 * e_off, OMEGA_NUC_KEV + 2.5 * e_off)
     _, _, dips = _reflectance_dips(problem, span, n=6000)
@@ -532,7 +530,7 @@ def xray_mode_report(material_table, mode_index: int,
     return report, spectrum
 
 
-def _xray_branch_point(problem: WaveProblem, table) -> float:
+def _xray_branch_point(problem: WaveProblem) -> float:
     """Largest cladding light-line frequency Re(c k_par / n) at the problem's k_par."""
     kp = problem.k_par
     vals = [kp]  # vacuum cladding

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -234,13 +233,18 @@ class _Artifacts:
         return path
 
 
+def _spectrum_csv(omega, r) -> str:
+    """``omega,r_re,r_im,reflectance`` rows written as plain floats."""
+    lines = ["omega,r_re,r_im,reflectance"]
+    for w, z in zip(omega, r):
+        z = complex(z)
+        lines.append(",".join(repr(v) for v in (float(w), z.real, z.imag, abs(z) ** 2)))
+    return "\n".join(lines) + "\n"
+
+
 def _reflectance_csv(problem: WaveProblem, window, n: int) -> str:
     om = np.linspace(window[0], window[1], n)
-    r = reflection(problem, om)
-    lines = ["omega,r_re,r_im,reflectance"]
-    for w, z in zip(om, r):
-        lines.append(f"{w!r},{z.real!r},{z.imag!r},{abs(z)**2!r}")
-    return "\n".join(lines) + "\n"
+    return _spectrum_csv(om, reflection(problem, om))
 
 
 def _run_classify(scn: Scenario, art: _Artifacts) -> int:
@@ -251,11 +255,8 @@ def _run_classify(scn: Scenario, art: _Artifacts) -> int:
                                             thresholds=thresholds,
                                             gamma=scn.xray["gamma"],
                                             spectrum_halfwidth=scn.xray["spectrum_halfwidth"])
-        lines = ["omega,r_re,r_im,reflectance"]
-        for w, z, r2 in zip(spectrum["omega"], spectrum["r_total"],
-                            spectrum["reflectance"]):
-            lines.append(f"{w!r},{z.real!r},{z.imag!r},{r2!r}")
-        art.write("nuclear_spectrum.csv", "\n".join(lines) + "\n", "spectrum")
+        art.write("nuclear_spectrum.csv",
+                  _spectrum_csv(spectrum["omega"], spectrum["r_total"]), "spectrum")
         art.write("report.json", report.to_json() + "\n", "report")
         art.write("report.txt", report.to_text() + "\n", "report")
         return 0
@@ -273,25 +274,10 @@ def _run_classify(scn: Scenario, art: _Artifacts) -> int:
     return 0
 
 
-def _run_sweep(scn: Scenario, art: _Artifacts, threads: int) -> int:
-    thresholds = scn.make_thresholds()
-    values = scn.scan["n_mirror_values"]
-    L = scn.fabry_perot["L"]
-    gamma = scn.fabry_perot["gamma"]
-
-    def one(n):
-        try:
-            stack = build_fabry_perot(L, float(n), gamma=gamma)
-            return (float(n), classify(WaveProblem(stack), thresholds=thresholds))
-        except ModeCertError as exc:
-            return (float(n), exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, values))
-    else:
-        rows = [one(n) for n in values]
-
+def _run_sweep(scn: Scenario, art: _Artifacts) -> int:
+    fp = scn.fabry_perot
+    rows = scan_mirror_index(fp["L"], scn.scan["n_mirror_values"],
+                             thresholds=scn.make_thresholds(), gamma=fp["gamma"])
     art.write("sweep.csv", scan_table_csv(rows), "scan")
     failures = 0
     for n, res in rows:
@@ -357,7 +343,7 @@ def _run_pfm_check(scn: Scenario, art: _Artifacts, seed=None) -> int:
 
 
 def run(scenario: Scenario, command: str = "classify", out_dir=None,
-        threads: int = 1, seed=None) -> int:
+        seed=None) -> int:
     """Execute a scenario; returns the process exit code.
 
     Writes all artifacts plus ``manifest.json`` (path, sha256, role per file)
@@ -371,7 +357,7 @@ def run(scenario: Scenario, command: str = "classify", out_dir=None,
         if command == "classify":
             code = _run_classify(scenario, art)
         elif command == "sweep":
-            code = _run_sweep(scenario, art, threads)
+            code = _run_sweep(scenario, art)
         elif command == "poles":
             code = _run_poles(scenario, art)
         elif command == "spectrum":
@@ -395,8 +381,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", type=str, default=None,
                         help="scenario JSON file")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scans (1 = sequential reference run)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed override for synthetic scenarios")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -415,8 +399,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    code = run(scenario, command=args.command, out_dir=args.out,
-               threads=args.threads, seed=args.seed)
+    code = run(scenario, command=args.command, out_dir=args.out, seed=args.seed)
     if code == 0:
         print("ok")
     elif code == 2:

@@ -22,6 +22,15 @@ Conventions
 * The Green's function solves (d^2/dx^2 + k_z(x)^2) G = delta(x - x') with
   outgoing conditions in both claddings, so dG/dx jumps by +1 at x = x' and
   free space gives G = exp(i k |x - x'|) / (2 i k).
+* One vectorized march (:func:`_march`) carries the right-outgoing solution
+  from the right cladding to the left, broadcasting over omega and k_par.
+  ``reflection`` and ``reflectance_vs_angle`` read r = B_0/A_0 from it, and
+  ``green_function`` takes its left-outgoing solution as the right-outgoing
+  one of the mirrored stack with A and B swapped.  ``transfer_matrix`` with
+  ``interface_matrix`` and ``propagation_matrix`` is the scalar reference.
+* Evaluator contract: where the Wronskian falls below its numerical floor
+  (omega on a pole), ``green_function`` returns inf at those entries of an
+  array omega and raises NearPoleError for a scalar omega.
 """
 
 from __future__ import annotations
@@ -182,7 +191,8 @@ class WaveProblem:
     """A stack probed at fixed parallel wavevector.
 
     ``k_par = 0`` is normal incidence; grazing incidence at angle ``theta``
-    from the surface maps to ``k_par = (omega/c) cos(theta)``.
+    from the surface maps to ``k_par = (omega/c) cos(theta)``.  An array
+    ``k_par`` broadcasts against ``omega`` in the kernel (angle scans).
     """
 
     stack: LayerStack
@@ -204,15 +214,16 @@ def _wavenumbers(problem: WaveProblem, omega):
     """k_z for every medium (claddings included) at scalar or array omega."""
     w = _check_omega(omega)
     kp = problem.k_par
+    normal = not np.any(kp)
     ks = []
     for m in problem.stack.media():
         n = m.index(w)
-        if kp == 0.0:
+        if normal:
             kz = n * w  # entire in omega, no branch cut
         else:
-            kz2 = n * n * w * w - kp * kp
-            scale = np.abs(n * n * w * w) + kp * kp
-            if np.any(np.abs(kz2) < 1e-14 * scale):
+            nw2 = n * n * w * w
+            kz2 = nw2 - kp * kp
+            if np.any(np.abs(kz2) < 1e-14 * (np.abs(nw2) + kp * kp)):
                 raise BranchPointError(
                     f"k_z = 0 in medium {m.name!r}: branch point", omega=omega)
             kz = np.sqrt(kz2)
@@ -247,6 +258,10 @@ def _check_exponent(k, d):
             f"|Im k_z| * thickness = {float(np.max(ex)):.3g} exceeds {_MAX_EXPONENT:g}")
 
 
+def _thicknesses(stack: LayerStack) -> list:
+    return [d for _, d in stack.layers]
+
+
 def transfer_matrix(problem: WaveProblem, omega: complex) -> np.ndarray:
     """Transfer matrix of the whole stack at a single (possibly complex) omega.
 
@@ -256,7 +271,7 @@ def transfer_matrix(problem: WaveProblem, omega: complex) -> np.ndarray:
     right.  det M equals k_right / k_left.
     """
     ks = _wavenumbers(problem, complex(omega))
-    ds = [d for _, d in problem.stack.layers]
+    ds = _thicknesses(problem.stack)
     m = interface_matrix(ks[0], ks[1])
     for j, d in enumerate(ds, start=1):
         m = m @ propagation_matrix(ks[j], d)
@@ -264,25 +279,37 @@ def transfer_matrix(problem: WaveProblem, omega: complex) -> np.ndarray:
     return m
 
 
-def _transfer_entries(problem: WaveProblem, omega):
-    """Vectorized (m11, m12, m21, m22) of the transfer matrix over omega arrays."""
-    ks = _wavenumbers(problem, omega)
-    ds = [d for _, d in problem.stack.layers]
-    inv = 0.5 / ks[0]
-    a, b = (ks[0] + ks[1]) * inv, (ks[0] - ks[1]) * inv
-    c, e = b, a  # symmetric first factor; (a, b) and (c, e) are rebound, never mutated
-    for j, d in enumerate(ds, start=1):
-        _check_exponent(ks[j], d)
-        ph = np.exp(-1j * ks[j] * d)
-        # right-multiply by diag(ph, 1/ph)
-        a, b = a * ph, b / ph
-        c, e = c * ph, e / ph
-        # right-multiply by the next interface matrix
+# ---------------------------------------------------------------------------
+# the march: reflection, outgoing solutions and the Green's function
+# ---------------------------------------------------------------------------
+
+def _march(ks, ds, keep=()):
+    """March the right-outgoing solution from the right cladding to the left.
+
+    Starts from (A, B) = (1, 0) in the right cladding and applies the factors
+    of :func:`transfer_matrix` right to left (I_N, P_N, ..., P_1, I_0), so the
+    left cladding ends with (A_0, B_0) = (m11, m21) and r = B_0 / A_0.
+    Broadcasts over whatever shape the wavenumbers have (omega, k_par or
+    both).  Returns (A_0, B_0, kept) where ``kept`` maps each medium index in
+    ``keep`` to its amplitudes referenced to the medium's right and left
+    edge, ((A, B)_right, (A, B)_left); the claddings use their inner boundary
+    for both.  Only the kept media are stored.
+    """
+    n_lay = len(ds)
+    a, b = 1.0, 0.0
+    kept = {n_lay + 1: ((a, b), (a, b))} if n_lay + 1 in keep else {}
+    for j in range(n_lay, -1, -1):
         inv = 0.5 / ks[j]
         p, m_ = (ks[j] + ks[j + 1]) * inv, (ks[j] - ks[j + 1]) * inv
-        a, b = a * p + b * m_, a * m_ + b * p
-        c, e = c * p + e * m_, c * m_ + e * p
-    return a, b, c, e
+        a, b = p * a + m_ * b, m_ * a + p * b      # right-edge referenced
+        right = (a, b)
+        if j:
+            _check_exponent(ks[j], ds[j - 1])
+            ph = np.exp(-1j * ks[j] * ds[j - 1])
+            a, b = a * ph, b / ph                   # shift reference to left edge
+        if j in keep:
+            kept[j] = (right, (a, b))
+    return a, b, kept
 
 
 def reflection(problem: WaveProblem, omega):
@@ -290,8 +317,8 @@ def reflection(problem: WaveProblem, omega):
 
     Accepts scalar or array omega; |r|^2 <= 1 for real omega in passive stacks.
     """
-    m11, _, m21, _ = _transfer_entries(problem, omega)
-    return m21 / m11
+    a0, b0, _ = _march(_wavenumbers(problem, omega), _thicknesses(problem.stack))
+    return b0 / a0
 
 
 def reflectance_vs_angle(stack: LayerStack, omega: float, thetas) -> np.ndarray:
@@ -299,78 +326,8 @@ def reflectance_vs_angle(stack: LayerStack, omega: float, thetas) -> np.ndarray:
 
     Vectorized over the angle array; k_par = omega cos(theta) per point.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    kp = omega * np.cos(thetas)
-    w = complex(omega)
-    media = stack.media()
-    ks = []
-    for m in media:
-        n = m.index(w)
-        kz2 = n * n * w * w - kp * kp
-        ks.append(np.sqrt(kz2 + 0j))
-    ds = [d for _, d in stack.layers]
-    inv = 0.5 / ks[0]
-    a, b = (ks[0] + ks[1]) * inv, (ks[0] - ks[1]) * inv
-    c, e = b, a
-    for j, d in enumerate(ds, start=1):
-        ph = np.exp(-1j * ks[j] * d)
-        a, b = a * ph, b / ph
-        c, e = c * ph, e / ph
-        inv = 0.5 / ks[j]
-        p, m_ = (ks[j] + ks[j + 1]) * inv, (ks[j] - ks[j + 1]) * inv
-        a, b = a * p + b * m_, a * m_ + b * p
-        c, e = c * p + e * m_, c * m_ + e * p
-    return np.abs(c / a) ** 2
-
-
-# ---------------------------------------------------------------------------
-# outgoing solutions and the Green's function
-# ---------------------------------------------------------------------------
-
-def _march_right_outgoing(ks, ds):
-    """Amplitudes of the solution that is purely outgoing to the right.
-
-    Returns a list of (A_j, B_j) per medium; finite layers referenced to
-    their left edge, claddings to their inner boundary.
-    """
-    n_lay = len(ds)
-    amps = [None] * (n_lay + 2)
-    one = np.ones_like(ks[-1])
-    amps[n_lay + 1] = (one, np.zeros_like(one))
-    a, b = amps[n_lay + 1]
-    for j in range(n_lay, 0, -1):
-        inv = 0.5 / ks[j]
-        p, m_ = (ks[j] + ks[j + 1]) * inv, (ks[j] - ks[j + 1]) * inv
-        at, bt = p * a + m_ * b, m_ * a + p * b   # right-edge referenced
-        _check_exponent(ks[j], ds[j - 1])
-        ph = np.exp(-1j * ks[j] * ds[j - 1])
-        a, b = at * ph, bt / ph                   # shift reference to left edge
-        amps[j] = (a, b)
-    inv = 0.5 / ks[0]
-    p, m_ = (ks[0] + ks[1]) * inv, (ks[0] - ks[1]) * inv
-    amps[0] = (p * a + m_ * b, m_ * a + p * b)
-    return amps
-
-
-def _march_left_outgoing(ks, ds):
-    """Amplitudes of the solution that is purely outgoing to the left."""
-    n_lay = len(ds)
-    amps = [None] * (n_lay + 2)
-    one = np.ones_like(ks[0])
-    amps[0] = (np.zeros_like(one), one)
-    a, b = amps[0]
-    for j in range(1, n_lay + 1):
-        inv = 0.5 / ks[j]
-        p, m_ = (ks[j] + ks[j - 1]) * inv, (ks[j] - ks[j - 1]) * inv
-        a, b = p * a + m_ * b, m_ * a + p * b     # left-edge referenced
-        amps[j] = (a, b)
-        _check_exponent(ks[j], ds[j - 1])
-        ph = np.exp(1j * ks[j] * ds[j - 1])
-        a, b = a * ph, b / ph                     # shift reference to right edge
-    inv = 0.5 / ks[-1]
-    p, m_ = (ks[-1] + ks[-2]) * inv, (ks[-1] - ks[-2]) * inv
-    amps[n_lay + 1] = (p * a + m_ * b, m_ * a + p * b)
-    return amps
+    kp = omega * np.cos(np.asarray(thetas, dtype=float))
+    return np.abs(reflection(WaveProblem(stack, k_par=kp), omega)) ** 2
 
 
 def _locate(stack: LayerStack, x: float):
@@ -384,9 +341,9 @@ def _locate(stack: LayerStack, x: float):
     return j, bounds[j - 1]
 
 
-def _eval_amp(amps, ks, idx, x, ref):
-    a, b = amps[idx]
-    ph = np.exp(1j * ks[idx] * (x - ref))
+def _eval_amp(amps, k, x, ref):
+    a, b = amps
+    ph = np.exp(1j * k * (x - ref))
     return a * ph + b / ph
 
 
@@ -395,35 +352,41 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
 
     Built from the left- and right-outgoing solutions divided by their
     Wronskian, G = E_L(x_<) E_R(x_>) / W, which is analytic in omega away
-    from the resonator poles and therefore usable at complex omega.
+    from the resonator poles and therefore usable at complex omega.  E_R
+    comes from :func:`_march`; E_L is the right-outgoing solution of the
+    mirrored stack with A and B swapped, whose right-edge amplitudes are
+    referenced to the left edges of the original layers.
+
+    Where the Wronskian falls below its numerical floor (omega at a pole)
+    an array ``omega`` gets ``inf`` at those entries.
 
     Raises
     ------
     NearPoleError
-        If the Wronskian falls below the numerical floor (omega at a pole).
+        If ``omega`` is a scalar and the Wronskian falls below the floor.
     """
     ks = _wavenumbers(problem, omega)
-    ds = [d for _, d in problem.stack.layers]
-    el = _march_left_outgoing(ks, ds)
-    er = _march_right_outgoing(ks, ds)
-
+    ds = _thicknesses(problem.stack)
     x_lo, x_hi = (x, xp) if x <= xp else (xp, x)
     j_lo, ref_lo = _locate(problem.stack, x_lo)
     j_hi, ref_hi = _locate(problem.stack, x_hi)
+    mirror = len(ks) - 1 - j_lo
+    _, _, er = _march(ks, ds, keep={j_lo, j_hi})
+    _, _, el = _march(ks[::-1], ds[::-1], keep={mirror})
+    bl, al = el[mirror][0]
 
     # Wronskian in the layer of x_<; constant across layers analytically
-    al, bl = el[j_lo]
-    ar, br = er[j_lo]
+    ar, br = er[j_lo][1]
     w = 2j * ks[j_lo] * (bl * ar - al * br)
     floor = 1e-13 * np.abs(2.0 * ks[j_lo]) * (np.abs(bl * ar) + np.abs(al * br))
     bad = np.abs(w) <= floor
-    if np.any(bad):
-        w_arr = np.asarray(omega, dtype=complex)
-        offending = w_arr[bad] if w_arr.ndim else w_arr
-        raise NearPoleError(f"Wronskian vanishes: omega at/near a pole ({offending})",
-                            omega=offending)
-
-    return _eval_amp(el, ks, j_lo, x_lo, ref_lo) * _eval_amp(er, ks, j_hi, x_hi, ref_hi) / w
+    if np.ndim(bad) == 0 and bad:
+        raise NearPoleError(f"Wronskian vanishes: omega at/near a pole ({omega})",
+                            omega=omega)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (_eval_amp((al, bl), ks[j_lo], x_lo, ref_lo)
+             * _eval_amp(er[j_hi][1], ks[j_hi], x_hi, ref_hi) / w)
+    return np.where(bad, complex(np.inf, 0.0), g) if np.any(bad) else g
 
 
 def field_profile(problem: WaveProblem, omega, xs):
@@ -433,14 +396,11 @@ def field_profile(problem: WaveProblem, omega, xs):
     in free space psi(x) = exp(i k x).  ``omega`` scalar, ``xs`` array.
     """
     ks = _wavenumbers(problem, complex(omega))
-    ds = [d for _, d in problem.stack.layers]
-    er = _march_right_outgoing(ks, ds)
-    a0 = er[0][0]
-    out = np.empty(np.shape(xs), dtype=complex)
-    for i, x in enumerate(np.atleast_1d(xs)):
-        j, ref = _locate(problem.stack, float(x))
-        out.flat[i] = _eval_amp(er, ks, j, float(x), ref) / a0
-    return out
+    xs_flat = [float(x) for x in np.atleast_1d(xs)]
+    where = [_locate(problem.stack, x) for x in xs_flat]
+    a0, _, er = _march(ks, _thicknesses(problem.stack), keep={j for j, _ in where})
+    out = [_eval_amp(er[j][1], ks[j], x, ref) / a0 for x, (j, ref) in zip(xs_flat, where)]
+    return np.array(out, dtype=complex).reshape(np.shape(xs))
 
 
 # ---------------------------------------------------------------------------

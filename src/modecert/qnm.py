@@ -120,13 +120,6 @@ class PoleExpansion:
     def center(self) -> float:
         return 0.5 * (self.region.omega_lo + self.region.omega_hi)
 
-    def ordered_poles(self, center: float | None = None) -> list:
-        """Poles by distance of Re omega_pole from the window center (main pole first)."""
-        c = self.center if center is None else center
-        return sorted(self.poles,
-                      key=lambda p: (abs(p.omega_pole.real - c),
-                                     -abs(p.residue) if p.residue is not None else 0.0))
-
     def to_dict(self) -> dict:
         return {
             "poles": [{"re": p.omega_pole.real, "im": p.omega_pole.imag,
@@ -142,8 +135,8 @@ class PoleExpansion:
         lines = ["re,im,res_re,res_im,residual"]
         for p in self.poles:
             res = p.residue if p.residue is not None else complex(np.nan, np.nan)
-            lines.append(f"{p.omega_pole.real!r},{p.omega_pole.imag!r},"
-                         f"{res.real!r},{res.imag!r},{p.residual!r}")
+            lines.append(",".join(repr(float(v)) for v in (
+                p.omega_pole.real, p.omega_pole.imag, res.real, res.imag, p.residual)))
         return "\n".join(lines) + "\n"
 
 
@@ -161,66 +154,26 @@ class ConvergenceReport:
 # evaluator plumbing
 # ---------------------------------------------------------------------------
 
-class _VecEval:
-    """Wrap a scalar-or-vector complex evaluator into a guaranteed-vector one."""
-
-    def __init__(self, f):
-        self.f = f
-        self._vector_ok = None
-        self.n_evals = 0
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        self.n_evals += z.size
-        if self._vector_ok is None:
-            try:
-                out = np.asarray(self.f(z))
-                self._vector_ok = out.shape == z.shape
-                if self._vector_ok:
-                    return out.astype(complex)
-            except Exception:
-                self._vector_ok = False
-        if self._vector_ok:
-            return np.asarray(self.f(z), dtype=complex)
-        return np.array([complex(self.f(complex(zi))) for zi in z.ravel()],
-                        dtype=complex).reshape(z.shape)
-
-
 class _Unresolvable(Exception):
     """Internal: boundary sampling could not be resolved; perturb and retry."""
 
 
 def witness_evaluator(problem, emitter=None):
-    """Pole-tolerant witness evaluator for the complex-plane search.
+    """Witness evaluator on complex arrays for the complex-plane search.
 
-    Newton refinement deliberately steps onto poles, where the exact witness
-    raises NearPoleError; here that maps to inf, which is the correct limit
-    for h = 1/f.  Failing array batches fall back to per-element evaluation.
+    Newton refinement deliberately steps onto poles, where the kernel returns
+    inf for those entries, which is the correct limit for h = 1/f.
     """
-    from .errors import NearPoleError
     from .witness import levshift_exact
 
     def f(w):
         # omega = 0 is a removable point of the witness (delta ~ gamma omega G);
         # nudge exact zeros so symmetric scan contours may cross the origin
-        arr = np.asarray(w, dtype=complex)
-        if np.any(arr == 0):
-            arr = np.where(arr == 0, 1e-30 + 0j, arr)
-            w = arr if np.ndim(w) else complex(arr)
+        w = np.asarray(w, dtype=complex)
+        if np.any(w == 0):
+            w = np.where(w == 0, 1e-30 + 0j, w)
         with np.errstate(all="ignore"):
-            try:
-                return levshift_exact(problem, emitter, w)
-            except NearPoleError:
-                arr = np.asarray(w, dtype=complex)
-                if arr.ndim == 0:
-                    return complex(np.inf, 0.0)
-                out = np.empty(arr.shape, dtype=complex)
-                for i, wi in enumerate(arr.ravel()):
-                    try:
-                        out.flat[i] = levshift_exact(problem, emitter, complex(wi))
-                    except NearPoleError:
-                        out.flat[i] = complex(np.inf, 0.0)
-                return out
+            return levshift_exact(problem, emitter, w)
 
     return f
 
@@ -235,7 +188,7 @@ _MAX_REFINE_ROUNDS = 14
 _MAX_BOUNDARY_POINTS = 120_000
 
 
-def _box_moments(fv: _VecEval, box, n_min: int):
+def _box_moments(fv, box, n_min: int):
     """Winding number and first two singularity moments of h = 1/f over a box.
 
     Returns (W, s1, s2, median |h| on the boundary).  Raises _Unresolvable if
@@ -310,7 +263,7 @@ def _box_moments(fv: _VecEval, box, n_min: int):
     raise _Unresolvable("phase tracking did not converge")
 
 
-def _newton_on(fv: _VecEval, z0: complex, scale: float, invert: bool,
+def _newton_on(fv, z0: complex, scale: float, invert: bool,
                max_iter: int = 60):
     """Newton refinement of a zero of h = 1/f (invert=True) or of f itself.
 
@@ -385,7 +338,8 @@ def _perturbed(box, attempt: int):
 def find_poles(f, region: ScanRegion) -> list:
     """All simple poles of ``f`` inside the region, Newton-refined on 1/f.
 
-    ``f`` must be analytic in the region apart from isolated simple poles and
+    ``f`` maps complex arrays to complex arrays (inf at a pole is allowed),
+    must be analytic in the region apart from isolated simple poles and
     must not have a pole on the region boundary.  Returned poles carry the
     refinement residual |1/f|; residues are not filled in (see
     :func:`compute_residue` / :func:`build_expansion`).
@@ -398,7 +352,6 @@ def find_poles(f, region: ScanRegion) -> list:
         Evidence of a pole of order >= 2 (winding >= 2 collapsing onto a
         single location at the resolution limit).
     """
-    fv = f if isinstance(f, _VecEval) else _VecEval(f)
     dedupe = region.dedupe_radius or 1e-6 * region.width
     found = []   # (z, residual)
     top_box = region.box
@@ -409,7 +362,7 @@ def find_poles(f, region: ScanRegion) -> list:
         moments = None
         for attempt in range(4):
             try:
-                moments = _box_moments(fv, box, region.min_edge_points)
+                moments = _box_moments(f, box, region.min_edge_points)
                 break
             except _Unresolvable:
                 box = _perturbed(box, attempt)
@@ -443,7 +396,7 @@ def find_poles(f, region: ScanRegion) -> list:
             # moments; hidden pole/zero pairs shift s1 or s2 and force a split
             guess = s1 if _inside(s1, box, slack=0.0) else complex(
                 0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
-            z_hat, resid = _newton_on(fv, guess, diam, invert=True)
+            z_hat, resid = _newton_on(f, guess, diam, invert=True)
             if (z_hat is not None and resid < newton_tol
                     and _inside(z_hat, box, slack=0.02 * diam)
                     and abs(s1 - z_hat) < match1
@@ -461,7 +414,7 @@ def find_poles(f, region: ScanRegion) -> list:
                 # moments consistent with one location of multiplicity w mean a
                 # higher-order pole (Newton converges there linearly but surely)
                 centroid = s1 / w
-                z_hat, _ = _newton_on(fv, centroid, diam, invert=True)
+                z_hat, _ = _newton_on(f, centroid, diam, invert=True)
                 if (z_hat is not None and _inside(z_hat, box, slack=0.05 * diam)
                         and abs(centroid - z_hat) < match1
                         and abs(s2 / w - z_hat * z_hat) < match2):
@@ -529,13 +482,12 @@ def compute_residue(f, pole_location: complex, radius: float, samples: int = 64,
     """
     if samples < 16:
         raise ValueError("samples must be >= 16")
-    fv = f if isinstance(f, _VecEval) else _VecEval(f)
 
     def ring(m):
         th = TWO_PI * np.arange(m) / m
         ph = np.exp(1j * th)
         zs = pole_location + radius * ph
-        return (radius / m) * np.sum(fv(zs) * ph)
+        return (radius / m) * np.sum(f(zs) * ph)
 
     r1 = ring(samples)
     r2 = ring(2 * samples)
@@ -562,10 +514,7 @@ def build_expansion(problem, emitter=None, region: ScanRegion = None,
     real window (the certification window when given, else the region's
     real interval), with the "converges to zero" flag of the expansion.
     """
-    if f is None:
-        fv = _VecEval(witness_evaluator(problem, emitter))
-    else:
-        fv = f if isinstance(f, _VecEval) else _VecEval(f)
+    fv = witness_evaluator(problem, emitter) if f is None else f
     poles = find_poles(fv, region)
 
     locs = [p.omega_pole for p in poles]

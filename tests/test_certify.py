@@ -227,7 +227,7 @@ def test_single_layer_guide_off_resonant(material_table):
             if r2[i] < r2[i - 1] and r2[i] <= r2[i + 1]]
     assert dips, "no rocking minimum found"
     problem = ly.WaveProblem(stack, k_par=ly.OMEGA_NUC_KEV * np.cos(dips[0]))
-    omega_bp = cf._xray_branch_point(problem, material_table)
+    omega_bp = cf._xray_branch_point(problem)
     e_off = ly.OMEGA_NUC_KEV - omega_bp
     d = np.real(cf.levshift_exact(problem, emitter, ly.OMEGA_NUC_KEV))
     # non-zero Lamb shift at the rocking minimum (off-resonant displacement)

@@ -216,6 +216,17 @@ def test_green_near_pole_error():
         ly.green_function(pr, xa, xa, pole)
 
 
+def test_green_array_pole_entry_inf():
+    # array contract: the pole entry reads inf, the others stay finite
+    pr = fp_problem(20.0)
+    xa = pr.stack.emitter.x_a
+    pole = (1.0412006217063068 - 0.004047325183637024j) * np.pi
+    om = np.array([pole - 0.01, pole, pole + 0.01j, 2.0 * np.pi])
+    g = ly.green_function(pr, xa, xa, om)
+    assert np.isinf(g[1])
+    assert np.all(np.isfinite(np.delete(g, 1)))
+
+
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------

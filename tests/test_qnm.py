@@ -64,9 +64,8 @@ def test_winding_consistency_pure_poles():
             z = np.asarray(z, dtype=complex)
             return 1.0 / np.prod(z[..., None] - zs, axis=-1)
 
-        fv = qnm._VecEval(f)
-        w, _, _, _ = qnm._box_moments(fv, REGION.box, REGION.min_edge_points)
-        poles = qnm.find_poles(fv, REGION)
+        w, _, _, _ = qnm._box_moments(f, REGION.box, REGION.min_edge_points)
+        poles = qnm.find_poles(f, REGION)
         assert w == n == len(poles)
 
 
