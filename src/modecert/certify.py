@@ -224,15 +224,16 @@ def shift_decomposition(main_residue: complex, main_pole: complex,
 # classification
 # ---------------------------------------------------------------------------
 
+_MAX_REGION_GROWTH = 4   # region growths before RegionTooSmallError stands
+
 def classify(problem: WaveProblem, emitter=None, region: ScanRegion | None = None,
              thresholds: Thresholds = Thresholds(), window=None,
-             max_region_growth: int = 4,
              grow_lo_min: float | None = None) -> ClassificationReport:
     """Run the decision tree on one cavity problem.
 
     With ``region=None`` a symmetric default region is derived from the
     reflectance scan (probed minimum +- 2.5 free spectral ranges, mirror
-    half included) and is doubled, up to ``max_region_growth`` times, when
+    half included) and is doubled, up to ``_MAX_REGION_GROWTH`` times, when
     the truncation tolerance is unreachable with the poles found (slowly
     decaying mode ladders need wide regions).  ``grow_lo_min`` pins the left
     edge during growth; grazing-incidence problems use it to keep the region
@@ -252,7 +253,7 @@ def classify(problem: WaveProblem, emitter=None, region: ScanRegion | None = Non
 
     expansion = None
     conv = None
-    for attempt in range(max_region_growth + 1):
+    for attempt in range(_MAX_REGION_GROWTH + 1):
         expansion = build_expansion(problem, emitter, region, window=window)
         if not expansion.poles:
             raise AmbiguityError("no poles found in the scan region")
@@ -261,7 +262,7 @@ def classify(problem: WaveProblem, emitter=None, region: ScanRegion | None = Non
                                       thresholds.convergence_tol, center=omega_min)
             break
         except RegionTooSmallError:
-            if attempt == max_region_growth:
+            if attempt == _MAX_REGION_GROWTH:
                 raise
             region = _grow(region, grow_lo_min)
 
@@ -330,11 +331,7 @@ def _grow(region: ScanRegion, lo_min: float | None = None) -> ScanRegion:
         lo = region.omega_lo
         hi = region.omega_hi + 1.001 * region.width
         depth = 1.6 * region.depth
-    return ScanRegion(lo, hi, depth,
-                      im_top=region.im_top, max_levels=region.max_levels,
-                      newton_tol=region.newton_tol,
-                      dedupe_radius=region.dedupe_radius,
-                      min_edge_points=region.min_edge_points)
+    return ScanRegion(lo, hi, depth, im_top=region.im_top)
 
 
 def _single_pole_zero_numeric(residue, omega_pole, window):

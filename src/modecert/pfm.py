@@ -150,7 +150,7 @@ def diagonalize(p: PfmParams) -> DiagonalBasis:
 
     Eigenvalues are sorted by real part.  The residues come from the left
     and right eigenvector projections of g, which reproduces the matrix
-    level shift exactly for any invertible eigenbasis; eigenvector-matrix
+    level shift exactly for any non-singular eigenbasis; eigenvector-matrix
     condition numbers above 1e10 are rejected as near-exceptional.
     """
     h = p.mode_matrix

@@ -15,25 +15,38 @@ only if W = 0 and s_1, s_2 vanish; a box is accepted as "one simple pole" only
 if W = 1 and s_1 agrees with the Newton-refined location.  Anything else is
 subdivided until resolved or the depth budget is exhausted.
 
-Residues are evaluated by the M-point trapezoid rule on a circle around each
-pole, which is exponentially convergent for meromorphic integrands and exact
-for the pole's own 1/(z - z0) part.
+Each box boundary is one closed loop of samples, corners included, refined
+by inserting neighbour midpoints with one evaluator call per round.
+
+Residues are evaluated by the trapezoid rule on a circle around each pole,
+which is exponentially convergent for meromorphic integrands and exact for
+the pole's own 1/(z - z0) part; one 2M-point ring gives the M- and 2M-point
+sums, whose difference is the error estimate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     AccuracyError,
     ExceptionalPointError,
+    ModeCertError,
     RegionTooSmallError,
     UnresolvedRegionError,
 )
 
 TWO_PI = 2.0 * np.pi
+
+_MAX_LEVELS = 40        # subdivision depth budget of the pole search
+_NEWTON_ITERS = 60      # Newton steps per refinement
+_NEWTON_REL = 1e-8      # accepted |1/f| at a pole, relative to the boundary median
+_DEDUPE_REL = 1e-6      # merge radius of pole candidates, relative to the width
+_RESIDUE_SAMPLES = 64   # M of the residue trapezoid rule (the ring has 2M points)
+_RESIDUE_TOL = 1e-8     # relative doubling error accepted for a residue
+_CONST_SAMPLES = 101    # real-axis samples of the constant-term estimate
 
 
 # ---------------------------------------------------------------------------
@@ -59,22 +72,17 @@ class Pole:
 
 @dataclass(frozen=True)
 class ScanRegion:
-    """Complex search rectangle [omega_lo, omega_hi] x [-depth, im_top].
+    """Complex search rectangle [omega_lo, omega_hi] x [im_top - depth, im_top].
 
-    ``max_levels`` bounds the subdivision recursion; ``newton_tol`` (absolute
-    bound on |1/f| at an accepted pole) defaults to 1e-8 times the median
-    boundary |1/f|, which makes it scale-free; ``dedupe_radius`` defaults to
-    1e-6 times the window width.
+    The search resolution scales with the region: candidates closer than
+    ``_DEDUPE_REL`` times the width are one pole, and the Newton acceptance
+    bound on |1/f| is ``_NEWTON_REL`` times the median boundary |1/f|.
     """
 
     omega_lo: float
     omega_hi: float
     depth: float
     im_top: float = 0.0
-    max_levels: int = 40
-    newton_tol: float | None = None
-    dedupe_radius: float | None = None
-    min_edge_points: int = 128
 
     def __post_init__(self):
         if not self.omega_lo < self.omega_hi:
@@ -123,8 +131,7 @@ class PoleExpansion:
     def to_dict(self) -> dict:
         return {
             "poles": [{"re": p.omega_pole.real, "im": p.omega_pole.imag,
-                       "res_re": (p.residue.real if p.residue is not None else None),
-                       "res_im": (p.residue.imag if p.residue is not None else None)}
+                       "res_re": p.residue.real, "res_im": p.residue.imag}
                       for p in self.poles],
             "constant": {"re": self.constant_term.real, "im": self.constant_term.imag},
             "constant_negligible": self.constant_negligible,
@@ -134,9 +141,9 @@ class PoleExpansion:
     def pole_table_csv(self) -> str:
         lines = ["re,im,res_re,res_im,residual"]
         for p in self.poles:
-            res = p.residue if p.residue is not None else complex(np.nan, np.nan)
             lines.append(",".join(repr(float(v)) for v in (
-                p.omega_pole.real, p.omega_pole.imag, res.real, res.imag, p.residual)))
+                p.omega_pole.real, p.omega_pole.imag, p.residue.real, p.residue.imag,
+                p.residual)))
         return "\n".join(lines) + "\n"
 
 
@@ -184,32 +191,27 @@ def witness_evaluator(problem, emitter=None):
 
 _PHASE_STEP = 1.5      # max |d arg h| between adjacent boundary samples (rad)
 _LOGMOD_STEP = 2.0     # max |d log|h|| between adjacent samples
+_EDGE_POINTS = 32      # initial samples per box edge
 _MAX_REFINE_ROUNDS = 14
 _MAX_BOUNDARY_POINTS = 120_000
 
 
-def _box_moments(fv, box, n_min: int):
+def _box_moments(fv, box):
     """Winding number and first two singularity moments of h = 1/f over a box.
 
     Returns (W, s1, s2, median |h| on the boundary).  Raises _Unresolvable if
     the phase cannot be tracked within the refinement budget.
     """
     re_lo, re_hi, im_lo, im_hi = box
-    corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
-               complex(re_hi, im_hi), complex(re_lo, im_hi)]
-    n_edge = max(8, n_min // 4 if n_min >= 32 else 8)
-    params = [np.linspace(0.0, 1.0, n_edge, endpoint=False) for _ in range(4)]
-    values = [None] * 4
-    for e in range(4):
-        zs = corners[e] + params[e] * (corners[(e + 1) % 4] - corners[e])
-        values[e] = fv(zs)
+    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
+                        complex(re_hi, im_hi), complex(re_lo, im_hi)])
+    t = np.linspace(0.0, 1.0, _EDGE_POINTS, endpoint=False)
+    zs = (corners[:, None] + t * (np.roll(corners, -1) - corners)[:, None]).ravel()
+    fs = fv(zs)
 
     for _ in range(_MAX_REFINE_ROUNDS):
-        zs = np.concatenate([corners[e] + params[e] * (corners[(e + 1) % 4] - corners[e])
-                             for e in range(4)])
-        hs = np.concatenate(values)
         with np.errstate(divide="ignore", invalid="ignore"):
-            hs = 1.0 / hs
+            hs = 1.0 / fs
         if not np.all(np.isfinite(hs)) or np.any(hs == 0):
             raise _Unresolvable("f vanished or blew up on the boundary")
         hn = np.roll(hs, -1)
@@ -237,38 +239,22 @@ def _box_moments(fv, box, n_min: int):
             s2 = z0 * z0 * w - int_zl / (1j * np.pi)
             return w, s1, s2, float(np.median(np.abs(hs)))
 
-        # insert parameter midpoints on the edges owning the bad adjacencies
-        sizes = [p.size for p in params]
-        offsets = np.cumsum([0] + sizes)
-        total = offsets[-1]
-        if total > _MAX_BOUNDARY_POINTS:
+        if zs.size > _MAX_BOUNDARY_POINTS:
             raise _Unresolvable("boundary refinement budget exhausted")
-        new_params = [[] for _ in range(4)]
-        for idx in np.nonzero(bad)[0]:
-            e = int(np.searchsorted(offsets, idx, side="right")) - 1
-            j = idx - offsets[e]
-            t0 = params[e][j]
-            t1 = params[e][j + 1] if j + 1 < sizes[e] else 1.0
-            new_params[e].append(0.5 * (t0 + t1))
-        for e in range(4):
-            if not new_params[e]:
-                continue
-            tn = np.asarray(new_params[e])
-            zn = corners[e] + tn * (corners[(e + 1) % 4] - corners[e])
-            vn = fv(zn)
-            merged = np.concatenate([params[e], tn])
-            order = np.argsort(merged)
-            params[e] = merged[order]
-            values[e] = np.concatenate([values[e], vn])[order]
+        # midpoints of the bad neighbour pairs; corners are samples, so every
+        # midpoint lies on the boundary
+        idx = np.nonzero(bad)[0]
+        z_mid = 0.5 * (zs[idx] + np.roll(zs, -1)[idx])
+        zs = np.insert(zs, idx + 1, z_mid)
+        fs = np.insert(fs, idx + 1, fv(z_mid))
     raise _Unresolvable("phase tracking did not converge")
 
 
-def _newton_on(fv, z0: complex, scale: float, invert: bool,
-               max_iter: int = 60):
-    """Newton refinement of a zero of h = 1/f (invert=True) or of f itself.
+def _newton_on(fv, z0: complex, scale: float):
+    """Newton refinement of a zero of h = 1/f.
 
     Derivatives are central differences with step 1e-4 * scale; f is analytic
-    so this is accurate.  Returns (z, |target(z)|) or (None, inf).
+    so this is accurate.  Returns (z, |h(z)|) or (None, inf).
     """
     z = complex(z0)
     delta = 1e-4 * scale
@@ -276,19 +262,15 @@ def _newton_on(fv, z0: complex, scale: float, invert: bool,
     def target(zz):
         with np.errstate(all="ignore"):
             vals = fv(np.array([zz, zz + delta, zz - delta]))
-            if invert:
-                # a non-finite f means h = 1/f vanished exactly: we are at the pole
-                vals = np.where(np.isfinite(vals), vals, np.inf)
-                t = 1.0 / vals
-            else:
-                t = vals
+            # a non-finite f means h = 1/f vanished exactly: we are at the pole
+            t = 1.0 / np.where(np.isfinite(vals), vals, np.inf)
         return t[0], (t[1] - t[2]) / (2.0 * delta)
 
     prev_step = None
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERS):
         try:
             t, dt = target(z)
-        except Exception:
+        except ModeCertError:
             return None, np.inf
         if not np.isfinite(t):
             # stepped onto a singularity of the target; back off half the step
@@ -313,7 +295,7 @@ def _newton_on(fv, z0: complex, scale: float, invert: bool,
             break
     try:
         t, _ = target(z)
-    except Exception:
+    except ModeCertError:
         return None, np.inf
     if not np.isfinite(t):
         return None, np.inf
@@ -352,25 +334,23 @@ def find_poles(f, region: ScanRegion) -> list:
         Evidence of a pole of order >= 2 (winding >= 2 collapsing onto a
         single location at the resolution limit).
     """
-    dedupe = region.dedupe_radius or 1e-6 * region.width
+    dedupe = _DEDUPE_REL * region.width
     found = []   # (z, residual)
-    top_box = region.box
-    stack = [(top_box, 0)]
-    newton_tol = region.newton_tol
+    stack = [(region.box, 0)]
+    h_tol = None
     while stack:
         box, level = stack.pop()
-        moments = None
         for attempt in range(4):
             try:
-                moments = _box_moments(f, box, region.min_edge_points)
+                moments = _box_moments(f, box)
                 break
             except _Unresolvable:
                 box = _perturbed(box, attempt)
-        if moments is None:
+        else:
             raise UnresolvedRegionError("boundary winding ill-conditioned", box=box)
         w, s1, s2, med_h = moments
-        if newton_tol is None:
-            newton_tol = 1e-8 * med_h if med_h > 0 else 1e-12
+        if h_tol is None:
+            h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
         diam = float(np.hypot(box[1] - box[0], box[3] - box[2]))
         zmax = max(abs(complex(box[0], box[2])), abs(complex(box[1], box[3])))
         eps1 = max(2e-4 * diam, 1e-13 * max(zmax, 1.0))
@@ -396,8 +376,8 @@ def find_poles(f, region: ScanRegion) -> list:
             # moments; hidden pole/zero pairs shift s1 or s2 and force a split
             guess = s1 if _inside(s1, box, slack=0.0) else complex(
                 0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
-            z_hat, resid = _newton_on(f, guess, diam, invert=True)
-            if (z_hat is not None and resid < newton_tol
+            z_hat, resid = _newton_on(f, guess, diam)
+            if (z_hat is not None and resid < h_tol
                     and _inside(z_hat, box, slack=0.02 * diam)
                     and abs(s1 - z_hat) < match1
                     and abs(s2 - z_hat * z_hat) < match2):
@@ -409,12 +389,12 @@ def find_poles(f, region: ScanRegion) -> list:
             if _inside(-s1, box, slack=0.02 * diam) and abs(s2 + s1 * s1) < match2:
                 continue
 
-        if level >= region.max_levels:
+        if level >= _MAX_LEVELS:
             if w >= 2:
                 # moments consistent with one location of multiplicity w mean a
                 # higher-order pole (Newton converges there linearly but surely)
                 centroid = s1 / w
-                z_hat, _ = _newton_on(f, centroid, diam, invert=True)
+                z_hat, _ = _newton_on(f, centroid, diam)
                 if (z_hat is not None and _inside(z_hat, box, slack=0.05 * diam)
                         and abs(centroid - z_hat) < match1
                         and abs(s2 / w - z_hat * z_hat) < match2):
@@ -471,8 +451,8 @@ def compute_residue(f, pole_location: complex, radius: float, samples: int = 64,
     """Residue of f at a pole via the M-point circular trapezoid rule.
 
     Returns (residue, error_estimate); the estimate is the change under
-    doubling M.  The caller must pick ``radius`` smaller than half the
-    distance to the nearest other pole.
+    doubling M, read from one 2M-point ring.  The caller must pick ``radius``
+    smaller than half the distance to the nearest other pole.
 
     Raises
     ------
@@ -482,15 +462,13 @@ def compute_residue(f, pole_location: complex, radius: float, samples: int = 64,
     """
     if samples < 16:
         raise ValueError("samples must be >= 16")
-
-    def ring(m):
-        th = TWO_PI * np.arange(m) / m
-        ph = np.exp(1j * th)
-        zs = pole_location + radius * ph
-        return (radius / m) * np.sum(f(zs) * ph)
-
-    r1 = ring(samples)
-    r2 = ring(2 * samples)
+    m2 = 2 * samples
+    # TWO_PI * (2k) / (2M) == TWO_PI * k / M exactly, so the even samples
+    # are the M-point ring
+    ph = np.exp(1j * (TWO_PI * np.arange(m2) / m2))
+    terms = f(pole_location + radius * ph) * ph
+    r1 = (radius / samples) * np.sum(terms[::2])
+    r2 = (radius / m2) * np.sum(terms)
     err = abs(r2 - r1)
     if tol is not None:
         scale = max(abs(r2), 1e-300)
@@ -502,8 +480,7 @@ def compute_residue(f, pole_location: complex, radius: float, samples: int = 64,
 
 
 def build_expansion(problem, emitter=None, region: ScanRegion = None,
-                    f=None, n_const: int = 101,
-                    residue_samples: int = 64, window=None) -> PoleExpansion:
+                    f=None, window=None) -> PoleExpansion:
     """Pole expansion of the witness observable over a scan region.
 
     Locates poles of delta(omega) (or of an explicit evaluator ``f``),
@@ -517,17 +494,19 @@ def build_expansion(problem, emitter=None, region: ScanRegion = None,
     fv = witness_evaluator(problem, emitter) if f is None else f
     poles = find_poles(fv, region)
 
-    locs = [p.omega_pole for p in poles]
     out = []
-    for i, p in enumerate(poles):
-        dists = [abs(p.omega_pole - q) for j, q in enumerate(locs) if j != i]
+    for p in poles:
+        dists = [abs(p.omega_pole - q.omega_pole) for q in poles if q is not p]
         d_edges = [p.omega_pole.real - region.omega_lo,
                    region.omega_hi - p.omega_pole.real,
                    p.omega_pole.imag - (region.im_top - region.depth)]
-        d_min = min(dists + [2.0 * min(d_edges)]) if dists else 2.0 * min(d_edges)
-        radius = 0.45 * d_min
-        radius = min(radius, 0.25 * region.width)
-        res, _ = compute_residue(fv, p.omega_pole, radius, residue_samples, tol=1e-8)
+        radius = min(0.45 * min(dists + [2.0 * min(d_edges)]), 0.25 * region.width)
+        try:
+            res, _ = compute_residue(fv, p.omega_pole, radius, _RESIDUE_SAMPLES, _RESIDUE_TOL)
+        except AccuracyError:
+            # a singularity just below the region can spoil the first ring
+            res, _ = compute_residue(fv, p.omega_pole, 0.5 * radius, _RESIDUE_SAMPLES,
+                                     _RESIDUE_TOL)
         out.append(Pole(p.omega_pole, res, p.residual))
     if out:
         # symmetry-dark modes survive as poles with near-cancelled residues;
@@ -535,22 +514,15 @@ def build_expansion(problem, emitter=None, region: ScanRegion = None,
         floor = 1e-7 * max(abs(p.residue) for p in out)
         out = [p for p in out if abs(p.residue) >= floor]
 
-    if window is not None:
-        w_width = window[1] - window[0]
-        lo = window[0] + 0.1 * w_width
-        hi = window[1] - 0.1 * w_width
-    else:
-        lo = region.omega_lo + 0.1 * region.width
-        hi = region.omega_hi - 0.1 * region.width
-    om = np.linspace(lo, hi, n_const)
+    a, b = window if window is not None else (region.omega_lo, region.omega_hi)
+    om = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), _CONST_SAMPLES)
     exact = fv(om.astype(complex))
     partial = np.zeros_like(exact)
     for p in out:
         partial += p.residue / (om - p.omega_pole)
     diff = exact - partial
     const = complex(np.median(diff.real), np.median(diff.imag))
-    scale = float(np.max(np.abs(exact))) if exact.size else 0.0
-    negligible = abs(const) <= 0.01 * scale
+    negligible = abs(const) <= 0.01 * float(np.max(np.abs(exact)))
     return PoleExpansion(poles=tuple(out), constant_term=const, region=region,
                          constant_negligible=negligible)
 
@@ -563,13 +535,12 @@ def counted_poles(expansion: PoleExpansion, center: float | None = None) -> list
     """
     c = expansion.center if center is None else center
     pos = [p for p in expansion.poles if p.omega_pole.real >= -1e-12 * abs(c)]
-    return sorted(pos, key=lambda p: (abs(p.omega_pole.real - c),
-                                      -abs(p.residue) if p.residue is not None else 0.0))
+    return sorted(pos, key=lambda p: (abs(p.omega_pole.real - c), -abs(p.residue)))
 
 
 def _mirror_partner(expansion: PoleExpansion, pole: Pole):
     """The conjugate-mirror pole -omega*, when the scan region contains it."""
-    tol = 10.0 * (expansion.region.dedupe_radius or 1e-6 * expansion.region.width)
+    tol = 10.0 * _DEDUPE_REL * expansion.region.width
     target = -np.conj(pole.omega_pole)
     best = None
     for q in expansion.poles:

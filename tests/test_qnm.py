@@ -64,17 +64,42 @@ def test_winding_consistency_pure_poles():
             z = np.asarray(z, dtype=complex)
             return 1.0 / np.prod(z[..., None] - zs, axis=-1)
 
-        w, _, _, _ = qnm._box_moments(f, REGION.box, REGION.min_edge_points)
+        w, _, _, _ = qnm._box_moments(f, REGION.box)
         poles = qnm.find_poles(f, REGION)
         assert w == n == len(poles)
 
 
+def test_box_moments_one_call_per_refinement_round(monkeypatch):
+    # poles just inside the top edge and the bottom-left corner force
+    # refinement on several edges in the same round; f has one zero between
+    # them, so the winding of 1/f is 2 - 1
+    zs = (5 - 0.01j, 0.02 - 1.98j)
+    sizes = []
+
+    def f(z):
+        sizes.append(np.size(z))
+        return 1.0 / (z - zs[0]) + 1.0 / (z - zs[1])
+
+    w, _, _, _ = qnm._box_moments(f, (0.0, 10.0, -2.0, 0.0))
+    assert w == 1 and len(sizes) >= 3
+    calls = len(sizes)
+    # the fewest refinement rounds that resolve this boundary
+    rounds = 0
+    while True:
+        monkeypatch.setattr(qnm, "_MAX_REFINE_ROUNDS", rounds + 1)
+        try:
+            qnm._box_moments(f, (0.0, 10.0, -2.0, 0.0))
+            break
+        except qnm._Unresolvable:
+            rounds += 1
+    assert calls == rounds + 1
+
+
 def test_dedupe_merges_close_candidates():
     z0 = 5 - 0.5j
-    region = qnm.ScanRegion(0.0, 10.0, 2.0, dedupe_radius=0.5)
-    poles = qnm.find_poles(
-        lambda z: 1.0 / (z - z0) + 1.0 / (z - z0 - 0.2), region)
-    assert len(poles) == 1
+    poles = qnm._dedupe([(z0, 1e-9), (z0 + 0.2, 1e-12), (z0 + 2.0, 1e-10)],
+                        0.5, REGION)
+    assert [p.omega_pole for p in poles] == [z0 + 0.2, z0 + 2.0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -82,7 +107,7 @@ def test_higher_order_pole_rejected():
     # Newton lands exactly on the double pole; the test lambda divides by zero
     with pytest.raises(ExceptionalPointError):
         qnm.find_poles(lambda z: 1.0 / (z - (5 - 0.5j)) ** 2,
-                       qnm.ScanRegion(4.0, 6.0, 1.0, max_levels=18))
+                       qnm.ScanRegion(4.0, 6.0, 1.0))
 
 
 def test_conjugate_symmetry_fabry_perot():
@@ -140,6 +165,18 @@ def test_residue_accuracy_error():
                             16, tol=1e-10)
 
 
+def test_residue_one_evaluator_call():
+    calls = []
+
+    def f(z):
+        calls.append(np.size(z))
+        return 1.0 / (z - (2 - 0.4j))
+
+    r, _ = qnm.compute_residue(f, 2 - 0.4j, 0.3, 64)
+    assert calls == [128]
+    assert abs(r - 1.0) < 1e-12
+
+
 def test_residue_sample_floor():
     with pytest.raises(ValueError):
         qnm.compute_residue(np.exp, 0j, 0.1, 8)
@@ -159,6 +196,18 @@ def test_expansion_single_mode_synthetic():
     assert abs(p.residue.imag) < 1e-12
     assert abs(exp.constant_term) < 1e-10
     assert exp.constant_negligible
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_expansion_residue_clear_of_pole_below_region():
+    # the far pole sits 0.05 below the bottom edge; the first ring radius
+    # (0.9 of the distance to that edge) passes close to it.  Newton lands
+    # exactly on the near pole, where the test lambda divides by zero
+    f = lambda z: 1.0 / (z - (5 - 1j)) + 1.0 / (z - (5 - 2.05j))
+    exp = qnm.build_expansion(None, None, REGION, f=f)
+    assert len(exp.poles) == 1
+    assert abs(exp.poles[0].omega_pole - (5 - 1j)) < 1e-10
+    assert abs(exp.poles[0].residue - 1.0) < 1e-10
 
 
 def test_expansion_oracle_pairs():
