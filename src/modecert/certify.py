@@ -21,6 +21,8 @@ exactly by construction.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -233,12 +235,15 @@ def classify(problem: WaveProblem, emitter=None, region: ScanRegion | None = Non
 
     With ``region=None`` a symmetric default region is derived from the
     reflectance scan (probed minimum +- 2.5 free spectral ranges, mirror
-    half included) and is doubled, up to ``_MAX_REGION_GROWTH`` times, when
-    the truncation tolerance is unreachable with the poles found (slowly
-    decaying mode ladders need wide regions).  ``grow_lo_min`` pins the left
-    edge during growth; grazing-incidence problems use it to keep the region
-    clear of the cladding light-line branch points, where the witness stops
-    being meromorphic.
+    half included); a given ``region`` is searched as it is, and a missing
+    ``window`` alone is derived from the scan.  The region is doubled, up to
+    ``_MAX_REGION_GROWTH`` times, when the truncation tolerance is
+    unreachable with the poles found (slowly decaying mode ladders need wide
+    regions); each growth searches only the area it adds and keeps the poles
+    already found.  ``grow_lo_min`` pins the left edge during growth;
+    grazing-incidence problems use it to keep the region clear of the
+    cladding light-line branch points, where the witness stops being
+    meromorphic.
     """
     emitter = emitter or problem.stack.emitter
     if emitter is None:
@@ -246,7 +251,8 @@ def classify(problem: WaveProblem, emitter=None, region: ScanRegion | None = Non
 
     window = window or thresholds.window
     if window is None or region is None:
-        window, region = _default_window_region(problem, window)
+        window, default_region = _default_window_region(problem, window)
+        region = region or default_region
     omega_min = _probed_minimum(problem, window)
 
     curve = levshift_curve(problem, window, n=2001, refine=10, emitter=emitter)
@@ -254,7 +260,8 @@ def classify(problem: WaveProblem, emitter=None, region: ScanRegion | None = Non
     expansion = None
     conv = None
     for attempt in range(_MAX_REGION_GROWTH + 1):
-        expansion = build_expansion(problem, emitter, region, window=window)
+        expansion = build_expansion(problem, emitter, region, window=window,
+                                    previous=expansion)
         if not expansion.poles:
             raise AmbiguityError("no poles found in the scan region")
         try:
@@ -403,28 +410,30 @@ def scan_mirror_index(L: float, n_values, thresholds: Thresholds = Thresholds(),
 
 
 def scan_table_csv(rows) -> str:
-    """CSV table for a mirror-index scan, one row per parameter value."""
+    """CSV table for a mirror-index scan, one row per parameter value.
+
+    A failed row keeps its error type and message in ``status``
+    (``error:<Type>: <message>``, quoted by the CSV writer when needed) and
+    leaves the other fields empty.
+    """
     header = ["n_mirror", "status", "single_mode", "off_resonant_mm",
               "complex_residue_mm", "multi_pole_mm", "omega_min", "omega_a_zero",
               "re_main_pole", "kappa_main", "main_residue_phase", "n_star",
               "off_resonant_shift", "complex_residue_shift", "multi_pole_shift"]
-    lines = [",".join(header)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for n, res in rows:
         if isinstance(res, Exception):
-            lines.append(f"{n!r},error:{type(res).__name__},,,,,,,,,,,,,")
-            continue
-        f = res.flags()
-        lines.append(",".join([repr(n), "ok"] +
-                              [str(int(f[k])) for k in ("single_mode", "off_resonant_mm",
-                                                        "complex_residue_mm", "multi_pole_mm")] +
-                              [repr(v) for v in (res.omega_min, res.omega_a_zero,
-                                                 res.re_main_pole, res.kappa_main,
-                                                 res.main_residue_phase)] +
-                              [str(res.n_star)] +
-                              [repr(v) for v in (res.off_resonant_shift,
-                                                 res.complex_residue_shift,
-                                                 res.multi_pole_shift)]))
-    return "\n".join(lines) + "\n"
+            fields = [f"error:{type(res).__name__}: {res}"] + [""] * (len(header) - 2)
+        else:
+            f = res.flags()
+            fields = (["ok"] + [str(int(f[k])) for k in header[2:6]]
+                      + [repr(getattr(res, k)) for k in header[6:11]]
+                      + [str(res.n_star)]
+                      + [repr(getattr(res, k)) for k in header[12:]])
+        writer.writerow([repr(n)] + fields)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ if W = 1 and s_1 agrees with the Newton-refined location.  Anything else is
 subdivided until resolved or the depth budget is exhausted.
 
 Each box boundary is one closed loop of samples, corners included, refined
-by inserting neighbour midpoints with one evaluator call per round.
+by inserting neighbour midpoints with one evaluator call per round.  A
+search over a grown region can start from the poles of an earlier search
+over a region inside it and subdivide only the strips the growth added.
 
 Residues are evaluated by the trapezoid rule on a circle around each pole,
 which is exponentially convergent for meromorphic integrands and exact for
@@ -109,12 +111,15 @@ class PoleExpansion:
 
     ``constant_negligible`` records the supplement-style check that the
     constant term stays below 1% of the witness magnitude on the real window.
+    ``candidates`` are the poles the search returned, before the residue
+    floor; a search over a larger region starts from them.
     """
 
     poles: tuple
     constant_term: complex
     region: ScanRegion
     constant_negligible: bool = True
+    candidates: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "poles",
@@ -317,7 +322,7 @@ def _perturbed(box, attempt: int):
 # pole search
 # ---------------------------------------------------------------------------
 
-def find_poles(f, region: ScanRegion) -> list:
+def find_poles(f, region: ScanRegion, previous=None) -> list:
     """All simple poles of ``f`` inside the region, Newton-refined on 1/f.
 
     ``f`` maps complex arrays to complex arrays (inf at a pole is allowed),
@@ -325,6 +330,12 @@ def find_poles(f, region: ScanRegion) -> list:
     must not have a pole on the region boundary.  Returned poles carry the
     refinement residual |1/f|; residues are not filled in (see
     :func:`compute_residue` / :func:`build_expansion`).
+
+    ``previous`` is an earlier search ``(ScanRegion, poles)`` over a region
+    inside this one.  Its poles are kept and only the added area,
+    ``_ring(region.box, previous_region.box)``, is searched; the root box is
+    still sampled once so that the Newton acceptance bound is the one of a
+    search from scratch.
 
     Raises
     ------
@@ -335,22 +346,21 @@ def find_poles(f, region: ScanRegion) -> list:
         single location at the resolution limit).
     """
     dedupe = _DEDUPE_REL * region.width
-    found = []   # (z, residual)
-    stack = [(region.box, 0)]
-    h_tol = None
+    root, moments = _resolved_moments(f, region.box)
+    med_h = moments[3]
+    h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
+    if previous is None:
+        found = []   # (z, residual)
+        stack = [(root, 0, moments)]
+    else:
+        prev_region, prev_poles = previous
+        found = [(p.omega_pole, p.residual) for p in prev_poles]
+        stack = [(box, 0, None) for box in _ring(region.box, prev_region.box)]
     while stack:
-        box, level = stack.pop()
-        for attempt in range(4):
-            try:
-                moments = _box_moments(f, box)
-                break
-            except _Unresolvable:
-                box = _perturbed(box, attempt)
-        else:
-            raise UnresolvedRegionError("boundary winding ill-conditioned", box=box)
-        w, s1, s2, med_h = moments
-        if h_tol is None:
-            h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
+        box, level, moments = stack.pop()
+        if moments is None:
+            box, moments = _resolved_moments(f, box)
+        w, s1, s2, _ = moments
         diam = float(np.hypot(box[1] - box[0], box[3] - box[2]))
         zmax = max(abs(complex(box[0], box[2])), abs(complex(box[1], box[3])))
         eps1 = max(2e-4 * diam, 1e-13 * max(zmax, 1.0))
@@ -404,9 +414,34 @@ def find_poles(f, region: ScanRegion) -> list:
             raise UnresolvedRegionError(
                 f"sub-box not validated at max subdivision (winding {w})", box=box)
 
-        stack.extend(_split(box, level))
+        stack.extend((child, lvl, None) for child, lvl in _split(box, level))
 
     return _dedupe(found, dedupe, region)
+
+
+def _resolved_moments(f, box):
+    """(box, moments) of the first of a box and its perturbations that resolves."""
+    for attempt in range(4):
+        try:
+            return box, _box_moments(f, box)
+        except _Unresolvable:
+            box = _perturbed(box, attempt)
+    raise UnresolvedRegionError("boundary winding ill-conditioned", box=box)
+
+
+def _ring(outer, inner):
+    """Rectangles tiling the box ``outer`` minus the box ``inner`` inside it.
+
+    Full-height strips left and right of ``inner``, and strips below and
+    above it across its width; pieces of zero area are left out.
+    """
+    o_lo, o_hi, o_bot, o_top = outer
+    i_lo, i_hi, i_bot, i_top = inner
+    if not (o_lo <= i_lo < i_hi <= o_hi and o_bot <= i_bot < i_top <= o_top):
+        raise ValueError(f"box {inner} does not lie inside {outer}")
+    pieces = [(o_lo, i_lo, o_bot, o_top), (i_hi, o_hi, o_bot, o_top),
+              (i_lo, i_hi, o_bot, i_bot), (i_lo, i_hi, i_top, o_top)]
+    return [b for b in pieces if b[0] < b[1] and b[2] < b[3]]
 
 
 def _inside(z: complex, box, slack: float = 0.0) -> bool:
@@ -480,7 +515,8 @@ def compute_residue(f, pole_location: complex, radius: float, samples: int = 64,
 
 
 def build_expansion(problem, emitter=None, region: ScanRegion = None,
-                    f=None, window=None) -> PoleExpansion:
+                    f=None, window=None, previous: PoleExpansion | None = None
+                    ) -> PoleExpansion:
     """Pole expansion of the witness observable over a scan region.
 
     Locates poles of delta(omega) (or of an explicit evaluator ``f``),
@@ -490,9 +526,15 @@ def build_expansion(problem, emitter=None, region: ScanRegion = None,
     and estimates the constant term as the median mismatch on the interior
     real window (the certification window when given, else the region's
     real interval), with the "converges to zero" flag of the expansion.
+
+    ``previous`` is an expansion of the same function over a region inside
+    this one: its pole candidates are reused and only the added area is
+    searched.  Residues and the constant term are always recomputed over the
+    whole pole set.
     """
     fv = witness_evaluator(problem, emitter) if f is None else f
-    poles = find_poles(fv, region)
+    poles = find_poles(fv, region, None if previous is None
+                       else (previous.region, previous.candidates))
 
     out = []
     for p in poles:
@@ -524,7 +566,7 @@ def build_expansion(problem, emitter=None, region: ScanRegion = None,
     const = complex(np.median(diff.real), np.median(diff.imag))
     negligible = abs(const) <= 0.01 * float(np.max(np.abs(exact)))
     return PoleExpansion(poles=tuple(out), constant_term=const, region=region,
-                         constant_negligible=negligible)
+                         constant_negligible=negligible, candidates=tuple(poles))
 
 
 def counted_poles(expansion: PoleExpansion, center: float | None = None) -> list:

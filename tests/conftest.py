@@ -14,6 +14,16 @@ def fp_problem(n_mirror: float, gamma: float = 1.0) -> ly.WaveProblem:
     return ly.WaveProblem(ly.build_fabry_perot(1.0, n_mirror, gamma=gamma))
 
 
+@functools.lru_cache(maxsize=None)
+def lossy_problem(n_mirror: complex, L: float = 1.0) -> ly.WaveProblem:
+    """Fabry-Perot geometry with absorbing mirrors of thickness L/100."""
+    t = L / 100.0
+    mirror = ly.Material.constant("mirror", n_mirror)
+    emitter = ly.EmitterSpec(x_a=t + L / 2.0, omega_a=np.pi / L, gamma=1.0)
+    return ly.WaveProblem(ly.LayerStack(
+        ly.VACUUM, ((mirror, t), (ly.VACUUM, L), (mirror, t)), ly.VACUUM, emitter))
+
+
 def rational_instance(rng, region=(0.0, 10.0, -2.0, 0.0), max_poles=5,
                       min_sep=0.35, margin=0.5, background=False):
     """Random rational function with known poles/residues inside a region.

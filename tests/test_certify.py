@@ -1,15 +1,17 @@
 """Decision tree, shift decomposition, scans and X-ray reports."""
 
+import csv
 import dataclasses
 import functools
+import io
 
 import numpy as np
 import pytest
 
-from modecert import certify as cf, layered as ly, qnm
+from modecert import certify as cf, layered as ly, qnm, witness as wt
 from modecert.errors import AmbiguityError, ConfigurationError
 
-from conftest import fp_problem
+from conftest import fp_problem, lossy_problem
 
 
 @functools.lru_cache(maxsize=None)
@@ -138,6 +140,77 @@ def test_report_serialization():
     assert "single_mode" in text
 
 
+def _expansion_spy(monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(qnm.build_expansion(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cf, "build_expansion", spy)
+    return built
+
+
+def test_classify_keeps_given_region(monkeypatch):
+    built = _expansion_spy(monkeypatch)
+    region = qnm.ScanRegion(-20.0, 20.0, 4.0)
+    rep = cf.classify(fp_problem(20.0), region=region)
+    assert rep.single_mode
+    assert [e.region for e in built] == [region]
+
+
+# ---------------------------------------------------------------------------
+# region growth on lossy mirrors
+# ---------------------------------------------------------------------------
+
+def test_growth_path_independent(monkeypatch):
+    # growing into a region gives the certificate of searching it at once
+    problem = lossy_problem(8.0 + 1.0j)
+    built = _expansion_spy(monkeypatch)
+    grown = cf.classify(problem)
+    assert len(built) == 3   # two growths
+    final = built[-1].region
+    window, first = cf._default_window_region(problem)
+    assert final == cf._grow(cf._grow(first))
+    direct = cf.classify(problem, region=final, window=window)
+    assert len(built) == 4
+    assert grown.flags() == direct.flags()
+    assert grown.n_star == direct.n_star
+    assert grown.n_poles_region == direct.n_poles_region
+    main_g = complex(grown.re_main_pole, -0.5 * grown.kappa_main)
+    main_d = complex(direct.re_main_pole, -0.5 * direct.kappa_main)
+    assert abs(main_g - main_d) < 1e-10 * abs(main_d)
+    assert abs(grown.main_residue - direct.main_residue) < 1e-10 * abs(direct.main_residue)
+
+
+def test_growth_length_scaling():
+    # L -> 2L, omega -> omega/2: same certificate in units of 1/L
+    rep1 = cf.classify(lossy_problem(8.0 + 1.0j, 1.0))
+    rep2 = cf.classify(lossy_problem(8.0 + 1.0j, 2.0))
+    assert rep1.flags() == rep2.flags()
+    assert rep1.n_star == rep2.n_star
+    for key in ("omega_min", "omega_a_zero", "re_main_pole", "kappa_main"):
+        a, b = getattr(rep1, key), 2.0 * getattr(rep2, key)
+        assert abs(a - b) < 1e-9 * abs(a), key
+
+
+def test_growth_call_budget(monkeypatch):
+    # each growth searches only the area it adds: lossy 8+0.5i grows four
+    # times and stays near 970 kernel calls (2016 when every round started
+    # from scratch)
+    calls = []
+    kernel = wt.green_function
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(wt, "green_function", counted)
+    rep = cf.classify(lossy_problem(8.0 + 0.5j))
+    assert rep.n_poles_region == 35
+    assert len(calls) <= 1100
+
+
 # ---------------------------------------------------------------------------
 # mirror-index scan
 # ---------------------------------------------------------------------------
@@ -155,6 +228,14 @@ def test_scan_mirror_index_rows():
     lines = csv_text.strip().splitlines()
     assert len(lines) == 4
     assert "error:" in lines[2]
+    # error rows keep their message; commas and quotes in it stay one field
+    quoted = AmbiguityError("minima at 1.5, 2.5 and \"3.5\"")
+    table = list(csv.reader(io.StringIO(cf.scan_table_csv(rows + [(2.0, quoted)]))))
+    assert [len(r) for r in table] == [15] * 5
+    exc = status[1.0]
+    assert table[2][1] == f"error:{type(exc).__name__}: {exc}"
+    assert str(exc) and table[2][2:] == [""] * 13
+    assert table[4][1] == 'error:AmbiguityError: minima at 1.5, 2.5 and "3.5"'
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modecert import layered as ly, qnm, witness as wt
+from modecert import certify as cf, layered as ly, qnm, witness as wt
 from modecert.errors import (
     AccuracyError,
     ExceptionalPointError,
@@ -100,6 +100,63 @@ def test_dedupe_merges_close_candidates():
     poles = qnm._dedupe([(z0, 1e-9), (z0 + 0.2, 1e-12), (z0 + 2.0, 1e-10)],
                         0.5, REGION)
     assert [p.omega_pole for p in poles] == [z0 + 0.2, z0 + 2.0]
+
+
+def _area(box):
+    return (box[1] - box[0]) * (box[3] - box[2])
+
+
+def _overlap(a, b):
+    return (max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
+            * max(0.0, min(a[3], b[3]) - max(a[2], b[2])))
+
+
+@pytest.mark.parametrize("outer, inner, n_pieces", [
+    ((0.0, 10.0, -2.0, 0.0), (2.5, 7.5, -2.0, 0.0), 2),     # symmetric growth
+    ((2.5, 10.0, -3.0, 0.0), (2.5, 5.0, -1.5, 0.0), 2),     # left edge pinned
+    ((0.0, 10.0, -4.0, 1.0), (2.0, 6.0, -2.5, 0.5), 4),     # inner box floating
+])
+def test_ring_tiles_grown_box(outer, inner, n_pieces):
+    pieces = qnm._ring(outer, inner)
+    assert len(pieces) == n_pieces
+    # dyadic edges: the areas add up without rounding
+    assert _area(inner) + sum(_area(b) for b in pieces) == _area(outer)
+    tiles = pieces + [inner]
+    for i, a in enumerate(tiles):
+        assert outer[0] <= a[0] < a[1] <= outer[1] and outer[2] <= a[2] < a[3] <= outer[3]
+        for b in tiles[i + 1:]:
+            assert _overlap(a, b) == 0.0
+
+
+def test_ring_rejects_box_outside():
+    with pytest.raises(ValueError):
+        qnm._ring((0.0, 10.0, -2.0, 0.0), (5.0, 11.0, -1.0, 0.0))
+
+
+@pytest.mark.parametrize("old, lo_min", [
+    (qnm.ScanRegion(3.0, 7.0, 2.0), None),      # symmetric growth
+    (qnm.ScanRegion(1.0, 5.0, 1.25), 1.0),      # left edge pinned, deeper
+])
+def test_incremental_search_matches_scratch(old, lo_min):
+    new = cf._grow(old, lo_min)
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 12:
+        f, zs, _ = rational_instance(rng, region=new.box, max_poles=6)
+        inside = [qnm._inside(z, old.box) for z in zs]
+        if all(inside) or not any(inside):
+            continue   # want poles both in the old box and in the added strips
+        previous = (old, qnm.find_poles(f, old))
+        grown = qnm.find_poles(f, new, previous)
+        scratch = qnm.find_poles(f, new)
+        key = lambda c: (c.real, c.imag)
+        got = np.array(sorted((p.omega_pole for p in grown), key=key))
+        ref = np.array(sorted((p.omega_pole for p in scratch), key=key))
+        want = np.array(sorted(zs, key=key))
+        assert got.shape == ref.shape == want.shape
+        assert np.max(np.abs(got - ref)) < 1e-10
+        assert np.max(np.abs(got - want)) < 1e-10
+        checked += 1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
