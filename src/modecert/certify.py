@@ -25,7 +25,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -42,10 +42,14 @@ from .layered import (
     reflectance_vs_angle,
     reflection,
 )
-from .qnm import PoleExpansion, ScanRegion, build_expansion, convergence_report, counted_poles
+from .qnm import (
+    ScanRegion,
+    build_expansion,
+    convergence_report,
+    counted_poles,
+    witness_evaluator,
+)
 from .witness import (
-    LevelShiftCurve,
-    find_omega_min,
     find_omega_min_refined,
     find_zero_of_delta,
     levshift_curve,
@@ -55,10 +59,12 @@ from .witness import (
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Decision-tree tolerances; echoed into every report for reproducibility.
+    """Decision-tree tolerances and window; echoed into every report.
 
     The flag thresholds are artifact configuration (the underlying effects
-    are qualitative); the defaults below are used throughout.
+    are qualitative); the defaults below are used throughout.  A report
+    echoes the window it certified, so passing its thresholds back to
+    :func:`classify` reproduces it.
     """
 
     residue_phase_tol: float = 0.05     # rad on |arg r_main|
@@ -69,6 +75,11 @@ class Thresholds:
     def __post_init__(self):
         if min(self.residue_phase_tol, self.convergence_tol, self.shift_tol) <= 0:
             raise ValueError("all tolerances must be > 0")
+        if self.window is not None:
+            window = tuple(float(w) for w in self.window)
+            if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
+                raise ValueError(f"window must be two finite numbers lo < hi, not {self.window}")
+            object.__setattr__(self, "window", window)
 
     def to_dict(self) -> dict:
         return {"residue_phase_tol": self.residue_phase_tol,
@@ -228,40 +239,42 @@ def shift_decomposition(main_residue: complex, main_pole: complex,
 
 _MAX_REGION_GROWTH = 4   # region growths before RegionTooSmallError stands
 
-def classify(problem: WaveProblem, emitter=None, region: ScanRegion | None = None,
-             thresholds: Thresholds = Thresholds(), window=None,
-             grow_lo_min: float | None = None) -> ClassificationReport:
-    """Run the decision tree on one cavity problem.
+def classify(problem: WaveProblem, region: ScanRegion | None = None,
+             thresholds: Thresholds = Thresholds()) -> ClassificationReport:
+    """Run the decision tree on the emitter of one cavity problem.
 
-    With ``region=None`` a symmetric default region is derived from the
-    reflectance scan (probed minimum +- 2.5 free spectral ranges, mirror
-    half included); a given ``region`` is searched as it is, and a missing
-    ``window`` alone is derived from the scan.  The region is doubled, up to
-    ``_MAX_REGION_GROWTH`` times, when the truncation tolerance is
-    unreachable with the poles found (slowly decaying mode ladders need wide
-    regions); each growth searches only the area it adds and keeps the poles
-    already found.  ``grow_lo_min`` pins the left edge during growth;
-    grazing-incidence problems use it to keep the region clear of the
-    cladding light-line branch points, where the witness stops being
-    meromorphic.
+    The probed emitter is ``problem.stack.emitter``.  Without
+    ``thresholds.window`` the window is one free spectral range around the
+    reflectance minimum nearest the emitter frequency (see
+    :func:`_default_window_region`); the report's thresholds echo the window
+    used.  With ``region=None`` a symmetric default region is derived from
+    the same scan (probed minimum +- 2.5 free spectral ranges, mirror half
+    included); a given ``region`` is searched as it is.  The region is
+    doubled, up to ``_MAX_REGION_GROWTH`` times, when the truncation
+    tolerance is unreachable with the poles found (slowly decaying mode
+    ladders need wide regions); each growth searches only the area it adds
+    and keeps the poles already found.  At ``k_par != 0`` growth keeps the
+    left edge, so the region stays clear of the cladding light-line branch
+    points, where the witness stops being meromorphic.
     """
-    emitter = emitter or problem.stack.emitter
+    emitter = problem.stack.emitter
     if emitter is None:
-        raise ValueError("no emitter on the stack and none supplied")
+        raise ValueError("no emitter on the stack")
 
-    window = window or thresholds.window
+    window = thresholds.window
     if window is None or region is None:
         window, default_region = _default_window_region(problem, window)
         region = region or default_region
+    thresholds = replace(thresholds, window=window)
     omega_min = _probed_minimum(problem, window)
 
-    curve = levshift_curve(problem, window, n=2001, refine=10, emitter=emitter)
+    curve = levshift_curve(problem, window, n=2001, refine=10)
 
+    f = witness_evaluator(problem)
     expansion = None
     conv = None
     for attempt in range(_MAX_REGION_GROWTH + 1):
-        expansion = build_expansion(problem, emitter, region, window=window,
-                                    previous=expansion)
+        expansion = build_expansion(f, region, window=window, previous=expansion)
         if not expansion.poles:
             raise AmbiguityError("no poles found in the scan region")
         try:
@@ -271,7 +284,7 @@ def classify(problem: WaveProblem, emitter=None, region: ScanRegion | None = Non
         except RegionTooSmallError:
             if attempt == _MAX_REGION_GROWTH:
                 raise
-            region = _grow(region, grow_lo_min)
+            region = _grow(region, pinned=problem.k_par != 0)
 
     counted = counted_poles(expansion, center=omega_min)
     main = min(counted, key=lambda p: (abs(p.omega_pole.real - omega_min),
@@ -328,8 +341,8 @@ def classify(problem: WaveProblem, emitter=None, region: ScanRegion | None = Non
     )
 
 
-def _grow(region: ScanRegion, lo_min: float | None = None) -> ScanRegion:
-    if lo_min is None:
+def _grow(region: ScanRegion, pinned: bool = False) -> ScanRegion:
+    if not pinned:
         c = 0.5 * (region.omega_lo + region.omega_hi)
         half = 0.5 * region.width
         lo, hi, depth = c - 2.003 * half, c + 2.001 * half, region.depth
@@ -357,11 +370,12 @@ def _single_pole_zero_numeric(residue, omega_pole, window):
 def _default_window_region(problem: WaveProblem, window=None):
     """One-FSR window on the probed dip plus a symmetric scan region.
 
-    The probed dip is the reflectance minimum nearest pi (in units of the
-    total inverse length); the free spectral range comes from the dip
-    spacing of a wider scan.
+    The reflectance is scanned over (0.25, 3.4) omega_a of the problem's
+    emitter.  The probed dip is the minimum nearest omega_a, within
+    (0.55, 1.55) omega_a; the free spectral range is the median spacing of
+    the scanned dips.  A given ``window`` is kept and centres the region.
     """
-    scale = math.pi / _length_scale(problem)
+    scale = problem.stack.emitter.omega_a
     _, _, dips = _reflectance_dips(problem, (0.25 * scale, 3.4 * scale))
     if not dips:
         raise AmbiguityError("no reflectance minima found for the default window")
@@ -378,13 +392,6 @@ def _default_window_region(problem: WaveProblem, window=None):
     span = c + 2.5 * fsr
     region = ScanRegion(-(span + 0.017 * fsr), span + 0.031 * fsr, depth=1.2 * fsr)
     return tuple(map(float, window)), region
-
-
-def _length_scale(problem: WaveProblem) -> float:
-    total = problem.stack.total_thickness
-    if total <= 0:
-        raise ConfigurationError("cannot derive a frequency scale for an empty stack")
-    return total / 1.02  # Fabry-Perot builder: mirrors add 2 x L/100
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +447,15 @@ def scan_table_csv(rows) -> str:
 # X-ray cavity reports
 # ---------------------------------------------------------------------------
 
-def xray_angle_minima(material_table, theta_deg_span=(0.03, 0.6), n: int = 4001,
-                      omega: float = OMEGA_NUC_KEV):
-    """Grazing angles (radians) of the reflectance-vs-angle minima."""
+def xray_angle_minima(material_table):
+    """Grazing angles (radians) of the 14.4 keV reflectance minima, 0.03-0.6 deg."""
     table = (material_table if isinstance(material_table, dict)
              else load_material_table(material_table))
     stack = build_xray_cavity(table, math.radians(0.1)).stack
-    th = np.radians(np.linspace(theta_deg_span[0], theta_deg_span[1], n))
-    r2 = reflectance_vs_angle(stack, omega, th)
+    th = np.radians(np.linspace(0.03, 0.6, 4001))
+    r2 = reflectance_vs_angle(stack, OMEGA_NUC_KEV, th)
     out = []
-    for i in range(1, n - 1):
+    for i in range(1, th.size - 1):
         if r2[i] < r2[i - 1] and r2[i] <= r2[i + 1]:
             # parabolic refinement in angle
             d1 = (r2[i] - r2[i - 1]) / (th[i] - th[i - 1])
@@ -463,16 +469,17 @@ def xray_angle_minima(material_table, theta_deg_span=(0.03, 0.6), n: int = 4001,
 def xray_mode_report(material_table, mode_index: int,
                      thresholds: Thresholds = Thresholds(),
                      gamma: float | None = None,
-                     spectrum_halfwidth: float = 40.0,
-                     spectrum_points: int = 801):
+                     spectrum_halfwidth: float = 40.0):
     """Classification at the m-th reflectance-vs-angle minimum plus the nuclear line.
 
     The incidence angle is fixed operationally at the ``mode_index``-th
     minimum of the angle scan; the witness and pole expansion are then
     studied versus energy at the corresponding fixed parallel wavevector.
-    The returned spectrum is the weak-coupling emitter line on the exact
-    cavity background, with the local-field modulation calibrated against
-    the free-space limit.
+    The energy window, one bracket of a single Delta zero around the probed
+    energy-scan minimum, is set in the report's thresholds.  The returned
+    spectrum is the weak-coupling emitter line on the exact cavity
+    background, with the local-field modulation calibrated against the
+    free-space limit.
 
     Returns (report, spectrum) where spectrum is a dict of arrays.
     """
@@ -516,16 +523,14 @@ def xray_mode_report(material_table, mode_index: int,
             "no window fraction brackets a single Delta zero at this minimum")
     region = ScanRegion(omega_bp + 0.02 * e_off, OMEGA_NUC_KEV + 2.5 * e_off,
                         depth=1.2 * e_off)
-    report = classify(problem, emitter=emitter, region=region,
-                      thresholds=thresholds, window=window,
-                      grow_lo_min=region.omega_lo)
+    report = classify(problem, region, thresholds=replace(thresholds, window=window))
 
     # weak-coupling nuclear line on the cavity background
     g_eff = emitter.gamma
     delta_nuc = levshift_exact(problem, emitter, OMEGA_NUC_KEV)
     gamma_eff = -2.0 * delta_nuc.imag
     half = spectrum_halfwidth * max(gamma_eff, g_eff)
-    om = np.linspace(OMEGA_NUC_KEV - half, OMEGA_NUC_KEV + half, spectrum_points)
+    om = np.linspace(OMEGA_NUC_KEV - half, OMEGA_NUC_KEV + half, 801)
     r_cav = reflection(problem, om)
     psi = field_profile(problem, OMEGA_NUC_KEV, np.array([emitter.x_a]))[0]
     dl = levshift_exact(problem, emitter, om)

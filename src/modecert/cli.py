@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ from .layered import (
     EmitterSpec,
     LayerStack,
     Material,
-    VACUUM,
     WaveProblem,
     build_fabry_perot,
     default_material_table_path,
@@ -39,7 +37,7 @@ from .layered import (
     reflection,
 )
 from .pfm import PfmParams, diagonalize, levshift_matrix
-from .qnm import ScanRegion, build_expansion
+from .qnm import ScanRegion, build_expansion, witness_evaluator
 from .witness import levshift_curve
 
 SCHEMA_VERSION = 1
@@ -83,25 +81,24 @@ class Scenario:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def make_thresholds(self) -> Thresholds:
-        t = self.thresholds
-        window = self.scan.get("window")
-        return Thresholds(residue_phase_tol=t["residue_phase_tol"],
-                          convergence_tol=t["convergence_tol"],
-                          shift_tol=t["shift_tol"],
-                          window=tuple(window) if window else None)
+        return Thresholds(**self.thresholds, window=self.scan["window"])
 
     def make_region(self) -> ScanRegion | None:
-        if self.region is None:
-            return None
-        r = self.region
-        return ScanRegion(r["omega_lo"], r["omega_hi"], r["depth"],
-                          im_top=r["im_top"])
+        return None if self.region is None else ScanRegion(**self.region)
 
 
 def _reject_unknown(obj: dict, allowed: dict, path: str):
     for key in obj:
         if key not in allowed:
             raise ConfigurationError(f"unknown key {key!r} at {path or '/'}")
+
+
+def _checked(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its value errors reported at ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{exc} at {path}") from exc
 
 
 def _merged(defaults: dict, given: dict, path: str) -> dict:
@@ -114,8 +111,9 @@ def _merged(defaults: dict, given: dict, path: str) -> dict:
 def parse_scenario(source) -> Scenario:
     """Parse and validate a scenario (file path, JSON text, or dict).
 
-    Unknown keys are rejected with their location; missing optional sections
-    get explicit defaults so that parse -> serialize -> parse is the identity.
+    Unknown keys and invalid thresholds, windows or regions are rejected
+    with their location; missing optional sections get explicit defaults so
+    that parse -> serialize -> parse is the identity.
     """
     if isinstance(source, (str, Path)) and os.path.exists(str(source)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -150,6 +148,8 @@ def parse_scenario(source) -> Scenario:
     th = _merged({"residue_phase_tol": 0.05, "convergence_tol": 0.05,
                   "shift_tol": 0.02},
                  data.get("thresholds", {}), "/thresholds")
+    _checked("/thresholds", Thresholds, **th)
+    _checked("/scan/window", Thresholds, window=scan["window"])
     out = _merged({"dir": "out"}, data.get("output", {}), "/output")
 
     region = data.get("region")
@@ -159,6 +159,7 @@ def parse_scenario(source) -> Scenario:
         for k in ("omega_lo", "omega_hi", "depth"):
             if region[k] is None:
                 raise ConfigurationError(f"missing required key {k!r} at /region")
+        _checked("/region", ScanRegion, **region)
 
     custom = data.get("custom_stack")
     if custom is not None:
@@ -262,8 +263,8 @@ def _run_classify(scn: Scenario, art: _Artifacts) -> int:
         return 0
 
     problem = _problem_from_scenario(scn)
-    report = classify(problem, thresholds=thresholds, region=scn.make_region())
-    window = thresholds.window or (report.omega_min - 0.5, report.omega_min + 0.5)
+    report = classify(problem, scn.make_region(), thresholds=thresholds)
+    window = report.thresholds.window
     curve = levshift_curve(problem, window, n=scn.scan["n_points"])
     art.write("levelshift.csv", curve.to_csv(), "curve")
     art.write("levelshift.json", curve.to_json() + "\n", "curve")
@@ -293,7 +294,7 @@ def _run_poles(scn: Scenario, art: _Artifacts) -> int:
     region = scn.make_region()
     if region is None:
         raise ConfigurationError("poles command requires an explicit /region")
-    expansion = build_expansion(problem, problem.stack.emitter, region)
+    expansion = build_expansion(witness_evaluator(problem), region)
     art.write("poles.csv", expansion.pole_table_csv(), "poles")
     art.write("expansion.json",
               json.dumps(expansion.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -307,8 +308,8 @@ def _run_spectrum(scn: Scenario, art: _Artifacts) -> int:
     problem = _problem_from_scenario(scn)
     window = scn.scan["window"]
     if window is None:
-        scale = math.pi / scn.fabry_perot["L"] if scn.kind == "fabry_perot" else 1.0
-        window = (0.25 * scale, 3.25 * scale)
+        omega_a = problem.stack.emitter.omega_a
+        window = (0.25 * omega_a, 3.25 * omega_a)
     art.write("reflectance.csv",
               _reflectance_csv(problem, window, scn.scan["n_points"]), "curve")
     curve = levshift_curve(problem, window, n=scn.scan["n_points"])
@@ -395,7 +396,12 @@ def main(argv=None) -> int:
     if args.scenario is None:
         parser.error("--scenario PATH is required")
     try:
-        scenario = parse_scenario(args.scenario)
+        with open(args.scenario, "r", encoding="utf-8") as fh:
+            scenario = parse_scenario(json.load(fh))
+    except OSError as exc:
+        print(f"error: cannot read scenario {args.scenario}: {exc.strerror}",
+              file=sys.stderr)
+        return 1
     except (ConfigurationError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -109,10 +109,6 @@ class Material:
         """Material from X-ray optical constants, n = 1 - delta + i beta."""
         return cls.constant(name, 1.0 - delta + 1j * beta)
 
-    @property
-    def is_dispersive(self) -> bool:
-        return self.n_const is None
-
     def index(self, omega):
         """Complex refractive index n(omega); accepts scalars or arrays."""
         if self.n_const is not None:
@@ -177,9 +173,6 @@ class LayerStack:
     def boundaries(self) -> np.ndarray:
         """Interface coordinates x_0 = 0, ..., x_N = total thickness."""
         return np.concatenate(([0.0], np.cumsum([d for _, d in self.layers])))
-
-    def with_emitter(self, emitter: EmitterSpec) -> "LayerStack":
-        return LayerStack(self.left, self.layers, self.right, emitter)
 
     def media(self) -> list:
         """All media left to right, claddings included."""
@@ -407,12 +400,12 @@ def field_profile(problem: WaveProblem, omega, xs):
 # scenario builders
 # ---------------------------------------------------------------------------
 
-def build_fabry_perot(L: float, n_mirror: float, gamma: float = 1.0,
-                      omega_a: float | None = None) -> LayerStack:
+def build_fabry_perot(L: float, n_mirror: float, gamma: float = 1.0) -> LayerStack:
     """Symmetric Fabry-Perot-like cavity with thin high-index mirrors.
 
     Geometry: vacuum claddings, mirror(L/100) | vacuum(L) | mirror(L/100),
-    probe emitter at the cavity center x_a = L/100 + L/2.
+    probe emitter at the cavity center x_a = L/100 + L/2, tuned to the
+    fundamental omega_a = pi/L.
     """
     if L <= 0:
         raise ValueError("cavity length L must be > 0")
@@ -420,7 +413,7 @@ def build_fabry_perot(L: float, n_mirror: float, gamma: float = 1.0,
         raise ValueError("n_mirror must be >= 1")
     t = L / 100.0
     mirror = Material.constant(f"mirror(n={n_mirror:g})", complex(n_mirror))
-    emitter = EmitterSpec(x_a=t + L / 2.0, omega_a=omega_a or math.pi / L, gamma=gamma)
+    emitter = EmitterSpec(x_a=t + L / 2.0, omega_a=math.pi / L, gamma=gamma)
     return LayerStack(
         left=VACUUM,
         layers=((mirror, t), (VACUUM, L), (mirror, t)),
@@ -473,15 +466,13 @@ def default_material_table_path() -> Path:
     return Path(__file__).parent / "data" / "xray_materials.json"
 
 
-def build_xray_cavity(material_table, theta: float, gamma: float = GAMMA_NUC_KEV,
-                      fe57_resonance: tuple | None = None) -> WaveProblem:
+def build_xray_cavity(material_table, theta: float,
+                      gamma: float = GAMMA_NUC_KEV) -> WaveProblem:
     """Grazing-incidence thin-film X-ray cavity probed at angle theta (radians).
 
     Thicknesses are converted from nm to internal 1/keV lengths; the parallel
     wavevector is fixed at k_par = omega_nuc cos(theta).  The emitter sits at
-    the center of the Fe-57 layer.  ``fe57_resonance = (f_res, gamma_res)``
-    swaps the Fe-57 layer for a dispersive Lorentzian medium (full-wave
-    cross-check oracle); by default the layer is the plain Fe electronic index.
+    the center of the Fe-57 layer, whose index is the electronic Fe index.
     """
     table = (material_table if isinstance(material_table, dict)
              else load_material_table(material_table))
@@ -495,19 +486,8 @@ def build_xray_cavity(material_table, theta: float, gamma: float = GAMMA_NUC_KEV
     for key, d_nm in XRAY_LAYER_SEQUENCE:
         d = d_nm / HBARC_KEV_NM
         if key == "Fe57":
-            if fe57_resonance is None:
-                mat = table["Fe"]
-            else:
-                # dispersive variant keeps the electronic Fe index as background
-                f_res, gamma_res = fe57_resonance
-                mat = Material.lorentzian("Fe57(resonant)",
-                                          n_bg=complex(table["Fe"].n_const),
-                                          omega_res=OMEGA_NUC_KEV,
-                                          gamma_res=gamma_res, f_res=f_res)
             x_fe57 = x_cursor + d / 2.0
-        else:
-            mat = table[key]
-        layers.append((mat, d))
+        layers.append((table["Fe" if key == "Fe57" else key], d))
         x_cursor += d
 
     emitter = EmitterSpec(x_a=x_fe57, omega_a=OMEGA_NUC_KEV, gamma=gamma)

@@ -170,8 +170,8 @@ class _Unresolvable(Exception):
     """Internal: boundary sampling could not be resolved; perturb and retry."""
 
 
-def witness_evaluator(problem, emitter=None):
-    """Witness evaluator on complex arrays for the complex-plane search.
+def witness_evaluator(problem):
+    """Witness of the problem's emitter on complex arrays, for the pole search.
 
     Newton refinement deliberately steps onto poles, where the kernel returns
     inf for those entries, which is the correct limit for h = 1/f.
@@ -185,7 +185,7 @@ def witness_evaluator(problem, emitter=None):
         if np.any(w == 0):
             w = np.where(w == 0, 1e-30 + 0j, w)
         with np.errstate(all="ignore"):
-            return levshift_exact(problem, emitter, w)
+            return levshift_exact(problem, omega_test=w)
 
     return f
 
@@ -514,26 +514,26 @@ def compute_residue(f, pole_location: complex, radius: float, samples: int = 64,
     return r2, err
 
 
-def build_expansion(problem, emitter=None, region: ScanRegion = None,
-                    f=None, window=None, previous: PoleExpansion | None = None
-                    ) -> PoleExpansion:
-    """Pole expansion of the witness observable over a scan region.
+def build_expansion(f, region: ScanRegion, window=None,
+                    previous: PoleExpansion | None = None) -> PoleExpansion:
+    """Pole expansion of an evaluator ``f`` over a scan region.
 
-    Locates poles of delta(omega) (or of an explicit evaluator ``f``),
-    computes residues by contour integration with radii that keep clear of
-    neighboring poles and of the region's side and bottom edges (the witness
-    is analytic across the real axis, so circles may cross the top edge),
-    and estimates the constant term as the median mismatch on the interior
-    real window (the certification window when given, else the region's
-    real interval), with the "converges to zero" flag of the expansion.
+    ``f`` maps complex arrays to complex arrays, as :func:`find_poles`
+    requires; :func:`witness_evaluator` gives the witness of a problem.
+    Locates the poles of ``f``, computes residues by contour integration
+    with radii that keep clear of neighboring poles and of the region's side
+    and bottom edges (the witness is analytic across the real axis, so
+    circles may cross the top edge), and estimates the constant term as the
+    median mismatch on the interior real window (the certification window
+    when given, else the region's real interval), with the "converges to
+    zero" flag of the expansion.
 
     ``previous`` is an expansion of the same function over a region inside
     this one: its pole candidates are reused and only the added area is
     searched.  Residues and the constant term are always recomputed over the
     whole pole set.
     """
-    fv = witness_evaluator(problem, emitter) if f is None else f
-    poles = find_poles(fv, region, None if previous is None
+    poles = find_poles(f, region, None if previous is None
                        else (previous.region, previous.candidates))
 
     out = []
@@ -544,10 +544,10 @@ def build_expansion(problem, emitter=None, region: ScanRegion = None,
                    p.omega_pole.imag - (region.im_top - region.depth)]
         radius = min(0.45 * min(dists + [2.0 * min(d_edges)]), 0.25 * region.width)
         try:
-            res, _ = compute_residue(fv, p.omega_pole, radius, _RESIDUE_SAMPLES, _RESIDUE_TOL)
+            res, _ = compute_residue(f, p.omega_pole, radius, _RESIDUE_SAMPLES, _RESIDUE_TOL)
         except AccuracyError:
             # a singularity just below the region can spoil the first ring
-            res, _ = compute_residue(fv, p.omega_pole, 0.5 * radius, _RESIDUE_SAMPLES,
+            res, _ = compute_residue(f, p.omega_pole, 0.5 * radius, _RESIDUE_SAMPLES,
                                      _RESIDUE_TOL)
         out.append(Pole(p.omega_pole, res, p.residual))
     if out:
@@ -558,7 +558,7 @@ def build_expansion(problem, emitter=None, region: ScanRegion = None,
 
     a, b = window if window is not None else (region.omega_lo, region.omega_hi)
     om = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), _CONST_SAMPLES)
-    exact = fv(om.astype(complex))
+    exact = f(om.astype(complex))
     partial = np.zeros_like(exact)
     for p in out:
         partial += p.residue / (om - p.omega_pole)

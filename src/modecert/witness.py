@@ -216,24 +216,23 @@ def _refined_grid(window, n, fn_values, base_omega, refine):
     return allom
 
 
-def levshift_curve(problem: WaveProblem, window, n: int = 2001, refine: int = 10,
-                   emitter: EmitterSpec | None = None,
-                   provenance: str = "exact-green") -> LevelShiftCurve:
-    """Sample the exact witness over a window, refining around extrema.
+def levshift_curve(problem: WaveProblem, window, n: int = 2001,
+                   refine: int = 10) -> LevelShiftCurve:
+    """Sample the exact witness of the problem's emitter, refining around extrema.
 
     The base grid has ``n`` points; detected extrema of Re and Im get a
     ``refine``-times denser local grid, which is what the root finders need
     to resolve shifts much smaller than the mode width.
     """
     om = np.linspace(window[0], window[1], n)
-    de = levshift_exact(problem, emitter, om)
+    de = levshift_exact(problem, omega_test=om)
     if refine > 1:
         om2 = np.unique(np.concatenate([
             _refined_grid(window, n, de.real, om, refine),
             _refined_grid(window, n, de.imag, om, refine)]))
-        de = levshift_exact(problem, emitter, om2)
+        de = levshift_exact(problem, omega_test=om2)
         om = om2
-    return LevelShiftCurve(om, de, provenance, tuple(window))
+    return LevelShiftCurve(om, de, "exact-green", tuple(window))
 
 
 # ---------------------------------------------------------------------------

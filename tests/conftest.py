@@ -24,6 +24,22 @@ def lossy_problem(n_mirror: complex, L: float = 1.0) -> ly.WaveProblem:
         ly.VACUUM, ((mirror, t), (ly.VACUUM, L), (mirror, t)), ly.VACUUM, emitter))
 
 
+@functools.lru_cache(maxsize=None)
+def bragg_problem(n_high: float, periods: int, n_low: float = 1.5) -> ly.WaveProblem:
+    """Quarter-wave Bragg cavity (H L)^p | vacuum(1) | (L H)^p tuned to pi.
+
+    Each mirror layer is a quarter wave at omega = pi, the vacuum spacer a
+    half wave, and the emitter sits at the spacer centre with omega_a = pi.
+    """
+    high = (ly.Material.constant("H", n_high), 0.5 / n_high)
+    low = (ly.Material.constant("L", n_low), 0.5 / n_low)
+    left = (high, low) * periods
+    x_a = sum(d for _, d in left) + 0.5
+    emitter = ly.EmitterSpec(x_a=x_a, omega_a=np.pi, gamma=1.0)
+    return ly.WaveProblem(ly.LayerStack(
+        ly.VACUUM, left + ((ly.VACUUM, 1.0),) + left[::-1], ly.VACUUM, emitter))
+
+
 def rational_instance(rng, region=(0.0, 10.0, -2.0, 0.0), max_poles=5,
                       min_sep=0.35, margin=0.5, background=False):
     """Random rational function with known poles/residues inside a region.

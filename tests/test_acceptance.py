@@ -171,7 +171,7 @@ def test_criterion_6_pole_residue_oracle_suite():
         worst_pole, worst_res = 0.0, 0.0
         for trial in range(200):
             f, zs, rs = rational_instance(rng, background=(trial % 3 == 0))
-            exp = qnm.build_expansion(None, None, region, f=f)
+            exp = qnm.build_expansion(f, region)
             got = sorted(exp.poles,
                          key=lambda p: (p.omega_pole.real, p.omega_pole.imag))
             want = sorted(zip(zs, rs), key=lambda t: (t[0].real, t[0].imag))
@@ -195,7 +195,7 @@ def test_criterion_7_expansion_exactness():
         pr = fp_problem(4.0)
         # symmetric region holding the mirror ladder: 65 poles, >= 9 required
         region = qnm.ScanRegion(-59.7 * np.pi, 59.73 * np.pi, 2.0 * np.pi)
-        exp = qnm.build_expansion(pr, pr.stack.emitter, region)
+        exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
         assert len(exp.poles) >= 9
         window = (0.55 * np.pi, 1.45 * np.pi)
         curve = wt.levshift_curve(pr, window, n=801, refine=1)

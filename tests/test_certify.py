@@ -11,7 +11,7 @@ import pytest
 from modecert import certify as cf, layered as ly, qnm, witness as wt
 from modecert.errors import AmbiguityError, ConfigurationError
 
-from conftest import fp_problem, lossy_problem
+from conftest import bragg_problem, fp_problem, lossy_problem
 
 
 @functools.lru_cache(maxsize=None)
@@ -36,7 +36,7 @@ def test_classify_synthetic_single_mode():
     # expansion + features must land on the exact coincidences
     f, pole, residue = synthetic_problem()
     region = qnm.ScanRegion(8.0, 12.0, 1.0)
-    exp = qnm.build_expansion(None, None, region, f=f)
+    exp = qnm.build_expansion(f, region)
     assert len(exp.poles) == 1
     p = exp.poles[0]
     z_sp = cf.single_pole_zero(p.residue, p.omega_pole)
@@ -159,6 +159,16 @@ def test_classify_keeps_given_region(monkeypatch):
     assert [e.region for e in built] == [region]
 
 
+@pytest.mark.parametrize("n_high,periods", [(2.0, 8), (2.5, 4)])
+def test_bragg_window_on_emitter(n_high, periods):
+    # the default window follows the emitter, not the Fabry-Perot builder:
+    # the quarter-wave Bragg cavity is certified at its defect mode, pi
+    rep = cf.classify(bragg_problem(n_high, periods))
+    assert abs(rep.omega_min - np.pi) < 1e-6 * np.pi
+    lo, hi = rep.thresholds.window
+    assert lo < rep.omega_min < hi
+
+
 # ---------------------------------------------------------------------------
 # region growth on lossy mirrors
 # ---------------------------------------------------------------------------
@@ -172,7 +182,7 @@ def test_growth_path_independent(monkeypatch):
     final = built[-1].region
     window, first = cf._default_window_region(problem)
     assert final == cf._grow(cf._grow(first))
-    direct = cf.classify(problem, region=final, window=window)
+    direct = cf.classify(problem, region=final, thresholds=cf.Thresholds(window=window))
     assert len(built) == 4
     assert grown.flags() == direct.flags()
     assert grown.n_star == direct.n_star
@@ -258,6 +268,24 @@ def test_xray_mode4_report(material_table):
     assert spec["reflectance"].shape == spec["omega"].shape
     # critically coupled minimum: the nuclear line stands on a dark background
     assert np.max(spec["reflectance"]) > 10 * np.abs(spec["r_cav"][0]) ** 2
+
+
+def test_xray_report_thresholds_reproduce(material_table, monkeypatch):
+    # the report echoes the energy window it certified, so classify on the
+    # same problem and region with the report's thresholds gives the report
+    calls = []
+    plain = cf.classify
+
+    def spy(problem, region=None, thresholds=cf.Thresholds()):
+        calls.append((problem, region))
+        return plain(problem, region, thresholds)
+
+    monkeypatch.setattr(cf, "classify", spy)
+    rep, _ = cf.xray_mode_report(material_table, 4)
+    (problem, region), = calls
+    assert rep.thresholds.window is not None
+    again = plain(problem, region, thresholds=rep.thresholds)
+    assert again.to_dict() == rep.to_dict()
 
 
 def test_xray_mode6_report(material_table):

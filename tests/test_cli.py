@@ -1,7 +1,11 @@
 """Scenario parsing, artifact runs, manifests and exit codes."""
 
+import csv
+import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from modecert import cli
 from modecert.errors import ConfigurationError
 
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL_FP = {"version": 1, "kind": "fabry_perot",
               "fabry_perot": {"L": 1.0, "n_mirror": 20.0}}
@@ -87,6 +92,20 @@ def test_run_classify_fabry_perot(tmp_path):
     # level-shift CSV has the stated header
     head = (tmp_path / "a" / "levelshift.csv").read_text().splitlines()[0]
     assert head == "omega,delta_re,delta_im,provenance"
+
+
+def test_run_classify_curves_span_certified_window(tmp_path):
+    # at L = 4 a fixed omega_min +- 0.5 would cover about 1.3 free spectral
+    # ranges; the curves span the certified window that report.json echoes
+    scn = cli.parse_scenario({"version": 1, "kind": "fabry_perot",
+                              "fabry_perot": {"L": 4.0, "n_mirror": 20.0},
+                              "scan": {"n_points": 401}})
+    assert cli.run(scn, command="classify", out_dir=tmp_path / "w") == 0
+    window = json.loads((tmp_path / "w" / "report.json").read_text())["thresholds"]["window"]
+    for name in ("levelshift.csv", "reflectance.csv"):
+        with open(tmp_path / "w" / name, encoding="utf-8") as fh:
+            omega = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+        assert [omega[0], omega[-1]] == window, name
 
 
 def test_run_reproducible_manifest(tmp_path):
@@ -203,3 +222,54 @@ def test_main_bad_scenario(tmp_path, capsys):
     code = cli.main(["--scenario", str(path), "classify"])
     assert code == 1
     assert "junk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,path", [
+    ({"scan": {"window": [5.0, 1.0]}}, "/scan/window"),
+    ({"scan": {"window": [1.0]}}, "/scan/window"),
+    ({"scan": {"window": [1.0, 2.0, 3.0]}}, "/scan/window"),
+    ({"region": {"omega_lo": 5.0, "omega_hi": 1.0, "depth": 1.0}}, "/region"),
+    ({"thresholds": {"shift_tol": -0.02}}, "/thresholds"),
+])
+def test_main_bad_values_named(tmp_path, capsys, section, path):
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({**MINIMAL_FP, **section}))
+    out = tmp_path / "o"
+    code = cli.main(["--scenario", str(scenario), "--out", str(out), "classify"])
+    assert code == 1
+    assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_missing_scenario_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code = cli.main(["--scenario", str(missing), "classify"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err
+    assert "Expecting value" not in err
+
+
+def _readme_commands():
+    """(scenario file, subcommand) of each ``modecert --scenario`` README line."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^modecert --scenario (scenarios/\S+\.json)\b.* (\S+)$",
+                      text, flags=re.MULTILINE)
+
+
+def test_readme_runs_every_shipped_scenario():
+    listed = sorted(name for name, _ in _readme_commands())
+    shipped = sorted(str(p.relative_to(ROOT)) for p in (ROOT / "scenarios").glob("*.json"))
+    assert listed == shipped
+
+
+@pytest.mark.parametrize("scenario,command", _readme_commands())
+def test_shipped_scenario_runs(tmp_path, monkeypatch, scenario, command):
+    monkeypatch.delenv("MODECERT_OUT", raising=False)
+    out = tmp_path / "out"
+    code = cli.main(["--scenario", str(ROOT / scenario), "--out", str(out), command])
+    assert code == 0
+    entries = _manifest(out)
+    assert {e["path"] for e in entries} == {p.name for p in out.iterdir()} - {"manifest.json"}
+    for e in entries:
+        assert hashlib.sha256((out / e["path"]).read_bytes()).hexdigest() == e["sha256"]

@@ -172,7 +172,7 @@ def test_conjugate_symmetry_fabry_perot():
     # obey omega(-) = -omega(+)*, r(-) = r(+)*
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(-3.71 * np.pi, 3.73 * np.pi, 1.2 * np.pi)
-    exp = qnm.build_expansion(pr, pr.stack.emitter, region)
+    exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
     pos = sorted((p for p in exp.poles if p.omega_pole.real > 0.1),
                  key=lambda p: p.omega_pole.real)
     neg = sorted((p for p in exp.poles if p.omega_pole.real < -0.1),
@@ -246,7 +246,7 @@ def test_residue_sample_floor():
 def test_expansion_single_mode_synthetic():
     f = lambda z: 0.04 / (z - (10 - 0.2j))
     region = qnm.ScanRegion(8.0, 12.0, 1.0)
-    exp = qnm.build_expansion(None, None, region, f=f)
+    exp = qnm.build_expansion(f, region)
     assert len(exp.poles) == 1
     p = exp.poles[0]
     assert abs(p.residue - 0.04) < 1e-10
@@ -261,7 +261,7 @@ def test_expansion_residue_clear_of_pole_below_region():
     # (0.9 of the distance to that edge) passes close to it.  Newton lands
     # exactly on the near pole, where the test lambda divides by zero
     f = lambda z: 1.0 / (z - (5 - 1j)) + 1.0 / (z - (5 - 2.05j))
-    exp = qnm.build_expansion(None, None, REGION, f=f)
+    exp = qnm.build_expansion(f, REGION)
     assert len(exp.poles) == 1
     assert abs(exp.poles[0].omega_pole - (5 - 1j)) < 1e-10
     assert abs(exp.poles[0].residue - 1.0) < 1e-10
@@ -271,7 +271,7 @@ def test_expansion_oracle_pairs():
     rng = np.random.default_rng(123)
     for _ in range(10):
         f, zs, rs = rational_instance(rng)
-        exp = qnm.build_expansion(None, None, REGION, f=f)
+        exp = qnm.build_expansion(f, REGION)
         got = sorted(exp.poles, key=lambda p: (p.omega_pole.real, p.omega_pole.imag))
         want = sorted(zip(zs, rs), key=lambda t: (t[0].real, t[0].imag))
         assert len(got) == len(want)
@@ -283,7 +283,7 @@ def test_expansion_oracle_pairs():
 def test_expansion_fabry_perot_single_mode_limit():
     pr = fp_problem(20.0)
     region = qnm.ScanRegion(0.6 * np.pi, 1.5 * np.pi, 0.3)
-    exp = qnm.build_expansion(pr, pr.stack.emitter, region)
+    exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
     assert len(exp.poles) == 1
     assert abs(np.angle(exp.poles[0].residue)) < 0.05
 
@@ -291,7 +291,7 @@ def test_expansion_fabry_perot_single_mode_limit():
 def test_expansion_fabry_perot_multi_mode():
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(0.25 * np.pi, 9.75 * np.pi, 2.0 * np.pi)
-    exp = qnm.build_expansion(pr, pr.stack.emitter, region)
+    exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
     assert len(exp.poles) >= 4
     main = min(exp.poles, key=lambda p: abs(p.omega_pole.real - 1.386 * np.pi))
     assert abs(np.angle(main.residue)) > 0.05
@@ -300,7 +300,7 @@ def test_expansion_fabry_perot_multi_mode():
 def test_evaluate_truncated_exact_on_rational():
     rng = np.random.default_rng(9)
     f, zs, rs = rational_instance(rng, max_poles=4)
-    exp = qnm.build_expansion(None, None, REGION, f=f)
+    exp = qnm.build_expansion(f, REGION)
     om = np.linspace(0.5, 9.5, 101)
     full = qnm.evaluate_truncated(exp, len(qnm.counted_poles(exp)), om)
     assert np.max(np.abs(full - f(om))) < 1e-10
@@ -309,7 +309,7 @@ def test_evaluate_truncated_exact_on_rational():
 def test_evaluate_truncated_single_mode_exact():
     f = lambda z: 0.04 / (z - (10 - 0.2j))
     region = qnm.ScanRegion(8.0, 12.0, 1.0)
-    exp = qnm.build_expansion(None, None, region, f=f)
+    exp = qnm.build_expansion(f, region)
     om = np.linspace(8.5, 11.5, 64)
     assert np.max(np.abs(qnm.evaluate_truncated(exp, 1, om) - f(om))) < 1e-12
 
@@ -319,7 +319,7 @@ def test_truncation_convergence_sweep_n4():
     # the n = 4 cavity over a wide symmetric region
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(-14.77 * np.pi, 14.81 * np.pi, 1.2 * np.pi)
-    exp = qnm.build_expansion(pr, pr.stack.emitter, region)
+    exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
     win = (0.92 * np.pi, 1.85 * np.pi)
     curve = wt.levshift_curve(pr, win, n=1001, refine=1)
     rep = qnm.convergence_report(exp, curve, win, 0.05, center=1.386 * np.pi)
@@ -331,7 +331,7 @@ def test_truncation_convergence_sweep_n4():
 def test_convergence_report_two_lorentzians():
     z1, z2 = 3.0 - 0.2j, 7.0 - 0.3j
     f = lambda z: 1.0 / (z - z1) + 0.6 / (z - z2)
-    exp = qnm.build_expansion(None, None, REGION, f=f)
+    exp = qnm.build_expansion(f, REGION)
     win = (2.0, 4.0)
     om = np.linspace(*win, 801)
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", win)
@@ -342,7 +342,7 @@ def test_convergence_report_two_lorentzians():
 def test_convergence_single_mode_tight():
     f = lambda z: 0.04 / (z - (10 - 0.2j))
     region = qnm.ScanRegion(8.0, 12.0, 1.0)
-    exp = qnm.build_expansion(None, None, region, f=f)
+    exp = qnm.build_expansion(f, region)
     om = np.linspace(9.0, 11.0, 801)
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", (9.0, 11.0))
     assert qnm.convergence_report(exp, curve, (9.0, 11.0), 1e-6).n_star == 1
@@ -351,7 +351,7 @@ def test_convergence_single_mode_tight():
 def test_region_too_small_error():
     z1, z2 = 3.0 - 0.2j, 12.0 - 0.3j   # second pole outside the region
     f = lambda z: 1.0 / (z - z1) + 2.0 / (z - z2)
-    exp = qnm.build_expansion(None, None, REGION, f=f)
+    exp = qnm.build_expansion(f, REGION)
     win = (8.0, 9.9)
     om = np.linspace(*win, 801)
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", win)
@@ -362,7 +362,7 @@ def test_region_too_small_error():
 def test_expansion_serialization():
     f = lambda z: (0.5 + 0.1j) / (z - (4 - 0.6j))
     region = qnm.ScanRegion(2.0, 6.0, 1.5)
-    exp = qnm.build_expansion(None, None, region, f=f)
+    exp = qnm.build_expansion(f, region)
     d = exp.to_dict()
     assert d["region"]["omega_lo"] == 2.0
     assert d["poles"][0]["re"] == pytest.approx(4.0, abs=1e-9)
