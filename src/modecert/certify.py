@@ -172,6 +172,17 @@ class ClassificationReport:
                      f"{self.multi_pole_shift!r})")
         lines.append(f"  Delta at minimum   = {self.delta_at_min!r} "
                      f"(in units of gamma = {self.gamma_unit!r})")
+        # each decision over its threshold: 1 is where a flag flips
+        th, errs = self.thresholds, self.convergence_errors
+        margins = [("err(N*)/tol", errs[self.n_star - 1] / th.convergence_tol)]
+        if self.n_star > 1:
+            margins.append(("err(N*-1)/tol", errs[self.n_star - 2] / th.convergence_tol))
+        margins += [("|arg r|/tol", abs(self.main_residue_phase) / th.residue_phase_tol),
+                    ("|off|/(tol*kappa)",
+                     abs(self.off_resonant_shift) / (th.shift_tol * self.kappa_main))]
+        for name, ratio in margins:
+            near = "  <- within 5% of threshold" if abs(ratio - 1.0) < 0.05 else ""
+            lines.append(f"  {name:<18} = {ratio:.4g}{near}")
         return "\n".join(lines)
 
 
@@ -274,21 +285,19 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     expansion = None
     conv = None
     for attempt in range(_MAX_REGION_GROWTH + 1):
-        expansion = build_expansion(f, region, window=window, previous=expansion)
+        expansion = build_expansion(f, region, previous=expansion)
         if not expansion.poles:
             raise AmbiguityError("no poles found in the scan region")
         try:
-            conv = convergence_report(expansion, curve, window,
-                                      thresholds.convergence_tol, center=omega_min)
+            conv = convergence_report(expansion, curve, thresholds.convergence_tol,
+                                      omega_min)
             break
         except RegionTooSmallError:
             if attempt == _MAX_REGION_GROWTH:
                 raise
             region = _grow(region, pinned=problem.k_par != 0)
 
-    counted = counted_poles(expansion, center=omega_min)
-    main = min(counted, key=lambda p: (abs(p.omega_pole.real - omega_min),
-                                       -abs(p.residue)))
+    main = counted_poles(expansion, omega_min)[0]   # the pole nearest omega_min
     kappa_main = -2.0 * main.omega_pole.imag
     phase = float(np.angle(main.residue))
 
@@ -327,7 +336,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         main_residue=complex(main.residue),
         main_residue_phase=phase,
         n_star=int(conv.n_star),
-        constant_term_magnitude=float(abs(expansion.constant_term)),
+        constant_term_magnitude=float(abs(conv.offset)),
         off_resonant_shift=off_resonant,
         complex_residue_shift=complex_residue,
         multi_pole_shift=multi_pole,

@@ -111,15 +111,26 @@ def _merged(defaults: dict, given: dict, path: str) -> dict:
 def parse_scenario(source) -> Scenario:
     """Parse and validate a scenario (file path, JSON text, or dict).
 
+    A ``Path``, or a ``str`` that does not start with ``{``, is a file path.
     Unknown keys and invalid thresholds, windows or regions are rejected
-    with their location; missing optional sections get explicit defaults so
-    that parse -> serialize -> parse is the identity.
+    with their location, an unreadable file or invalid JSON with its path;
+    missing optional sections get explicit defaults so that parse ->
+    serialize -> parse is the identity.
     """
-    if isinstance(source, (str, Path)) and os.path.exists(str(source)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif isinstance(source, str):
-        data = json.loads(source)
+    where = ""
+    if isinstance(source, Path) or (isinstance(source, str)
+                                    and not source.lstrip().startswith("{")):
+        where = f" {source}"
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read scenario{where}: {exc.strerror}") from exc
+    if isinstance(source, str):
+        try:
+            data = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"invalid scenario JSON{where}: {exc}") from exc
     else:
         data = dict(source)
 
@@ -396,13 +407,8 @@ def main(argv=None) -> int:
     if args.scenario is None:
         parser.error("--scenario PATH is required")
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            scenario = parse_scenario(json.load(fh))
-    except OSError as exc:
-        print(f"error: cannot read scenario {args.scenario}: {exc.strerror}",
-              file=sys.stderr)
-        return 1
-    except (ConfigurationError, json.JSONDecodeError) as exc:
+        scenario = parse_scenario(Path(args.scenario))
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     code = run(scenario, command=args.command, out_dir=args.out, seed=args.seed)

@@ -85,7 +85,16 @@ class RegionTooSmallError(ModeCertError):
     """Requested truncation tolerance is unreachable with the poles found.
 
     Advises enlarging the scan region.
+
+    Attributes
+    ----------
+    errors : list
+        The truncation error of each N-pole sum over the last region.
     """
+
+    def __init__(self, message, errors=None):
+        super().__init__(message)
+        self.errors = list(errors) if errors is not None else []
 
 
 class ConfigurationError(ModeCertError):

@@ -48,7 +48,6 @@ _NEWTON_REL = 1e-8      # accepted |1/f| at a pole, relative to the boundary med
 _DEDUPE_REL = 1e-6      # merge radius of pole candidates, relative to the width
 _RESIDUE_SAMPLES = 64   # M of the residue trapezoid rule (the ring has 2M points)
 _RESIDUE_TOL = 1e-8     # relative doubling error accepted for a residue
-_CONST_SAMPLES = 101    # real-axis samples of the constant-term estimate
 
 
 # ---------------------------------------------------------------------------
@@ -107,18 +106,14 @@ class ScanRegion:
 
 @dataclass(frozen=True)
 class PoleExpansion:
-    """Poles and residues of the witness, plus the residual constant term.
+    """Poles and residues of the witness over a scan region.
 
-    ``constant_negligible`` records the supplement-style check that the
-    constant term stays below 1% of the witness magnitude on the real window.
     ``candidates`` are the poles the search returned, before the residue
     floor; a search over a larger region starts from them.
     """
 
     poles: tuple
-    constant_term: complex
     region: ScanRegion
-    constant_negligible: bool = True
     candidates: tuple = ()
 
     def __post_init__(self):
@@ -129,17 +124,11 @@ class PoleExpansion:
     def __len__(self):
         return len(self.poles)
 
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.region.omega_lo + self.region.omega_hi)
-
     def to_dict(self) -> dict:
         return {
             "poles": [{"re": p.omega_pole.real, "im": p.omega_pole.imag,
                        "res_re": p.residue.real, "res_im": p.residue.imag}
                       for p in self.poles],
-            "constant": {"re": self.constant_term.real, "im": self.constant_term.imag},
-            "constant_negligible": self.constant_negligible,
             "region": self.region.to_dict(),
         }
 
@@ -154,12 +143,15 @@ class PoleExpansion:
 
 @dataclass
 class ConvergenceReport:
-    """Smallest sufficient truncation and the error-versus-N table."""
+    """Smallest sufficient truncation, the error-versus-N table and the offset.
+
+    ``offset`` is f(c) - sum over all poles of r/(c - p) at the anchor c:
+    the constant the bare pole sum misses, which the anchored sums carry.
+    """
 
     n_star: int
     errors: list          # errors[k] is the sup-norm error of the (k+1)-pole sum
-    tol: float
-    window: tuple
+    offset: complex
 
 
 # ---------------------------------------------------------------------------
@@ -514,24 +506,20 @@ def compute_residue(f, pole_location: complex, radius: float, samples: int = 64,
     return r2, err
 
 
-def build_expansion(f, region: ScanRegion, window=None,
+def build_expansion(f, region: ScanRegion,
                     previous: PoleExpansion | None = None) -> PoleExpansion:
     """Pole expansion of an evaluator ``f`` over a scan region.
 
     ``f`` maps complex arrays to complex arrays, as :func:`find_poles`
     requires; :func:`witness_evaluator` gives the witness of a problem.
-    Locates the poles of ``f``, computes residues by contour integration
+    Locates the poles of ``f`` and computes residues by contour integration
     with radii that keep clear of neighboring poles and of the region's side
     and bottom edges (the witness is analytic across the real axis, so
-    circles may cross the top edge), and estimates the constant term as the
-    median mismatch on the interior real window (the certification window
-    when given, else the region's real interval), with the "converges to
-    zero" flag of the expansion.
+    circles may cross the top edge).
 
     ``previous`` is an expansion of the same function over a region inside
     this one: its pole candidates are reused and only the added area is
-    searched.  Residues and the constant term are always recomputed over the
-    whole pole set.
+    searched.  Residues are always recomputed over the whole pole set.
     """
     poles = find_poles(f, region, None if previous is None
                        else (previous.region, previous.candidates))
@@ -555,90 +543,69 @@ def build_expansion(f, region: ScanRegion, window=None,
         # they are below the search resolution and carry no weight
         floor = 1e-7 * max(abs(p.residue) for p in out)
         out = [p for p in out if abs(p.residue) >= floor]
-
-    a, b = window if window is not None else (region.omega_lo, region.omega_hi)
-    om = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), _CONST_SAMPLES)
-    exact = f(om.astype(complex))
-    partial = np.zeros_like(exact)
-    for p in out:
-        partial += p.residue / (om - p.omega_pole)
-    diff = exact - partial
-    const = complex(np.median(diff.real), np.median(diff.imag))
-    negligible = abs(const) <= 0.01 * float(np.max(np.abs(exact)))
-    return PoleExpansion(poles=tuple(out), constant_term=const, region=region,
-                         constant_negligible=negligible, candidates=tuple(poles))
+    return PoleExpansion(poles=tuple(out), region=region, candidates=tuple(poles))
 
 
-def counted_poles(expansion: PoleExpansion, center: float | None = None) -> list:
-    """Truncation-order pole list: nonnegative-frequency poles by distance.
+def counted_poles(expansion: PoleExpansion, center: float) -> list:
+    """Truncation-order pole list: every pole but mirror partners, by distance.
 
-    Negative-real-frequency mirror partners do not raise the count; they are
-    summed together with their positive partners in :func:`evaluate_truncated`.
+    A pole -p* whose twin p (Re p >= 0) is also in the expansion does not
+    raise the count; it is summed together with its twin in
+    :func:`evaluate_truncated`.  Unpaired poles count at any frequency: a
+    lossy stack with a complex index has no mirror symmetry.
     """
-    c = expansion.center if center is None else center
-    pos = [p for p in expansion.poles if p.omega_pole.real >= -1e-12 * abs(c)]
-    return sorted(pos, key=lambda p: (abs(p.omega_pole.real - c), -abs(p.residue)))
+    counted = [p for p in expansion.poles
+               if p.omega_pole.real >= 0 or _mirror_partner(expansion, p) is None]
+    return sorted(counted, key=lambda p: (abs(p.omega_pole.real - center), -abs(p.residue)))
 
 
 def _mirror_partner(expansion: PoleExpansion, pole: Pole):
     """The conjugate-mirror pole -omega*, when the scan region contains it."""
-    tol = 10.0 * _DEDUPE_REL * expansion.region.width
     target = -np.conj(pole.omega_pole)
-    best = None
-    for q in expansion.poles:
-        if q is pole:
-            continue
-        if abs(q.omega_pole - target) < tol:
-            if best is None or abs(q.omega_pole - target) < abs(best.omega_pole - target):
-                best = q
-    return best
+    tol = 10.0 * _DEDUPE_REL * expansion.region.width
+    near = [q for q in expansion.poles
+            if q is not pole and abs(q.omega_pole - target) < tol]
+    return min(near, key=lambda q: abs(q.omega_pole - target), default=None)
 
 
-def evaluate_truncated(expansion: PoleExpansion, n: int, omega,
-                       center: float | None = None):
-    """Sum of the N modes nearest the window center (plus a sizeable constant).
+def evaluate_truncated(expansion: PoleExpansion, n: int, omega, anchor):
+    """Mittag-Leffler sum of the N modes nearest the anchor, exact at the anchor.
 
-    A "mode" is a nonnegative-frequency pole together with its negative-
-    frequency mirror partner when the region covers it; the mirror does not
-    count toward N.  The constant term is included only when the expansion
-    flagged it as non-negligible, mirroring the observation that it converges
-    to zero once enough poles are inside the region.
+    With ``anchor = (c, f(c))`` the sum is
+    f(c) + sum_n r_n [1/(omega - p_n) - 1/(c - p_n)], so it needs no estimate
+    of the constant the bare pole sum misses.  A "mode" is a counted pole
+    together with its mirror partner (see :func:`counted_poles`).
     """
-    counted = counted_poles(expansion, center)
+    c, fc = anchor
+    counted = counted_poles(expansion, c)
     if not 1 <= n <= len(counted):
         raise ValueError(f"n must be in [1, {len(counted)}]")
-    om = np.asarray(omega, dtype=complex) if np.ndim(omega) else complex(omega)
-    out = np.zeros(np.shape(om), dtype=complex) if np.ndim(om) else 0j
-    for p in counted[:n]:
-        out = out + p.residue / (om - p.omega_pole)
-        q = _mirror_partner(expansion, p)
-        if q is not None:
-            out = out + q.residue / (om - q.omega_pole)
-    if not expansion.constant_negligible:
-        out = out + expansion.constant_term
-    return out
+    om = np.asarray(omega, dtype=complex)
+    modes = [q for p in counted[:n] for q in (p, _mirror_partner(expansion, p))
+             if q is not None]
+    return sum((q.residue * (1.0 / (om - q.omega_pole) - 1.0 / (c - q.omega_pole))
+                for q in modes), complex(fc))
 
 
-def convergence_report(expansion: PoleExpansion, exact_curve, window,
-                       tol: float, center: float | None = None) -> ConvergenceReport:
-    """Smallest N whose truncated expansion meets the sup-norm tolerance.
+def convergence_report(expansion: PoleExpansion, exact_curve, tol: float,
+                       center: float) -> ConvergenceReport:
+    """Smallest N whose anchored sum meets the sup-norm tolerance on the curve.
 
-    The error of an N-pole sum is sup |truncated - exact| / sup |exact| over
-    the exact curve's samples inside the window.  Raises RegionTooSmallError
-    when even the full expansion misses the tolerance, which means the scan
+    The anchor is the curve sample nearest ``center``.  The error of an
+    N-pole sum is sup |truncated - exact| / sup |exact| over the curve's
+    samples.  Raises RegionTooSmallError, carrying the error table, when
+    even the full expansion misses the tolerance, which means the scan
     region does not contain enough poles.
     """
-    mask = (exact_curve.omega >= window[0]) & (exact_curve.omega <= window[1])
-    om = exact_curve.omega[mask]
-    exact = exact_curve.delta[mask]
-    if om.size == 0:
-        raise ValueError("exact curve does not cover the window")
+    om, exact = exact_curve.omega, exact_curve.delta
+    i = int(np.argmin(np.abs(om - center)))
+    anchor = (float(om[i]), complex(exact[i]))
     scale = float(np.max(np.abs(exact)))
-    n_max = len(counted_poles(expansion, center))
+    n_max = len(counted_poles(expansion, anchor[0]))
     errors = []
     n_star = None
     for n in range(1, n_max + 1):
-        approx = evaluate_truncated(expansion, n, om, center=center)
+        approx = evaluate_truncated(expansion, n, om, anchor)
         err = float(np.max(np.abs(approx - exact))) / scale
         errors.append(err)
         if n_star is None and err < tol:
@@ -646,6 +613,7 @@ def convergence_report(expansion: PoleExpansion, exact_curve, window,
     if n_star is None:
         raise RegionTooSmallError(
             f"tolerance {tol:g} unreachable with {n_max} counted poles "
-            f"(best {min(errors) if errors else np.inf:.3g}); enlarge the scan region")
-    return ConvergenceReport(n_star=n_star, errors=errors, tol=tol,
-                             window=(float(window[0]), float(window[1])))
+            f"(best {min(errors) if errors else np.inf:.3g}); enlarge the scan region",
+            errors=errors)
+    offset = anchor[1] - sum(p.residue / (anchor[0] - p.omega_pole) for p in expansion.poles)
+    return ConvergenceReport(n_star=n_star, errors=errors, offset=complex(offset))

@@ -250,6 +250,23 @@ def test_main_missing_scenario_file(tmp_path, capsys):
     assert "Expecting value" not in err
 
 
+@pytest.mark.parametrize("as_type", [str, Path])
+def test_parse_scenario_missing_path_named(tmp_path, as_type):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(ConfigurationError, match=re.escape(str(missing))):
+        cli.parse_scenario(as_type(missing))
+
+
+def test_parse_scenario_reads_path_and_names_bad_json(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(MINIMAL_FP))
+    assert cli.parse_scenario(good).to_dict() == cli.parse_scenario(MINIMAL_FP).to_dict()
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(ConfigurationError, match=re.escape(str(bad))):
+        cli.parse_scenario(str(bad))
+
+
 def _readme_commands():
     """(scenario file, subcommand) of each ``modecert --scenario`` README line."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")

@@ -3,13 +3,14 @@
 The reflection amplitude, the angle scan and both outgoing solutions of the
 Green's function come from one right-to-left march; these properties pin it
 against the scalar transfer-matrix reference and against itself on the
-mirrored stack.
+mirrored stack.  A real index profile at k_par = 0 is also pinned to its
+conjugate symmetry, which is what pairs the mirror poles -p* with p.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from modecert import layered as ly
+from modecert import layered as ly, witness as wt
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -23,7 +24,7 @@ par_fraction = st.sampled_from([0.0]) | st.floats(0.05, 0.9)
 
 
 @st.composite
-def stacks(draw):
+def stacks(draw, layer=layer):
     layers = draw(st.lists(layer, min_size=1, max_size=6))
     return ly.LayerStack(
         ly.Material.constant("left", draw(real_index)),
@@ -74,3 +75,20 @@ def test_passive_reflection_bounded(stack, s):
     om = np.linspace(0.5, 10.0, 257)
     r = ly.reflection(ly.WaveProblem(stack, k_par=s * om), om)
     assert np.max(np.abs(r)) <= 1.0 + 1e-12
+
+
+@PROPERTY
+@given(stacks(st.tuples(real_index, st.floats(0.05, 2.0))), st.floats(0.5, 10.0),
+       st.floats(-0.5, 0.5), st.floats(-0.2, 1.2), st.floats(-0.2, 1.2))
+def test_conjugate_symmetry_real_index(stack, w_re, w_im, u, v):
+    # real coefficients at k_par = 0: G(-z*) = G(z)*; the witness carries one
+    # more factor of omega, so f(-z*) = -f(z)*
+    pr = ly.WaveProblem(stack)
+    z = complex(w_re, w_im)
+    x, xp = u * stack.total_thickness, v * stack.total_thickness
+    g = ly.green_function(pr, x, xp, z)
+    assert abs(ly.green_function(pr, x, xp, -z.conjugate()) - g.conjugate()) <= 1e-10 * abs(g)
+    emitter = ly.EmitterSpec(x_a=x, omega_a=w_re, gamma=1.0)
+    f = wt.levshift_exact(pr, emitter, z)
+    f_mirror = wt.levshift_exact(pr, emitter, -z.conjugate())
+    assert abs(f_mirror + f.conjugate()) <= 1e-10 * abs(f)

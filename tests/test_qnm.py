@@ -251,8 +251,8 @@ def test_expansion_single_mode_synthetic():
     p = exp.poles[0]
     assert abs(p.residue - 0.04) < 1e-10
     assert abs(p.residue.imag) < 1e-12
-    assert abs(exp.constant_term) < 1e-10
-    assert exp.constant_negligible
+    # the pole sum alone reproduces f: nothing is left for a constant
+    assert abs(f(9.5) - p.residue / (9.5 - p.omega_pole)) < 1e-10
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -302,7 +302,8 @@ def test_evaluate_truncated_exact_on_rational():
     f, zs, rs = rational_instance(rng, max_poles=4)
     exp = qnm.build_expansion(f, REGION)
     om = np.linspace(0.5, 9.5, 101)
-    full = qnm.evaluate_truncated(exp, len(qnm.counted_poles(exp)), om)
+    full = qnm.evaluate_truncated(exp, len(qnm.counted_poles(exp, 5.0)), om,
+                                  (5.0, f(5.0)))
     assert np.max(np.abs(full - f(om))) < 1e-10
 
 
@@ -311,7 +312,8 @@ def test_evaluate_truncated_single_mode_exact():
     region = qnm.ScanRegion(8.0, 12.0, 1.0)
     exp = qnm.build_expansion(f, region)
     om = np.linspace(8.5, 11.5, 64)
-    assert np.max(np.abs(qnm.evaluate_truncated(exp, 1, om) - f(om))) < 1e-12
+    got = qnm.evaluate_truncated(exp, 1, om, (10.0, f(10.0)))
+    assert np.max(np.abs(got - f(om))) < 1e-12
 
 
 def test_truncation_convergence_sweep_n4():
@@ -322,7 +324,7 @@ def test_truncation_convergence_sweep_n4():
     exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
     win = (0.92 * np.pi, 1.85 * np.pi)
     curve = wt.levshift_curve(pr, win, n=1001, refine=1)
-    rep = qnm.convergence_report(exp, curve, win, 0.05, center=1.386 * np.pi)
+    rep = qnm.convergence_report(exp, curve, 0.05, 1.386 * np.pi)
     errors = rep.errors
     assert rep.n_star >= 3
     assert min(errors[:2]) > 0.05 and errors[rep.n_star - 1] < 0.05
@@ -335,8 +337,8 @@ def test_convergence_report_two_lorentzians():
     win = (2.0, 4.0)
     om = np.linspace(*win, 801)
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", win)
-    assert qnm.convergence_report(exp, curve, win, 0.10, center=3.0).n_star == 1
-    assert qnm.convergence_report(exp, curve, win, 0.001, center=3.0).n_star == 2
+    assert qnm.convergence_report(exp, curve, 0.10, 3.0).n_star == 1
+    assert qnm.convergence_report(exp, curve, 0.001, 3.0).n_star == 2
 
 
 def test_convergence_single_mode_tight():
@@ -345,7 +347,7 @@ def test_convergence_single_mode_tight():
     exp = qnm.build_expansion(f, region)
     om = np.linspace(9.0, 11.0, 801)
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", (9.0, 11.0))
-    assert qnm.convergence_report(exp, curve, (9.0, 11.0), 1e-6).n_star == 1
+    assert qnm.convergence_report(exp, curve, 1e-6, 10.0).n_star == 1
 
 
 def test_region_too_small_error():
@@ -355,8 +357,11 @@ def test_region_too_small_error():
     win = (8.0, 9.9)
     om = np.linspace(*win, 801)
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", win)
-    with pytest.raises(RegionTooSmallError):
-        qnm.convergence_report(exp, curve, win, 1e-4, center=9.0)
+    with pytest.raises(RegionTooSmallError) as info:
+        qnm.convergence_report(exp, curve, 1e-4, 9.0)
+    # the payload is the error table of the region: one entry per counted pole
+    assert len(info.value.errors) == 1
+    assert info.value.errors[0] > 1e-4
 
 
 def test_expansion_serialization():
