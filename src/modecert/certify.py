@@ -54,6 +54,7 @@ from .witness import (
     find_zero_of_delta,
     levshift_curve,
     levshift_exact,
+    local_minima,
 )
 
 
@@ -194,9 +195,7 @@ def _reflectance_dips(problem: WaveProblem, span, n: int = 4000):
     """Interior minima of |r|^2 over a real frequency span."""
     om = np.linspace(span[0], span[1], n)
     r2 = np.abs(reflection(problem, om)) ** 2
-    dips = [float(om[i]) for i in range(1, n - 1)
-            if r2[i] < r2[i - 1] and r2[i] <= r2[i + 1]]
-    return om, r2, dips
+    return om, r2, om[local_minima(r2)].tolist()
 
 
 def _probed_minimum(problem: WaveProblem, window) -> float:
@@ -464,14 +463,13 @@ def xray_angle_minima(material_table):
     th = np.radians(np.linspace(0.03, 0.6, 4001))
     r2 = reflectance_vs_angle(stack, OMEGA_NUC_KEV, th)
     out = []
-    for i in range(1, th.size - 1):
-        if r2[i] < r2[i - 1] and r2[i] <= r2[i + 1]:
-            # parabolic refinement in angle
-            d1 = (r2[i] - r2[i - 1]) / (th[i] - th[i - 1])
-            d2 = (r2[i + 1] - r2[i]) / (th[i + 1] - th[i])
-            curv = (d2 - d1) / (th[i + 1] - th[i - 1])
-            t = 0.5 * (th[i - 1] + th[i]) - d1 / (2 * curv) if curv > 0 else th[i]
-            out.append(float(t))
+    for i in local_minima(r2):
+        # parabolic refinement in angle
+        d1 = (r2[i] - r2[i - 1]) / (th[i] - th[i - 1])
+        d2 = (r2[i + 1] - r2[i]) / (th[i + 1] - th[i])
+        curv = (d2 - d1) / (th[i + 1] - th[i - 1])
+        t = 0.5 * (th[i - 1] + th[i]) - d1 / (2 * curv) if curv > 0 else th[i]
+        out.append(float(t))
     return out
 
 

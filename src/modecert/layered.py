@@ -35,6 +35,8 @@ Conventions
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -178,6 +180,23 @@ class LayerStack:
         """All media left to right, claddings included."""
         return [self.left] + [m for m, _ in self.layers] + [self.right]
 
+    # constants of the kernel, computed on first use
+    @functools.cached_property
+    def _thicknesses(self) -> np.ndarray:
+        return np.array([d for _, d in self.layers])
+
+    @functools.cached_property
+    def _bounds(self) -> tuple:
+        return tuple(self.boundaries.tolist())
+
+    @functools.cached_property
+    def _n_const(self):
+        """Index of every medium when none of them disperses, else None."""
+        media = self.media()
+        if any(m.n_const is None for m in media):
+            return None
+        return np.array([m.n_const for m in media])
+
 
 @dataclass(frozen=True)
 class WaveProblem:
@@ -204,24 +223,35 @@ def _check_omega(omega):
 
 
 def _wavenumbers(problem: WaveProblem, omega):
-    """k_z for every medium (claddings included) at scalar or array omega."""
+    """k_z of every medium (claddings included), stacked along a first axis.
+
+    Row j holds medium j at the shape of ``omega`` broadcast against k_par.
+    """
     w = _check_omega(omega)
     kp = problem.k_par
     normal = not np.any(kp)
-    ks = []
-    for m in problem.stack.media():
-        n = m.index(w)
-        if normal:
-            kz = n * w  # entire in omega, no branch cut
-        else:
-            nw2 = n * n * w * w
-            kz2 = nw2 - kp * kp
-            if np.any(np.abs(kz2) < 1e-14 * (np.abs(nw2) + kp * kp)):
-                raise BranchPointError(
-                    f"k_z = 0 in medium {m.name!r}: branch point", omega=omega)
-            kz = np.sqrt(kz2)
-        ks.append(kz)
-    return ks
+    if not normal and np.ndim(kp) > w.ndim:
+        w = np.broadcast_to(w, np.broadcast_shapes(w.shape, np.shape(kp)))
+    stack = problem.stack
+    n = stack._n_const
+    if n is None:
+        n = np.array([np.broadcast_to(m.index(w), w.shape) for m in stack.media()])
+    else:
+        n = n.reshape((-1,) + (1,) * w.ndim)
+    if normal:
+        return n * w  # entire in omega, no branch cut
+    nw2 = n * n * w * w
+    kz2 = nw2 - kp * kp
+    floor = np.abs(nw2)
+    del nw2   # every medium at once: keep few full-size temporaries alive
+    floor += kp * kp
+    floor *= 1e-14
+    near = np.abs(kz2) < floor
+    if np.any(near):
+        j = int(np.argmax(near.reshape(len(near), -1).any(axis=1)))
+        raise BranchPointError(
+            f"k_z = 0 in medium {stack.media()[j].name!r}: branch point", omega=omega)
+    return np.sqrt(kz2, out=kz2)
 
 
 def interface_matrix(k_a, k_b) -> np.ndarray:
@@ -251,10 +281,6 @@ def _check_exponent(k, d):
             f"|Im k_z| * thickness = {float(np.max(ex)):.3g} exceeds {_MAX_EXPONENT:g}")
 
 
-def _thicknesses(stack: LayerStack) -> list:
-    return [d for _, d in stack.layers]
-
-
 def transfer_matrix(problem: WaveProblem, omega: complex) -> np.ndarray:
     """Transfer matrix of the whole stack at a single (possibly complex) omega.
 
@@ -264,7 +290,7 @@ def transfer_matrix(problem: WaveProblem, omega: complex) -> np.ndarray:
     right.  det M equals k_right / k_left.
     """
     ks = _wavenumbers(problem, complex(omega))
-    ds = _thicknesses(problem.stack)
+    ds = [d for _, d in problem.stack.layers]
     m = interface_matrix(ks[0], ks[1])
     for j, d in enumerate(ds, start=1):
         m = m @ propagation_matrix(ks[j], d)
@@ -279,16 +305,20 @@ def transfer_matrix(problem: WaveProblem, omega: complex) -> np.ndarray:
 def _march(ks, ds, keep=()):
     """March the right-outgoing solution from the right cladding to the left.
 
+    ``ks`` stacks the wavenumbers of every medium along its first axis (see
+    :func:`_wavenumbers`) and ``ds`` is the thickness array of the layers.
     Starts from (A, B) = (1, 0) in the right cladding and applies the factors
     of :func:`transfer_matrix` right to left (I_N, P_N, ..., P_1, I_0), so the
     left cladding ends with (A_0, B_0) = (m11, m21) and r = B_0 / A_0.
     Broadcasts over whatever shape the wavenumbers have (omega, k_par or
-    both).  Returns (A_0, B_0, kept) where ``kept`` maps each medium index in
-    ``keep`` to its amplitudes referenced to the medium's right and left
-    edge, ((A, B)_right, (A, B)_left); the claddings use their inner boundary
-    for both.  Only the kept media are stored.
+    both); the exponent guard runs once for all layers.  Returns (A_0, B_0,
+    kept) where ``kept`` maps each medium index in ``keep`` to its amplitudes
+    referenced to the medium's right and left edge, ((A, B)_right,
+    (A, B)_left); the claddings use their inner boundary for both.  Only the
+    kept media are stored.
     """
     n_lay = len(ds)
+    _check_exponent(ks[1:-1], ds.reshape((-1,) + (1,) * (ks.ndim - 1)))
     a, b = 1.0, 0.0
     kept = {n_lay + 1: ((a, b), (a, b))} if n_lay + 1 in keep else {}
     for j in range(n_lay, -1, -1):
@@ -297,7 +327,6 @@ def _march(ks, ds, keep=()):
         a, b = p * a + m_ * b, m_ * a + p * b      # right-edge referenced
         right = (a, b)
         if j:
-            _check_exponent(ks[j], ds[j - 1])
             ph = np.exp(-1j * ks[j] * ds[j - 1])
             a, b = a * ph, b / ph                   # shift reference to left edge
         if j in keep:
@@ -310,7 +339,7 @@ def reflection(problem: WaveProblem, omega):
 
     Accepts scalar or array omega; |r|^2 <= 1 for real omega in passive stacks.
     """
-    a0, b0, _ = _march(_wavenumbers(problem, omega), _thicknesses(problem.stack))
+    a0, b0, _ = _march(_wavenumbers(problem, omega), problem.stack._thicknesses)
     return b0 / a0
 
 
@@ -325,12 +354,12 @@ def reflectance_vs_angle(stack: LayerStack, omega: float, thetas) -> np.ndarray:
 
 def _locate(stack: LayerStack, x: float):
     """Medium index (0 = left cladding) and reference coordinate for x."""
-    bounds = stack.boundaries
+    bounds = stack._bounds
     if x < bounds[0]:
         return 0, bounds[0]
     if x >= bounds[-1]:
         return len(bounds), bounds[-1]
-    j = int(np.searchsorted(bounds, x, side="right"))  # in layer j, 1-based
+    j = bisect.bisect_right(bounds, x)  # in layer j, 1-based
     return j, bounds[j - 1]
 
 
@@ -359,7 +388,7 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
         If ``omega`` is a scalar and the Wronskian falls below the floor.
     """
     ks = _wavenumbers(problem, omega)
-    ds = _thicknesses(problem.stack)
+    ds = problem.stack._thicknesses
     x_lo, x_hi = (x, xp) if x <= xp else (xp, x)
     j_lo, ref_lo = _locate(problem.stack, x_lo)
     j_hi, ref_hi = _locate(problem.stack, x_hi)
@@ -391,7 +420,7 @@ def field_profile(problem: WaveProblem, omega, xs):
     ks = _wavenumbers(problem, complex(omega))
     xs_flat = [float(x) for x in np.atleast_1d(xs)]
     where = [_locate(problem.stack, x) for x in xs_flat]
-    a0, _, er = _march(ks, _thicknesses(problem.stack), keep={j for j, _ in where})
+    a0, _, er = _march(ks, problem.stack._thicknesses, keep={j for j, _ in where})
     out = [_eval_amp(er[j][1], ks[j], x, ref) / a0 for x, (j, ref) in zip(xs_flat, where)]
     return np.array(out, dtype=complex).reshape(np.shape(xs))
 

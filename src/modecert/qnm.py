@@ -15,15 +15,20 @@ only if W = 0 and s_1, s_2 vanish; a box is accepted as "one simple pole" only
 if W = 1 and s_1 agrees with the Newton-refined location.  Anything else is
 subdivided until resolved or the depth budget is exhausted.
 
-Each box boundary is one closed loop of samples, corners included, refined
-by inserting neighbour midpoints with one evaluator call per round.  A
-search over a grown region can start from the poles of an earlier search
-over a region inside it and subdivide only the strips the growth added.
+The box tree is searched breadth first, because an evaluator call costs far
+more than the points it carries.  Each box boundary is one closed loop of
+samples, corners included, refined by inserting neighbour midpoints; the
+loops of one subdivision level are sampled together, so there is one
+evaluator call per round over a level.  The Newton runs of a level advance
+in lockstep, one call per step.  A search over a grown region can start
+from the poles of an earlier search over a region inside it and subdivide
+only the strips the growth added.
 
 Residues are evaluated by the trapezoid rule on a circle around each pole,
 which is exponentially convergent for meromorphic integrands and exact for
 the pole's own 1/(z - z0) part; one 2M-point ring gives the M- and 2M-point
-sums, whose difference is the error estimate.
+sums, whose difference is the error estimate.  An expansion evaluates all
+its residue rings in one call.
 """
 
 from __future__ import annotations
@@ -159,7 +164,7 @@ class ConvergenceReport:
 # ---------------------------------------------------------------------------
 
 class _Unresolvable(Exception):
-    """Internal: boundary sampling could not be resolved; perturb and retry."""
+    """Internal: a boundary loop could not be resolved; perturb its box and retry."""
 
 
 def witness_evaluator(problem):
@@ -193,82 +198,100 @@ _MAX_REFINE_ROUNDS = 14
 _MAX_BOUNDARY_POINTS = 120_000
 
 
-def _box_moments(fv, box):
-    """Winding number and first two singularity moments of h = 1/f over a box.
+def _box_moments(f, boxes):
+    """Winding number and first two singularity moments of h = 1/f over boxes.
 
-    Returns (W, s1, s2, median |h| on the boundary).  Raises _Unresolvable if
-    the phase cannot be tracked within the refinement budget.
+    Each box boundary is one closed loop of samples.  All loops are sampled
+    in one evaluator call, and each refinement round fills the midpoints of
+    every unresolved loop in one more call.  Returns, per box, either
+    (W, s1, s2, median |h| on the boundary) or an _Unresolvable when its
+    phase cannot be tracked within the refinement budget.
     """
-    re_lo, re_hi, im_lo, im_hi = box
-    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
-                        complex(re_hi, im_hi), complex(re_lo, im_hi)])
     t = np.linspace(0.0, 1.0, _EDGE_POINTS, endpoint=False)
-    zs = (corners[:, None] + t * (np.roll(corners, -1) - corners)[:, None]).ravel()
-    fs = fv(zs)
-
-    for _ in range(_MAX_REFINE_ROUNDS):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hs = 1.0 / fs
-        if not np.all(np.isfinite(hs)) or np.any(hs == 0):
-            raise _Unresolvable("f vanished or blew up on the boundary")
-        hn = np.roll(hs, -1)
-        dphi = np.angle(hn / hs)
-        dmod = np.abs(np.log(np.abs(hn / hs)))
-        bad = (np.abs(dphi) > _PHASE_STEP) | (dmod > _LOGMOD_STEP)
-        if not np.any(bad):
-            # winding from wrapped increments, all below the aliasing threshold
-            w_raw = float(np.sum(dphi)) / TWO_PI
-            w = int(np.round(w_raw))
-            if abs(w_raw - w) > 0.1:
-                raise _Unresolvable("non-integer winding number")
-            # continuous log h along the loop, closed with the continued branch
-            phases = np.angle(hs[0]) + np.concatenate(([0.0], np.cumsum(dphi[:-1])))
-            logs = np.log(np.abs(hs)) + 1j * phases
-            z_ext = np.concatenate([zs, zs[:1]])
-            l_ext = np.concatenate([logs, [logs[0] + 1j * TWO_PI * w]])
-            dz = np.diff(z_ext)
-            mid_l = 0.5 * (l_ext[:-1] + l_ext[1:])
-            int_l = np.sum(mid_l * dz)
-            mid_zl = 0.5 * (l_ext[:-1] * z_ext[:-1] + l_ext[1:] * z_ext[1:])
-            int_zl = np.sum(mid_zl * dz)
-            z0 = z_ext[0]
-            s1 = z0 * w - int_l / (2j * np.pi)
-            s2 = z0 * z0 * w - int_zl / (1j * np.pi)
-            return w, s1, s2, float(np.median(np.abs(hs)))
-
-        if zs.size > _MAX_BOUNDARY_POINTS:
-            raise _Unresolvable("boundary refinement budget exhausted")
-        # midpoints of the bad neighbour pairs; corners are samples, so every
-        # midpoint lies on the boundary
-        idx = np.nonzero(bad)[0]
-        z_mid = 0.5 * (zs[idx] + np.roll(zs, -1)[idx])
-        zs = np.insert(zs, idx + 1, z_mid)
-        fs = np.insert(fs, idx + 1, fv(z_mid))
-    raise _Unresolvable("phase tracking did not converge")
+    loops = []
+    for re_lo, re_hi, im_lo, im_hi in boxes:
+        corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
+                            complex(re_hi, im_hi), complex(re_lo, im_hi)])
+        loops.append((corners[:, None] + t * (np.roll(corners, -1) - corners)[:, None]).ravel())
+    values = _split_call(f, loops)
+    out = [None] * len(boxes)
+    todo = list(range(len(boxes)))
+    for rnd in range(_MAX_REFINE_ROUNDS):
+        mids = {}
+        for i in todo:
+            zs, fs = loops[i], values[i]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hs = 1.0 / fs
+            if not np.all(np.isfinite(hs)) or np.any(hs == 0):
+                out[i] = _Unresolvable("f vanished or blew up on the boundary")
+                continue
+            hn = np.roll(hs, -1)
+            dphi = np.angle(hn / hs)
+            dmod = np.abs(np.log(np.abs(hn / hs)))
+            bad = (np.abs(dphi) > _PHASE_STEP) | (dmod > _LOGMOD_STEP)
+            if not np.any(bad):
+                out[i] = _loop_moments(zs, hs, dphi)
+            elif zs.size > _MAX_BOUNDARY_POINTS:
+                out[i] = _Unresolvable("boundary refinement budget exhausted")
+            elif rnd == _MAX_REFINE_ROUNDS - 1:
+                out[i] = _Unresolvable("phase tracking did not converge")
+            else:
+                # midpoints of the bad neighbour pairs; corners are samples, so
+                # every midpoint lies on the boundary
+                idx = np.nonzero(bad)[0]
+                mids[i] = (idx, 0.5 * (zs[idx] + np.roll(zs, -1)[idx]))
+        if not mids:
+            break
+        for i, f_mid in zip(mids, _split_call(f, [z_mid for _, z_mid in mids.values()])):
+            idx, z_mid = mids[i]
+            loops[i] = np.insert(loops[i], idx + 1, z_mid)
+            values[i] = np.insert(values[i], idx + 1, f_mid)
+        todo = list(mids)
+    return out
 
 
-def _newton_on(fv, z0: complex, scale: float):
-    """Newton refinement of a zero of h = 1/f.
+def _loop_moments(zs, hs, dphi):
+    """(W, s1, s2, median |h|) of a resolved loop of samples ``hs`` at ``zs``."""
+    # winding from wrapped increments, all below the aliasing threshold
+    w_raw = float(np.sum(dphi)) / TWO_PI
+    w = int(np.round(w_raw))
+    if abs(w_raw - w) > 0.1:
+        return _Unresolvable("non-integer winding number")
+    # continuous log h along the loop, closed with the continued branch
+    phases = np.angle(hs[0]) + np.concatenate(([0.0], np.cumsum(dphi[:-1])))
+    logs = np.log(np.abs(hs)) + 1j * phases
+    z_ext = np.concatenate([zs, zs[:1]])
+    l_ext = np.concatenate([logs, [logs[0] + 1j * TWO_PI * w]])
+    dz = np.diff(z_ext)
+    mid_l = 0.5 * (l_ext[:-1] + l_ext[1:])
+    int_l = np.sum(mid_l * dz)
+    mid_zl = 0.5 * (l_ext[:-1] * z_ext[:-1] + l_ext[1:] * z_ext[1:])
+    int_zl = np.sum(mid_zl * dz)
+    z0 = z_ext[0]
+    s1 = z0 * w - int_l / (2j * np.pi)
+    s2 = z0 * z0 * w - int_zl / (1j * np.pi)
+    return w, s1, s2, float(np.median(np.abs(hs)))
 
-    Derivatives are central differences with step 1e-4 * scale; f is analytic
-    so this is accurate.  Returns (z, |h(z)|) or (None, inf).
+
+def _split_call(f, arrays):
+    """f over several point arrays in one call, split back per array."""
+    values = f(np.concatenate(arrays))
+    return np.split(values, np.cumsum([a.size for a in arrays])[:-1])
+
+
+def _newton_run(z0: complex, scale: float):
+    """One Newton refinement of a zero of h = 1/f, as a generator.
+
+    Yields each point at which it needs (h, h') and is sent them back, or
+    None when the evaluator raised there; returns (z, |h(z)|) or (None, inf).
     """
     z = complex(z0)
-    delta = 1e-4 * scale
-
-    def target(zz):
-        with np.errstate(all="ignore"):
-            vals = fv(np.array([zz, zz + delta, zz - delta]))
-            # a non-finite f means h = 1/f vanished exactly: we are at the pole
-            t = 1.0 / np.where(np.isfinite(vals), vals, np.inf)
-        return t[0], (t[1] - t[2]) / (2.0 * delta)
-
     prev_step = None
     for _ in range(_NEWTON_ITERS):
-        try:
-            t, dt = target(z)
-        except ModeCertError:
+        got = yield z
+        if got is None:
             return None, np.inf
+        t, dt = got
         if not np.isfinite(t):
             # stepped onto a singularity of the target; back off half the step
             if prev_step is None:
@@ -290,13 +313,53 @@ def _newton_on(fv, z0: complex, scale: float):
         prev_step = step
         if abs(step) < 1e-14 * max(abs(z), scale):
             break
+    got = yield z
+    if got is None or not np.isfinite(got[0]):
+        return None, np.inf
+    return z, abs(got[0])
+
+
+def _newton(f, starts, scales):
+    """Newton refinement of zeros of h = 1/f from several starts in lockstep.
+
+    Every step evaluates f at z and z +- delta (delta = 1e-4 * scale, a
+    central difference; f is analytic) for all unfinished runs in one call.
+    Each run keeps its own step, back-off and exit rules (see
+    :func:`_newton_run`).  When the shared call raises a ModeCertError, the
+    step is evaluated run by run, so only the runs whose own points raise
+    end.  Returns one (z, |h(z)|) or (None, inf) per start.
+    """
+    runs = {i: _newton_run(z0, scale) for i, (z0, scale) in enumerate(zip(starts, scales))}
+    points = {i: next(run) for i, run in runs.items()}
+    out = [None] * len(runs)
+    while points:
+        deltas = [1e-4 * scales[i] for i in points]
+        triples = [np.array([z, z + d, z - d]) for z, d in zip(points.values(), deltas)]
+        with np.errstate(all="ignore"):
+            try:
+                values = _split_call(f, triples)
+            except ModeCertError:
+                values = [_call_or_none(f, zz) for zz in triples]
+        for i, vals, delta in zip(list(points), values, deltas):
+            got = None
+            if vals is not None:
+                with np.errstate(all="ignore"):
+                    # a non-finite f means h = 1/f vanished exactly: we are at the pole
+                    t = 1.0 / np.where(np.isfinite(vals), vals, np.inf)
+                got = t[0], (t[1] - t[2]) / (2.0 * delta)
+            try:
+                points[i] = runs[i].send(got)
+            except StopIteration as done:
+                out[i] = done.value
+                del points[i]
+    return out
+
+
+def _call_or_none(f, z):
     try:
-        t, _ = target(z)
+        return f(z)
     except ModeCertError:
-        return None, np.inf
-    if not np.isfinite(t):
-        return None, np.inf
-    return z, abs(t)
+        return None
 
 
 def _perturbed(box, attempt: int):
@@ -323,6 +386,10 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
     refinement residual |1/f|; residues are not filled in (see
     :func:`compute_residue` / :func:`build_expansion`).
 
+    The box tree is searched level by level: the boundary loops of a level
+    share one evaluator call per refinement round (:func:`_box_moments`) and
+    its Newton runs share one call per step (:func:`_newton`).
+
     ``previous`` is an earlier search ``(ScanRegion, poles)`` over a region
     inside this one.  Its poles are kept and only the added area,
     ``_ring(region.box, previous_region.box)``, is searched; the root box is
@@ -338,87 +405,118 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
         single location at the resolution limit).
     """
     dedupe = _DEDUPE_REL * region.width
-    root, moments = _resolved_moments(f, region.box)
-    med_h = moments[3]
-    h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
     if previous is None:
         found = []   # (z, residual)
-        stack = [(root, 0, moments)]
+        boxes = [region.box]
     else:
         prev_region, prev_poles = previous
         found = [(p.omega_pole, p.residual) for p in prev_poles]
-        stack = [(box, 0, None) for box in _ring(region.box, prev_region.box)]
-    while stack:
-        box, level, moments = stack.pop()
-        if moments is None:
-            box, moments = _resolved_moments(f, box)
-        w, s1, s2, _ = moments
-        diam = float(np.hypot(box[1] - box[0], box[3] - box[2]))
-        zmax = max(abs(complex(box[0], box[2])), abs(complex(box[1], box[3])))
-        eps1 = max(2e-4 * diam, 1e-13 * max(zmax, 1.0))
-        zscale = max(abs(s1), zmax, diam)
-        eps2 = max(2e-4 * diam * zscale, 1e-13 * zscale * zscale)
-
-        # pole-zero pairs tighter than the dedupe radius (symmetry-dark modes
-        # with near-cancelled residues) are below the search resolution; the
-        # moment gates tolerate them instead of subdividing forever
-        pair1 = dedupe
-        pair2 = dedupe * (2.0 * zmax + diam)
-        match1 = max(3e-3 * diam, 4 * eps1) + pair1
-        match2 = max(3e-3 * diam * zscale, 4 * eps2) + pair2
-
-        if w == 0 and abs(s1) < eps1 and abs(s2) < eps2:
-            continue
-        if (w == 0 and abs(s1) <= pair1
-                and abs(s2) <= (abs(s1) + eps1) * (2.0 * zmax + diam) + eps2):
-            continue
-
-        if w == 1:
-            # single simple pole only if the refined location reproduces BOTH
-            # moments; hidden pole/zero pairs shift s1 or s2 and force a split
-            guess = s1 if _inside(s1, box, slack=0.0) else complex(
-                0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
-            z_hat, resid = _newton_on(f, guess, diam)
-            if (z_hat is not None and resid < h_tol
-                    and _inside(z_hat, box, slack=0.02 * diam)
-                    and abs(s1 - z_hat) < match1
-                    and abs(s2 - z_hat * z_hat) < match2):
-                found.append((z_hat, resid))
-                continue
-        elif w == -1:
-            # lone zero of f at zeta = -s1: then s2 = -zeta^2 = -s1^2, and any
-            # extra content breaks that identity; no refinement needed
-            if _inside(-s1, box, slack=0.02 * diam) and abs(s2 + s1 * s1) < match2:
-                continue
-
-        if level >= _MAX_LEVELS:
-            if w >= 2:
-                # moments consistent with one location of multiplicity w mean a
-                # higher-order pole (Newton converges there linearly but surely)
-                centroid = s1 / w
-                z_hat, _ = _newton_on(f, centroid, diam)
-                if (z_hat is not None and _inside(z_hat, box, slack=0.05 * diam)
-                        and abs(centroid - z_hat) < match1
-                        and abs(s2 / w - z_hat * z_hat) < match2):
-                    raise ExceptionalPointError(
-                        f"pole of order {w} near {z_hat}: "
-                        "simple-pole treatment does not apply")
-            raise UnresolvedRegionError(
-                f"sub-box not validated at max subdivision (winding {w})", box=box)
-
-        stack.extend((child, lvl, None) for child, lvl in _split(box, level))
-
+        boxes = [region.box] + _ring(region.box, prev_region.box)
+    resolved = _resolved_moments(f, boxes)
+    med_h = resolved[0][1][3]   # median |1/f| on the root boundary
+    h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
+    if previous is not None:
+        resolved = resolved[1:]
+    for level in range(_MAX_LEVELS + 1):
+        open_boxes = [(box, moments, tols) for box, moments in resolved
+                      if (tols := _gates(box, moments, dedupe)) is not None]
+        # single simple pole only if the refined location reproduces BOTH
+        # moments; hidden pole/zero pairs shift s1 or s2 and force a split
+        singles = [(box, s1, tols[0]) for box, (w, s1, _, _), tols in open_boxes if w == 1]
+        refined = iter(_newton(f, [_start(box, s1) for box, s1, _ in singles],
+                               [diam for _, _, diam in singles]))
+        children = []
+        for box, (w, s1, s2, _), (diam, match1, match2) in open_boxes:
+            if w == 1:
+                z_hat, resid = next(refined)
+                if (z_hat is not None and resid < h_tol
+                        and _inside(z_hat, box, slack=0.02 * diam)
+                        and abs(s1 - z_hat) < match1
+                        and abs(s2 - z_hat * z_hat) < match2):
+                    found.append((z_hat, resid))
+                    continue
+            if level == _MAX_LEVELS:
+                if w >= 2:
+                    # moments consistent with one location of multiplicity w mean
+                    # a higher-order pole (Newton converges there linearly but surely)
+                    centroid = s1 / w
+                    [(z_hat, _)] = _newton(f, [centroid], [diam])
+                    if (z_hat is not None and _inside(z_hat, box, slack=0.05 * diam)
+                            and abs(centroid - z_hat) < match1
+                            and abs(s2 / w - z_hat * z_hat) < match2):
+                        raise ExceptionalPointError(
+                            f"pole of order {w} near {z_hat}: "
+                            "simple-pole treatment does not apply")
+                raise UnresolvedRegionError(
+                    f"sub-box not validated at max subdivision (winding {w})", box=box)
+            children.extend(_split(box))
+        if not children:
+            break
+        resolved = _resolved_moments(f, children)
     return _dedupe(found, dedupe, region)
 
 
-def _resolved_moments(f, box):
-    """(box, moments) of the first of a box and its perturbations that resolves."""
+def _gates(box, moments, dedupe):
+    """Match tolerances (diam, match1, match2) of a box that may hold a pole.
+
+    Returns None when the moments show no pole: an empty box, a pole-zero
+    pair below the search resolution, or one lone zero of f.
+    """
+    w, s1, s2, _ = moments
+    diam = float(np.hypot(box[1] - box[0], box[3] - box[2]))
+    zmax = max(abs(complex(box[0], box[2])), abs(complex(box[1], box[3])))
+    eps1 = max(2e-4 * diam, 1e-13 * max(zmax, 1.0))
+    zscale = max(abs(s1), zmax, diam)
+    eps2 = max(2e-4 * diam * zscale, 1e-13 * zscale * zscale)
+
+    # pole-zero pairs tighter than the dedupe radius (symmetry-dark modes
+    # with near-cancelled residues) are below the search resolution; the
+    # moment gates tolerate them instead of subdividing forever
+    pair1 = dedupe
+    pair2 = dedupe * (2.0 * zmax + diam)
+    match1 = max(3e-3 * diam, 4 * eps1) + pair1
+    match2 = max(3e-3 * diam * zscale, 4 * eps2) + pair2
+
+    if w == 0 and abs(s1) < eps1 and abs(s2) < eps2:
+        return None
+    if (w == 0 and abs(s1) <= pair1
+            and abs(s2) <= (abs(s1) + eps1) * (2.0 * zmax + diam) + eps2):
+        return None
+    # lone zero of f at zeta = -s1: then s2 = -zeta^2 = -s1^2, and any extra
+    # content breaks that identity; no refinement needed
+    if w == -1 and _inside(-s1, box, slack=0.02 * diam) and abs(s2 + s1 * s1) < match2:
+        return None
+    return diam, match1, match2
+
+
+def _start(box, s1):
+    """Newton start in a W = 1 box: the first moment, or the centre if it is outside."""
+    if _inside(s1, box, slack=0.0):
+        return s1
+    return complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
+
+
+def _resolved_moments(f, boxes):
+    """(box, moments) per box, each box replaced by its first perturbation that resolves.
+
+    Boxes whose boundary is unresolvable are perturbed (:func:`_perturbed`)
+    and retried together, at most four attempts in all.
+    """
+    boxes = list(boxes)
+    out = [None] * len(boxes)
+    todo = range(len(boxes))
     for attempt in range(4):
-        try:
-            return box, _box_moments(f, box)
-        except _Unresolvable:
-            box = _perturbed(box, attempt)
-    raise UnresolvedRegionError("boundary winding ill-conditioned", box=box)
+        retry = []
+        for i, moments in zip(todo, _box_moments(f, [boxes[i] for i in todo])):
+            if isinstance(moments, _Unresolvable):
+                boxes[i] = _perturbed(boxes[i], attempt)
+                retry.append(i)
+            else:
+                out[i] = (boxes[i], moments)
+        if not retry:
+            return out
+        todo = retry
+    raise UnresolvedRegionError("boundary winding ill-conditioned", box=boxes[todo[0]])
 
 
 def _ring(outer, inner):
@@ -441,15 +539,13 @@ def _inside(z: complex, box, slack: float = 0.0) -> bool:
             and box[2] - slack <= z.imag <= box[3] + slack)
 
 
-def _split(box, level):
+def _split(box):
     re_lo, re_hi, im_lo, im_hi = box
     if (re_hi - re_lo) >= (im_hi - im_lo):
         mid = 0.5 * (re_lo + re_hi)
-        return [((re_lo, mid, im_lo, im_hi), level + 1),
-                ((mid, re_hi, im_lo, im_hi), level + 1)]
+        return [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
     mid = 0.5 * (im_lo + im_hi)
-    return [((re_lo, re_hi, im_lo, mid), level + 1),
-            ((re_lo, re_hi, mid, im_hi), level + 1)]
+    return [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
 
 
 def _dedupe(found, radius, region: ScanRegion):
@@ -489,21 +585,31 @@ def compute_residue(f, pole_location: complex, radius: float, samples: int = 64,
     """
     if samples < 16:
         raise ValueError("samples must be >= 16")
+    [(res, err)] = _ring_residues(f, [pole_location], [radius], samples)
+    if tol is not None and not _accurate(res, err, tol):
+        raise AccuracyError(
+            f"residue error estimate {err:.3g} above tolerance; "
+            "reduce the radius or increase the sample count")
+    return res, err
+
+
+def _ring_residues(f, centres, radii, samples: int):
+    """(residue, doubling error) on a 2M-point ring around each centre, one call."""
     m2 = 2 * samples
     # TWO_PI * (2k) / (2M) == TWO_PI * k / M exactly, so the even samples
     # are the M-point ring
     ph = np.exp(1j * (TWO_PI * np.arange(m2) / m2))
-    terms = f(pole_location + radius * ph) * ph
-    r1 = (radius / samples) * np.sum(terms[::2])
-    r2 = (radius / m2) * np.sum(terms)
-    err = abs(r2 - r1)
-    if tol is not None:
-        scale = max(abs(r2), 1e-300)
-        if err > tol * scale and err > tol:
-            raise AccuracyError(
-                f"residue error estimate {err:.3g} above tolerance; "
-                "reduce the radius or increase the sample count")
-    return r2, err
+    radii = np.asarray(radii, dtype=float)
+    rings = np.asarray(centres, dtype=complex)[:, None] + radii[:, None] * ph
+    terms = f(rings.ravel()).reshape(rings.shape) * ph
+    r1 = (radii / samples) * np.sum(terms[:, ::2], axis=1)
+    r2 = (radii / m2) * np.sum(terms, axis=1)
+    return [(b, abs(b - a)) for a, b in zip(r1, r2)]
+
+
+def _accurate(res, err, tol: float) -> bool:
+    """Doubling error within ``tol``: relative, or absolute once res is numerically 0."""
+    return not (err > tol * max(abs(res), 1e-300) and err > tol)
 
 
 def build_expansion(f, region: ScanRegion,
@@ -524,20 +630,30 @@ def build_expansion(f, region: ScanRegion,
     poles = find_poles(f, region, None if previous is None
                        else (previous.region, previous.candidates))
 
-    out = []
+    radii = []
     for p in poles:
         dists = [abs(p.omega_pole - q.omega_pole) for q in poles if q is not p]
         d_edges = [p.omega_pole.real - region.omega_lo,
                    region.omega_hi - p.omega_pole.real,
                    p.omega_pole.imag - (region.im_top - region.depth)]
-        radius = min(0.45 * min(dists + [2.0 * min(d_edges)]), 0.25 * region.width)
-        try:
-            res, _ = compute_residue(f, p.omega_pole, radius, _RESIDUE_SAMPLES, _RESIDUE_TOL)
-        except AccuracyError:
-            # a singularity just below the region can spoil the first ring
-            res, _ = compute_residue(f, p.omega_pole, 0.5 * radius, _RESIDUE_SAMPLES,
-                                     _RESIDUE_TOL)
-        out.append(Pole(p.omega_pole, res, p.residual))
+        radii.append(min(0.45 * min(dists + [2.0 * min(d_edges)]), 0.25 * region.width))
+    centres = [p.omega_pole for p in poles]
+    residues = [None] * len(poles)
+    todo = range(len(poles))
+    # a singularity just below the region can spoil a ring: those rings are
+    # retried at half the radius, all in one more call
+    for shrink in (1.0, 0.5):
+        if not todo:
+            break
+        rings = _ring_residues(f, [centres[i] for i in todo],
+                               [shrink * radii[i] for i in todo], _RESIDUE_SAMPLES)
+        for i, (res, _) in zip(todo, rings):
+            residues[i] = res
+        todo = [i for i, (res, err) in zip(todo, rings) if not _accurate(res, err, _RESIDUE_TOL)]
+    if todo:
+        raise AccuracyError(f"residue error estimate above tolerance at {centres[todo[0]]}, "
+                            "even at half the ring radius")
+    out = [Pole(p.omega_pole, res, p.residual) for p, res in zip(poles, residues)]
     if out:
         # symmetry-dark modes survive as poles with near-cancelled residues;
         # they are below the search resolution and carry no weight

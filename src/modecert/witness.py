@@ -201,9 +201,8 @@ class LevelShiftCurve:
 def _refined_grid(window, n, fn_values, base_omega, refine):
     """Insert refine-times denser points around local extrema of |values|."""
     om = base_omega
-    vals = np.abs(fn_values)
-    idx = [i for i in range(1, len(om) - 1)
-           if (vals[i] - vals[i - 1]) * (vals[i + 1] - vals[i]) < 0]
+    slope = np.diff(np.abs(fn_values))
+    idx = np.nonzero(slope[:-1] * slope[1:] < 0)[0] + 1
     extra = []
     h = (window[1] - window[0]) / (n - 1)
     for i in idx:
@@ -252,8 +251,7 @@ def find_omega_min(omega, values, window=None) -> float:
         om, va = om[mask], va[mask]
     if om.size < 3:
         raise AmbiguityError("not enough samples in window")
-    interior = [i for i in range(1, om.size - 1)
-                if va[i] < va[i - 1] and va[i] <= va[i + 1]]
+    interior = local_minima(va)
     if len(interior) != 1:
         raise AmbiguityError(
             f"{len(interior)} interior minima in window (need exactly 1)",
@@ -271,6 +269,12 @@ def find_omega_min(omega, values, window=None) -> float:
     if curv <= 0:
         return float(x1)
     return float(0.5 * (x0 + x1) - d1 / (2.0 * curv))
+
+
+def local_minima(values) -> np.ndarray:
+    """Indices i of interior samples with values[i-1] > values[i] <= values[i+1]."""
+    v = np.asarray(values)
+    return np.nonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:]))[0] + 1
 
 
 def find_omega_min_refined(fn, window, n: int = 2001, refine: int = 10) -> float:
@@ -313,10 +317,9 @@ def find_zero_of_delta(source, window, n: int = 2001) -> float:
 
     sign = np.sign(dvals)
     nz = sign != 0
-    crossings = [i for i in range(1, om.size)
-                 if nz[i - 1] and nz[i] and sign[i] != sign[i - 1]]
-    exact_zeros = [i for i in range(om.size) if not nz[i]]
-    if len(exact_zeros) == 1 and not crossings:
+    crossings = np.nonzero(nz[:-1] & nz[1:] & (sign[1:] != sign[:-1]))[0] + 1
+    exact_zeros = np.nonzero(~nz)[0]
+    if len(exact_zeros) == 1 and len(crossings) == 0:
         return float(om[exact_zeros[0]])
     if len(crossings) != 1:
         raise AmbiguityError(

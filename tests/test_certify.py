@@ -204,9 +204,7 @@ def test_growth_length_scaling():
         assert abs(a - b) < 1e-9 * abs(a), key
 
 
-def test_growth_call_budget(monkeypatch):
-    # the anchored sums converge on the default region of lossy 8+0.5i: no
-    # growth, 90 kernel calls (974 with four growths, 2016 from scratch)
+def _kernel_calls(monkeypatch, certify):
     calls = []
     kernel = wt.green_function
 
@@ -215,9 +213,32 @@ def test_growth_call_budget(monkeypatch):
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(wt, "green_function", counted)
-    rep = cf.classify(lossy_problem(8.0 + 0.5j))
+    result = certify()
+    return len(calls), result
+
+
+def test_growth_call_budget(monkeypatch):
+    # the anchored sums converge on the default region of lossy 8+0.5i: no
+    # growth, 60 kernel calls with the level-synchronous search (90 with one
+    # search call per box, 974 with four growths, 2016 from scratch)
+    n_calls, rep = _kernel_calls(monkeypatch, lambda: cf.classify(lossy_problem(8.0 + 0.5j)))
     assert rep.n_poles_region == 5
-    assert len(calls) <= 100
+    assert n_calls <= 60
+
+
+def test_fabry_perot_call_budget(monkeypatch):
+    # n = 4: 48 kernel calls (82 with one search call per box)
+    n_calls, rep = _kernel_calls(monkeypatch, lambda: cf.classify(fp_problem(4.0)))
+    assert rep.n_star >= 2
+    assert n_calls <= 48
+
+
+def test_xray_call_budget(monkeypatch, material_table):
+    # rocking minimum 6: 120 kernel calls (235 with one search call per box)
+    n_calls, (rep, _) = _kernel_calls(
+        monkeypatch, lambda: cf.xray_mode_report(material_table, 6))
+    assert rep.n_star >= 2
+    assert n_calls <= 120
 
 
 @pytest.mark.parametrize("problem", [

@@ -7,6 +7,7 @@ from modecert import certify as cf, layered as ly, qnm, witness as wt
 from modecert.errors import (
     AccuracyError,
     ExceptionalPointError,
+    ModeCertError,
     RegionTooSmallError,
 )
 
@@ -64,35 +65,108 @@ def test_winding_consistency_pure_poles():
             z = np.asarray(z, dtype=complex)
             return 1.0 / np.prod(z[..., None] - zs, axis=-1)
 
-        w, _, _, _ = qnm._box_moments(f, REGION.box)
+        [(w, _, _, _)] = qnm._box_moments(f, [REGION.box])
         poles = qnm.find_poles(f, REGION)
         assert w == n == len(poles)
 
 
+def _fewest_rounds(monkeypatch, f, box):
+    """Fewest refinement rounds that resolve the boundary of one box."""
+    rounds = 0
+    while True:
+        monkeypatch.setattr(qnm, "_MAX_REFINE_ROUNDS", rounds + 1)
+        if not isinstance(qnm._box_moments(f, [box])[0], qnm._Unresolvable):
+            monkeypatch.undo()
+            return rounds
+        rounds += 1
+
+
 def test_box_moments_one_call_per_refinement_round(monkeypatch):
-    # poles just inside the top edge and the bottom-left corner force
-    # refinement on several edges in the same round; f has one zero between
-    # them, so the winding of 1/f is 2 - 1
-    zs = (5 - 0.01j, 0.02 - 1.98j)
+    # poles just inside the top edge and the bottom-left corner of the first
+    # box force refinement on several of its edges in the same round; a pole
+    # closer still to the top edge of the second box needs more rounds.  f
+    # has one zero between the first two poles, so that winding is 2 - 1
+    zs = (5 - 0.01j, 0.02 - 1.98j, 25 - 1e-4j)
+    first, second = (0.0, 10.0, -2.0, 0.0), (20.0, 30.0, -2.0, 0.0)
     sizes = []
 
     def f(z):
         sizes.append(np.size(z))
-        return 1.0 / (z - zs[0]) + 1.0 / (z - zs[1])
+        return sum(1.0 / (z - p) for p in zs)
 
-    w, _, _, _ = qnm._box_moments(f, (0.0, 10.0, -2.0, 0.0))
-    assert w == 1 and len(sizes) >= 3
-    calls = len(sizes)
-    # the fewest refinement rounds that resolve this boundary
-    rounds = 0
-    while True:
-        monkeypatch.setattr(qnm, "_MAX_REFINE_ROUNDS", rounds + 1)
-        try:
-            qnm._box_moments(f, (0.0, 10.0, -2.0, 0.0))
-            break
-        except qnm._Unresolvable:
-            rounds += 1
-    assert calls == rounds + 1
+    rounds = [_fewest_rounds(monkeypatch, f, box) for box in (first, second)]
+    assert rounds[0] >= 2 and rounds[1] != rounds[0]
+    alone = [qnm._box_moments(f, [box])[0] for box in (first, second)]
+    sizes.clear()
+    both = qnm._box_moments(f, [first, second])
+    assert len(sizes) == max(rounds) + 1
+    assert both == alone
+    assert both[0][0] == 1 and both[1][0] == 1
+
+
+def test_newton_lockstep_matches_single_runs():
+    # the lockstep runs evaluate the very points, and return the very
+    # results, of the same runs made one at a time
+    zs = np.array([2 - 0.3j, 4.5 - 1.2j, 7 - 0.6j, 8.8 - 1.7j])
+    starts = [z + (0.05 - 0.03j) * (k + 1) for k, z in enumerate(zs)]
+    scales = [0.8, 1.1, 0.5, 0.9]
+    calls = []
+
+    def f(z):
+        calls.append(np.asarray(z))
+        return np.sum(1.0 / (np.asarray(z)[..., None] - zs), axis=-1)
+
+    together = qnm._newton(f, starts, scales)
+    assert max(c.size for c in calls) == 3 * len(zs)
+    points = sorted(np.concatenate(calls).tolist(), key=lambda c: (c.real, c.imag))
+    calls.clear()
+    alone = [qnm._newton(f, [z0], [s])[0] for z0, s in zip(starts, scales)]
+    assert sorted(np.concatenate(calls).tolist(), key=lambda c: (c.real, c.imag)) == points
+    assert together == alone
+    for (z, resid), p in zip(together, zs):
+        assert abs(z - p) < 1e-12 and resid < 1e-10
+
+
+def test_newton_error_ends_only_the_raising_run():
+    # the evaluator raises for Im z < -1: the run started near the pole below
+    # that line fails, the others are found exactly as by single runs
+    zs = np.array([2 - 0.3j, 5 - 1.5j, 8 - 0.6j])
+    c = -1.0
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        if np.any(z.imag < c):
+            raise ModeCertError("below the cut")
+        return np.sum(1.0 / (z[..., None] - zs), axis=-1)
+
+    starts = [z + 0.02 for z in zs]
+    got = qnm._newton(f, starts, [1.0] * 3)
+    assert got[1] == (None, np.inf)
+    assert got[0] == qnm._newton(f, starts[:1], [1.0])[0]
+    assert got[2] == qnm._newton(f, starts[2:], [1.0])[0]
+    assert abs(got[0][0] - zs[0]) < 1e-12 and abs(got[2][0] - zs[2]) < 1e-12
+
+
+def test_find_poles_survives_raising_newton_steps():
+    # the evaluator raises below the region, where one of two lockstep Newton
+    # runs of a level steps; the other box keeps its run and every pole is
+    # still found
+    zs = np.array([2 - 0.3j, 8 - 1.9j, 8 - 0.6j, 3 - 1.5j])
+    raised = []
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        if np.any(z.imag < -2.0):
+            raised.append(z.size)
+            raise ModeCertError("below the region")
+        return np.sum(1.0 / (z[..., None] - zs), axis=-1)
+
+    got = sorted((p.omega_pole for p in qnm.find_poles(f, REGION)),
+                 key=lambda c: (c.real, c.imag))
+    assert max(raised) >= 6      # a shared call of two or more runs raised
+    want = sorted(zs, key=lambda c: (c.real, c.imag))
+    assert len(got) == 4
+    assert np.max(np.abs(np.array(got) - want)) < 1e-10
 
 
 def test_dedupe_merges_close_candidates():
@@ -265,6 +339,23 @@ def test_expansion_residue_clear_of_pole_below_region():
     assert len(exp.poles) == 1
     assert abs(exp.poles[0].omega_pole - (5 - 1j)) < 1e-10
     assert abs(exp.poles[0].residue - 1.0) < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_expansion_residue_rings_share_calls():
+    # three poles in the region: all rings go in one call, and the ring of the
+    # pole above the one just below the region is retried in one more call
+    sizes = []
+
+    def f(z):
+        sizes.append(np.size(z))
+        return sum(1.0 / (z - p) for p in (5 - 1j, 5 - 2.05j, 2 - 0.5j, 8 - 0.4j))
+
+    exp = qnm.build_expansion(f, REGION)
+    assert len(exp.poles) == 3
+    assert sizes[-2:] == [3 * 2 * qnm._RESIDUE_SAMPLES, 2 * qnm._RESIDUE_SAMPLES]
+    for p in exp.poles:
+        assert abs(p.residue - 1.0) < 1e-10
 
 
 def test_expansion_oracle_pairs():

@@ -245,6 +245,31 @@ def test_find_zero_of_delta_ambiguity():
         wt.find_zero_of_delta(lambda w: np.ones_like(w) + 0j, (0.5, 7.0))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_scans_match_pointwise_loops(seed):
+    # the array scans keep the index lists of the pointwise loops they
+    # replaced, ties and exact zeros included
+    rng = np.random.default_rng(seed)
+    v = rng.integers(-3, 4, 400).astype(float)
+    minima = [i for i in range(1, v.size - 1) if v[i] < v[i - 1] and v[i] <= v[i + 1]]
+    assert wt.local_minima(v).tolist() == minima
+
+    om = np.linspace(0.0, 1.0, v.size)
+    crossings = [i for i in range(1, v.size)
+                 if v[i - 1] != 0 and v[i] != 0 and np.sign(v[i]) != np.sign(v[i - 1])]
+    with pytest.raises(AmbiguityError) as err:
+        wt.find_zero_of_delta(lambda w: np.interp(w, om, v) + 0j, (0.0, 1.0), n=v.size)
+    assert err.value.candidates == [float(om[i]) for i in crossings]
+
+    a = np.abs(v)
+    extrema = [i for i in range(1, v.size - 1) if (a[i] - a[i - 1]) * (a[i + 1] - a[i]) < 0]
+    h = 1.0 / (v.size - 1)
+    want = np.unique(np.concatenate(
+        [om] + [np.linspace(max(0.0, om[i] - 2 * h), min(1.0, om[i] + 2 * h), 9)
+                for i in extrema]))
+    assert np.array_equal(wt._refined_grid((0.0, 1.0), v.size, v, om, 2), want)
+
+
 def test_single_mode_feature_coincidence():
     # omega_min and omega_a0 both coincide with omega1 to 1e-8 kappa
     p = sm_params()
