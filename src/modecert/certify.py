@@ -50,11 +50,13 @@ from .qnm import (
     witness_evaluator,
 )
 from .witness import (
+    LevelShiftCurve,
     find_omega_min_refined,
     find_zero_of_delta,
     levshift_curve,
     levshift_exact,
     local_minima,
+    parabola_vertex,
 )
 
 
@@ -95,7 +97,8 @@ class ClassificationReport:
 
     The three shifts satisfy off_resonant + complex_residue + multi_pole =
     omega_a0_full - omega_min up to the root-finder tolerances
-    (``closure_residual`` records the actual mismatch).
+    (``closure_residual`` records the actual mismatch).  ``curve`` holds the
+    witness samples the certificate was checked on; it is not serialised.
     """
 
     single_mode: bool
@@ -120,6 +123,7 @@ class ClassificationReport:
     thresholds: Thresholds
     n_poles_region: int
     convergence_errors: list = field(default_factory=list)
+    curve: LevelShiftCurve | None = field(default=None, repr=False, compare=False)
 
     def flags(self) -> dict:
         return {"single_mode": self.single_mode,
@@ -191,11 +195,10 @@ class ClassificationReport:
 # feature scan helpers
 # ---------------------------------------------------------------------------
 
-def _reflectance_dips(problem: WaveProblem, span, n: int = 4000):
+def _reflectance_dips(problem: WaveProblem, span, n: int = 4000) -> list:
     """Interior minima of |r|^2 over a real frequency span."""
     om = np.linspace(span[0], span[1], n)
-    r2 = np.abs(reflection(problem, om)) ** 2
-    return om, r2, om[local_minima(r2)].tolist()
+    return om[local_minima(np.abs(reflection(problem, om)) ** 2)].tolist()
 
 
 def _probed_minimum(problem: WaveProblem, window) -> float:
@@ -217,17 +220,14 @@ def single_pole_zero(residue: complex, omega_pole: complex) -> float:
 
 
 def shift_decomposition(main_residue: complex, main_pole: complex,
-                        omega_min: float, omega_a_zero: float,
-                        gamma: float = 1.0) -> dict:
+                        omega_min: float, omega_a_zero: float) -> dict:
     """Split omega_a_zero - omega_min into the three multi-mode shifts.
 
     off_resonant = Re omega_pole - omega_min (empty-cavity displacement),
     complex_residue = single-pole zero minus Re omega_pole (closed form
     -(Im r / Re r) kappa/2), multi_pole = full zero minus single-pole zero.
-    The three sum to omega_a_zero - omega_min exactly by construction; the
-    result also carries copies in units of gamma and of the main pole width.
+    The three sum to omega_a_zero - omega_min exactly by construction.
     """
-    kappa = -2.0 * main_pole.imag
     z_sp = single_pole_zero(main_residue, main_pole)
     shifts = {
         "off_resonant": float(main_pole.real - omega_min),
@@ -238,8 +238,6 @@ def shift_decomposition(main_residue: complex, main_pole: complex,
     return {
         **shifts,
         "closure_residual": float(abs(total - (omega_a_zero - omega_min))),
-        "in_units_of_gamma": {k: v / gamma for k, v in shifts.items()},
-        "in_units_of_kappa": {k: v / kappa for k, v in shifts.items()},
     }
 
 
@@ -257,15 +255,16 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     ``thresholds.window`` the window is one free spectral range around the
     reflectance minimum nearest the emitter frequency (see
     :func:`_default_window_region`); the report's thresholds echo the window
-    used.  With ``region=None`` a symmetric default region is derived from
-    the same scan (probed minimum +- 2.5 free spectral ranges, mirror half
-    included); a given ``region`` is searched as it is.  The region is
-    doubled, up to ``_MAX_REGION_GROWTH`` times, when the truncation
-    tolerance is unreachable with the poles found (slowly decaying mode
-    ladders need wide regions); each growth searches only the area it adds
-    and keeps the poles already found.  At ``k_par != 0`` growth keeps the
-    left edge, so the region stays clear of the cladding light-line branch
-    points, where the witness stops being meromorphic.
+    used.  With ``region=None`` the default region of the same function is
+    searched (symmetric at ``k_par = 0``, right of the cladding light-line
+    branch points otherwise); a given ``region`` is searched as it is.  The
+    region is doubled, up to ``_MAX_REGION_GROWTH`` times, when the
+    truncation tolerance is unreachable with the poles found (slowly
+    decaying mode ladders need wide regions); each growth searches only the
+    area it adds and keeps the poles already found.  At ``k_par != 0``
+    growth keeps the left edge, so the region stays clear of the branch
+    points, where the witness stops being meromorphic.  The report carries
+    the witness curve its certificate was checked on.
     """
     emitter = problem.stack.emitter
     if emitter is None:
@@ -300,8 +299,8 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     kappa_main = -2.0 * main.omega_pole.imag
     phase = float(np.angle(main.residue))
 
-    # zero of the full Delta, polished on the exact evaluator
-    omega_a0 = find_zero_of_delta(lambda w: levshift_exact(problem, emitter, w), window)
+    # zero of the full Delta, bracketed on the curve, polished on the exact witness
+    omega_a0 = find_zero_of_delta(curve, lambda w: levshift_exact(problem, emitter, w))
 
     # single-pole zero: closed form, cross-checked by a numeric root
     z_sp = single_pole_zero(main.residue, main.omega_pole)
@@ -310,8 +309,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         raise AmbiguityError(
             f"single-pole zero mismatch: closed form {z_sp}, numeric {z_sp_num}")
 
-    shifts = shift_decomposition(main.residue, main.omega_pole, omega_min,
-                                 omega_a0, gamma=emitter.gamma)
+    shifts = shift_decomposition(main.residue, main.omega_pole, omega_min, omega_a0)
     off_resonant = shifts["off_resonant"]
     complex_residue = shifts["complex_residue"]
     multi_pole = shifts["multi_pole"]
@@ -346,6 +344,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         thresholds=thresholds,
         n_poles_region=len(expansion.poles),
         convergence_errors=[float(e) for e in conv.errors],
+        curve=curve,
     )
 
 
@@ -376,15 +375,33 @@ def _single_pole_zero_numeric(residue, omega_pole, window):
 
 
 def _default_window_region(problem: WaveProblem, window=None):
-    """One-FSR window on the probed dip plus a symmetric scan region.
+    """One-FSR window on the probed dip plus the default scan region.
 
     The reflectance is scanned over (0.25, 3.4) omega_a of the problem's
     emitter.  The probed dip is the minimum nearest omega_a, within
     (0.55, 1.55) omega_a; the free spectral range is the median spacing of
     the scanned dips.  A given ``window`` is kept and centres the region.
+
+    At ``k_par = 0`` the region is symmetric: the probed dip +- 2.5 free
+    spectral ranges, mirror half included.  At ``k_par != 0`` it stays right
+    of the cladding light-line branch point omega_bp, where the witness
+    stops being meromorphic: with e = omega_a - omega_bp it spans
+    (omega_bp + 0.02 e, omega_a + 2.5 e) at depth 1.2 e, the dip scan starts
+    no lower than its left edge, and a given window needs no scan at all.
     """
     scale = problem.stack.emitter.omega_a
-    _, _, dips = _reflectance_dips(problem, (0.25 * scale, 3.4 * scale))
+    lo, region = 0.25 * scale, None
+    if problem.k_par != 0:
+        omega_bp = _branch_point(problem)
+        e = scale - omega_bp
+        if not e > 0:
+            raise ConfigurationError(
+                f"emitter frequency {scale} is not above the branch point {omega_bp}")
+        region = ScanRegion(omega_bp + 0.02 * e, scale + 2.5 * e, depth=1.2 * e)
+        if window is not None:
+            return tuple(map(float, window)), region
+        lo = max(lo, region.omega_lo)
+    dips = _reflectance_dips(problem, (lo, 3.4 * scale))
     if not dips:
         raise AmbiguityError("no reflectance minima found for the default window")
     fsr = float(np.median(np.diff(dips))) if len(dips) > 1 else scale
@@ -397,8 +414,9 @@ def _default_window_region(problem: WaveProblem, window=None):
         window = (c - 0.5 * fsr, c + 0.5 * fsr)
     else:
         c = 0.5 * (window[0] + window[1])
-    span = c + 2.5 * fsr
-    region = ScanRegion(-(span + 0.017 * fsr), span + 0.031 * fsr, depth=1.2 * fsr)
+    if region is None:
+        span = c + 2.5 * fsr
+        region = ScanRegion(-(span + 0.017 * fsr), span + 0.031 * fsr, depth=1.2 * fsr)
     return tuple(map(float, window)), region
 
 
@@ -462,15 +480,7 @@ def xray_angle_minima(material_table):
     stack = build_xray_cavity(table, math.radians(0.1)).stack
     th = np.radians(np.linspace(0.03, 0.6, 4001))
     r2 = reflectance_vs_angle(stack, OMEGA_NUC_KEV, th)
-    out = []
-    for i in local_minima(r2):
-        # parabolic refinement in angle
-        d1 = (r2[i] - r2[i - 1]) / (th[i] - th[i - 1])
-        d2 = (r2[i + 1] - r2[i]) / (th[i + 1] - th[i])
-        curv = (d2 - d1) / (th[i + 1] - th[i - 1])
-        t = 0.5 * (th[i - 1] + th[i]) - d1 / (2 * curv) if curv > 0 else th[i]
-        out.append(float(t))
-    return out
+    return [parabola_vertex(th, r2, i) for i in local_minima(r2)]
 
 
 def xray_mode_report(material_table, mode_index: int,
@@ -502,10 +512,10 @@ def xray_mode_report(material_table, mode_index: int,
     emitter = problem.stack.emitter
 
     # energy window: one local FSR around the probed energy-scan minimum
-    omega_bp = _xray_branch_point(problem)
+    omega_bp = _branch_point(problem)
     e_off = OMEGA_NUC_KEV - omega_bp
     span = (omega_bp + 0.02 * e_off, OMEGA_NUC_KEV + 2.5 * e_off)
-    _, _, dips = _reflectance_dips(problem, span, n=6000)
+    dips = _reflectance_dips(problem, span, n=6000)
     if not dips:
         raise AmbiguityError("no energy-scan reflectance minima at this angle")
     probed = min(dips, key=lambda d: abs(d - OMEGA_NUC_KEV))
@@ -528,9 +538,7 @@ def xray_mode_report(material_table, mode_index: int,
     if window is None:
         raise AmbiguityError(
             "no window fraction brackets a single Delta zero at this minimum")
-    region = ScanRegion(omega_bp + 0.02 * e_off, OMEGA_NUC_KEV + 2.5 * e_off,
-                        depth=1.2 * e_off)
-    report = classify(problem, region, thresholds=replace(thresholds, window=window))
+    report = classify(problem, thresholds=replace(thresholds, window=window))
 
     # weak-coupling nuclear line on the cavity background
     g_eff = emitter.gamma
@@ -548,10 +556,8 @@ def xray_mode_report(material_table, mode_index: int,
     return report, spectrum
 
 
-def _xray_branch_point(problem: WaveProblem) -> float:
-    """Largest cladding light-line frequency Re(c k_par / n) at the problem's k_par."""
-    kp = problem.k_par
-    vals = [kp]  # vacuum cladding
-    n_sub = problem.stack.right.index(OMEGA_NUC_KEV)
-    vals.append((kp / n_sub).real)
-    return float(max(vals))
+def _branch_point(problem: WaveProblem) -> float:
+    """Largest cladding light-line frequency Re(c k_par / n) at the emitter frequency."""
+    omega_a = problem.stack.emitter.omega_a
+    return float(max((problem.k_par / cladding.index(omega_a)).real
+                     for cladding in (problem.stack.left, problem.stack.right)))

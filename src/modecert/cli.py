@@ -275,12 +275,12 @@ def _run_classify(scn: Scenario, art: _Artifacts) -> int:
 
     problem = _problem_from_scenario(scn)
     report = classify(problem, scn.make_region(), thresholds=thresholds)
-    window = report.thresholds.window
-    curve = levshift_curve(problem, window, n=scn.scan["n_points"])
-    art.write("levelshift.csv", curve.to_csv(), "curve")
-    art.write("levelshift.json", curve.to_json() + "\n", "curve")
+    # the witness samples the certificate was checked on
+    art.write("levelshift.csv", report.curve.to_csv(), "curve")
+    art.write("levelshift.json", report.curve.to_json() + "\n", "curve")
     art.write("reflectance.csv",
-              _reflectance_csv(problem, window, scn.scan["n_points"]), "curve")
+              _reflectance_csv(problem, report.thresholds.window, scn.scan["n_points"]),
+              "curve")
     art.write("report.json", report.to_json() + "\n", "report")
     art.write("report.txt", report.to_text() + "\n", "report")
     return 0

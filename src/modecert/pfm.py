@@ -122,11 +122,15 @@ class DiagonalBasis:
         return out
 
 
+_SOLVE_BLOCK = 256   # frequencies per batched solve; bounds the stacked matrices
+
+
 def levshift_matrix(p: PfmParams, omega_test):
     """Matrix level shift g^dag [omega I - (omega_cav - i kappa/2)]^{-1} g.
 
-    Evaluated by a linear solve (never an explicit inverse); vectorized over
-    arrays of test frequencies.  Raises NearPoleError at a model pole.
+    Evaluated by linear solves (never an explicit inverse), one batched
+    solve per block of at most ``_SOLVE_BLOCK`` test frequencies.  Raises
+    NearPoleError naming the first test frequency that is a model pole.
     """
     h = p.mode_matrix
     g = p.g
@@ -134,14 +138,22 @@ def levshift_matrix(p: PfmParams, omega_test):
     oms = np.atleast_1d(np.asarray(omega_test, dtype=complex))
     out = np.empty(oms.shape, dtype=complex)
     eye = np.eye(p.n_modes, dtype=complex)
-    for i, w in enumerate(oms):
-        mat = w * eye - h
+    for start in range(0, oms.size, _SOLVE_BLOCK):
+        block = oms[start:start + _SOLVE_BLOCK]
+        mats = block[:, None, None] * eye - h
         try:
-            x = np.linalg.solve(mat, g)
-        except np.linalg.LinAlgError as exc:
-            raise NearPoleError(f"omega_test = {w} is a pole of the model",
-                                omega=w) from exc
-        out[i] = np.conj(g) @ x
+            x = np.linalg.solve(mats, g)
+        except np.linalg.LinAlgError:
+            for w, mat in zip(block, mats):
+                try:
+                    np.linalg.solve(mat, g)
+                except np.linalg.LinAlgError as exc:
+                    raise NearPoleError(f"omega_test = {w} is a pole of the model",
+                                        omega=w) from exc
+            raise
+        # conj(g) . x per row (vecdot conjugates its first argument), which
+        # rounds like a per-frequency dot; x @ conj(g) rounds differently
+        out[start:start + block.size] = np.vecdot(g, x)
     return complex(out[0]) if scalar else out
 
 

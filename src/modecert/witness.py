@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, least_squares
 
 from .errors import AmbiguityError
@@ -119,22 +118,6 @@ def levshift_exact(problem: WaveProblem, emitter: EmitterSpec | None = None,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LevelShiftSample:
-    """One witness sample; Delta = Re delta, Gamma = -2 Im delta."""
-
-    omega: float
-    delta: complex
-
-    @property
-    def Delta(self) -> float:
-        return self.delta.real
-
-    @property
-    def Gamma(self) -> float:
-        return -2.0 * self.delta.imag
-
-
-@dataclass(frozen=True)
 class LevelShiftCurve:
     """Witness samples on a strictly increasing grid over a stated window."""
 
@@ -165,28 +148,14 @@ class LevelShiftCurve:
     def __len__(self):
         return self.omega.size
 
-    def sample(self, i: int) -> LevelShiftSample:
-        return LevelShiftSample(float(self.omega[i]), complex(self.delta[i]))
-
     def to_csv(self) -> str:
         buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(buf, lineterminator="\n")
         w.writerow(["omega", "delta_re", "delta_im", "provenance"])
         for om, de in zip(self.omega, self.delta):
             w.writerow([repr(float(om)), repr(float(de.real)), repr(float(de.imag)),
                         self.provenance])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, window=None) -> "LevelShiftCurve":
-        rows = list(csv.reader(io.StringIO(text)))
-        if rows[0] != ["omega", "delta_re", "delta_im", "provenance"]:
-            raise ValueError("unexpected CSV header")
-        om = np.array([float(r[0]) for r in rows[1:]])
-        de = np.array([float(r[1]) + 1j * float(r[2]) for r in rows[1:]])
-        prov = rows[1][3] if len(rows) > 1 else "unknown"
-        win = window if window is not None else (om[0], om[-1])
-        return cls(om, de, prov, win)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -199,20 +168,14 @@ class LevelShiftCurve:
 
 
 def _refined_grid(window, n, fn_values, base_omega, refine):
-    """Insert refine-times denser points around local extrema of |values|."""
+    """Points refine-times denser around local extrema of |values|, off the base grid."""
     om = base_omega
     slope = np.diff(np.abs(fn_values))
     idx = np.nonzero(slope[:-1] * slope[1:] < 0)[0] + 1
-    extra = []
     h = (window[1] - window[0]) / (n - 1)
-    for i in idx:
-        lo = max(window[0], om[i] - 2 * h)
-        hi = min(window[1], om[i] + 2 * h)
-        extra.append(np.linspace(lo, hi, 4 * refine + 1))
-    if not extra:
-        return om
-    allom = np.unique(np.concatenate([om] + extra))
-    return allom
+    lo = np.maximum(window[0], om[idx] - 2 * h)
+    hi = np.minimum(window[1], om[idx] + 2 * h)
+    return np.setdiff1d(np.linspace(lo, hi, 4 * refine + 1), om)
 
 
 def levshift_curve(problem: WaveProblem, window, n: int = 2001,
@@ -221,16 +184,19 @@ def levshift_curve(problem: WaveProblem, window, n: int = 2001,
 
     The base grid has ``n`` points; detected extrema of Re and Im get a
     ``refine``-times denser local grid, which is what the root finders need
-    to resolve shifts much smaller than the mode width.
+    to resolve shifts much smaller than the mode width.  Each grid point is
+    evaluated once: the second kernel call carries only the added points.
     """
     om = np.linspace(window[0], window[1], n)
     de = levshift_exact(problem, omega_test=om)
     if refine > 1:
-        om2 = np.unique(np.concatenate([
-            _refined_grid(window, n, de.real, om, refine),
-            _refined_grid(window, n, de.imag, om, refine)]))
-        de = levshift_exact(problem, omega_test=om2)
-        om = om2
+        extra = np.union1d(_refined_grid(window, n, de.real, om, refine),
+                           _refined_grid(window, n, de.imag, om, refine))
+        if extra.size:
+            om = np.concatenate([om, extra])
+            de = np.concatenate([de, levshift_exact(problem, omega_test=extra)])
+            order = np.argsort(om)
+            om, de = om[order], de[order]
     return LevelShiftCurve(om, de, "exact-green", tuple(window))
 
 
@@ -259,9 +225,13 @@ def find_omega_min(omega, values, window=None) -> float:
     if int(np.argmin(va)) in (0, om.size - 1):
         raise AmbiguityError("minimum touches the window boundary",
                              candidates=[float(om[int(np.argmin(va))])])
-    i = interior[0]
-    x0, x1, x2 = om[i - 1], om[i], om[i + 1]
-    y0, y1, y2 = va[i - 1], va[i], va[i + 1]
+    return parabola_vertex(om, va, interior[0])
+
+
+def parabola_vertex(x, y, i: int) -> float:
+    """Vertex of the parabola through samples i - 1, i, i + 1; x[i] if not convex."""
+    x0, x1, x2 = x[i - 1], x[i], x[i + 1]
+    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
     # vertex of the Newton-form parabola through three (unevenly spaced) points
     d1 = (y1 - y0) / (x1 - x0)
     d2 = (y2 - y1) / (x2 - x1)
@@ -293,28 +263,16 @@ def find_omega_min_refined(fn, window, n: int = 2001, refine: int = 10) -> float
     return find_omega_min(om2, np.asarray(fn(om2), dtype=float))
 
 
-def find_zero_of_delta(source, window, n: int = 2001) -> float:
-    """Root omega_a0 of Delta(omega) in the window; requires one sign change.
+def find_zero_of_delta(curve: LevelShiftCurve, exact) -> float:
+    """Root omega_a0 of Delta on the curve's window; requires one sign change.
 
-    ``source`` is a LevelShiftCurve (interpolated with a monotone cubic) or a
-    callable returning the complex witness (or real Delta) at a frequency.
-    Bracketing root refinement reaches 1e-10 of the window width.
+    The sign change is bracketed on the curve's own samples, so the window
+    is sampled once for the certificate and for its zero; ``exact`` (a
+    callable returning the complex witness at a frequency) polishes the
+    bracket with brentq to 1e-10 of the window width plus 4 eps relative,
+    the larger term on narrow windows far from omega = 0 (X-ray energies).
     """
-    lo, hi = float(window[0]), float(window[1])
-    if callable(source):
-        om = np.linspace(lo, hi, n)
-        vals = np.asarray(source(om))
-        delta_fn = lambda w: float(np.real(source(w)))
-        dvals = vals.real
-    else:
-        mask = (source.omega >= lo) & (source.omega <= hi)
-        om = source.omega[mask]
-        dvals = source.Delta[mask]
-        if om.size < 4:
-            raise AmbiguityError("not enough curve samples in window")
-        interp = PchipInterpolator(om, dvals)
-        delta_fn = lambda w: float(interp(w))
-
+    om, dvals = curve.omega, curve.Delta
     sign = np.sign(dvals)
     nz = sign != 0
     crossings = np.nonzero(nz[:-1] & nz[1:] & (sign[1:] != sign[:-1]))[0] + 1
@@ -326,7 +284,8 @@ def find_zero_of_delta(source, window, n: int = 2001) -> float:
             f"{len(crossings)} sign changes of Delta in window (need exactly 1)",
             candidates=[float(om[i]) for i in crossings])
     i = crossings[0]
-    return float(brentq(delta_fn, om[i - 1], om[i],
+    lo, hi = curve.window
+    return float(brentq(lambda w: float(np.real(exact(w))), om[i - 1], om[i],
                         xtol=1e-10 * (hi - lo), rtol=4 * np.finfo(float).eps))
 
 

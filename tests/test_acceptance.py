@@ -50,8 +50,10 @@ def test_criterion_1_single_mode_coincidence():
                                 omega_a=10.0)
         omega_min = wt.find_omega_min_refined(
             lambda w: np.abs(wt.single_mode_reflection(p, w)) ** 2, (9.0, 11.03))
-        omega_a0 = wt.find_zero_of_delta(
-            lambda w: wt.single_mode_levshift(p, w), (9.0, 11.03))
+        om = np.linspace(9.0, 11.03, 2001)
+        curve = wt.LevelShiftCurve(om, wt.single_mode_levshift(p, om), "single-mode",
+                                   (9.0, 11.03))
+        omega_a0 = wt.find_zero_of_delta(curve, lambda w: wt.single_mode_levshift(p, w))
         assert abs(omega_min - p.omega1) < 1e-8 * p.kappa
         assert abs(omega_a0 - p.omega1) < 1e-8 * p.kappa
     except AssertionError:

@@ -204,41 +204,50 @@ def test_growth_length_scaling():
         assert abs(a - b) < 1e-9 * abs(a), key
 
 
-def _kernel_calls(monkeypatch, certify):
-    calls = []
+def _kernel_work(monkeypatch, certify):
+    """Kernel calls and the points they carry while ``certify()`` runs."""
+    points = []
     kernel = wt.green_function
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        points.append(np.size(args[3]))
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(wt, "green_function", counted)
     result = certify()
-    return len(calls), result
+    return len(points), sum(points), result
 
+
+# the window is sampled once per certificate: 2001 points plus refinement,
+# which the Delta-zero search reads instead of a 2001-point resample (the
+# three samplings of the window cost 4002 points more per certificate)
 
 def test_growth_call_budget(monkeypatch):
     # the anchored sums converge on the default region of lossy 8+0.5i: no
-    # growth, 60 kernel calls with the level-synchronous search (90 with one
+    # growth, 59 kernel calls with the level-synchronous search (90 with one
     # search call per box, 974 with four growths, 2016 from scratch)
-    n_calls, rep = _kernel_calls(monkeypatch, lambda: cf.classify(lossy_problem(8.0 + 0.5j)))
+    n_calls, n_points, rep = _kernel_work(
+        monkeypatch, lambda: cf.classify(lossy_problem(8.0 + 0.5j)))
     assert rep.n_poles_region == 5
-    assert n_calls <= 60
+    assert n_calls <= 59
+    assert n_points <= 5400     # 9388 with three samplings of the window
 
 
 def test_fabry_perot_call_budget(monkeypatch):
-    # n = 4: 48 kernel calls (82 with one search call per box)
-    n_calls, rep = _kernel_calls(monkeypatch, lambda: cf.classify(fp_problem(4.0)))
+    # n = 4: 47 kernel calls (82 with one search call per box)
+    n_calls, n_points, rep = _kernel_work(monkeypatch, lambda: cf.classify(fp_problem(4.0)))
     assert rep.n_star >= 2
-    assert n_calls <= 48
+    assert n_calls <= 47
+    assert n_points <= 5100     # 9099 with three samplings of the window
 
 
 def test_xray_call_budget(monkeypatch, material_table):
-    # rocking minimum 6: 120 kernel calls (235 with one search call per box)
-    n_calls, (rep, _) = _kernel_calls(
+    # rocking minimum 6: 118 kernel calls (235 with one search call per box)
+    n_calls, n_points, (rep, _) = _kernel_work(
         monkeypatch, lambda: cf.xray_mode_report(material_table, 6))
     assert rep.n_star >= 2
-    assert n_calls <= 120
+    assert n_calls <= 118
+    assert n_points <= 19600    # 23507 with three samplings of the window
 
 
 @pytest.mark.parametrize("problem", [
@@ -264,6 +273,13 @@ def test_lossy_unpaired_negative_poles_counted():
     assert all(qnm._mirror_partner(exp, p) is None for p in exp.poles)
     counted = qnm.counted_poles(exp, 0.5 * sum(window))
     assert {p.omega_pole for p in counted} == {p.omega_pole for p in exp.poles}
+
+
+def test_emitter_below_the_light_line_rejected():
+    # at k_par > omega_a no region lies between the branch point and omega_a
+    stack = lossy_problem(8.0 + 0.5j).stack
+    with pytest.raises(ConfigurationError, match="branch point"):
+        cf.classify(ly.WaveProblem(stack, k_par=4.0))
 
 
 def test_text_marks_decisions_near_threshold():
@@ -392,7 +408,7 @@ def test_single_layer_guide_off_resonant(material_table):
             if r2[i] < r2[i - 1] and r2[i] <= r2[i + 1]]
     assert dips, "no rocking minimum found"
     problem = ly.WaveProblem(stack, k_par=ly.OMEGA_NUC_KEV * np.cos(dips[0]))
-    omega_bp = cf._xray_branch_point(problem)
+    omega_bp = cf._branch_point(problem)
     e_off = ly.OMEGA_NUC_KEV - omega_bp
     d = np.real(cf.levshift_exact(problem, emitter, ly.OMEGA_NUC_KEV))
     # non-zero Lamb shift at the rocking minimum (off-resonant displacement)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modecert import cli
+from modecert import certify, cli
 from modecert.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,6 +107,72 @@ def test_run_classify_curves_span_certified_window(tmp_path):
         with open(tmp_path / "w" / name, encoding="utf-8") as fh:
             omega = [float(row[0]) for row in list(csv.reader(fh))[1:]]
         assert [omega[0], omega[-1]] == window, name
+
+
+def test_run_classify_writes_the_certified_curve(tmp_path, monkeypatch):
+    # levelshift.* are the witness samples the certificate used, and no
+    # second curve is computed after classify
+    events, reports = [], []
+    curve_fn, classify_fn = certify.levshift_curve, cli.classify
+
+    def curve_spy(*args, **kwargs):
+        events.append("levshift_curve")
+        return curve_fn(*args, **kwargs)
+
+    def classify_spy(*args, **kwargs):
+        reports.append(classify_fn(*args, **kwargs))
+        events.append("classify")
+        return reports[-1]
+
+    monkeypatch.setattr(certify, "levshift_curve", curve_spy)
+    monkeypatch.setattr(cli, "levshift_curve", curve_spy)
+    monkeypatch.setattr(cli, "classify", classify_spy)
+    assert cli.run(cli.parse_scenario(MINIMAL_FP), command="classify",
+                   out_dir=tmp_path / "c") == 0
+    assert events == ["levshift_curve", "classify"]
+    curve = reports[0].curve
+    text = (tmp_path / "c" / "levelshift.csv").read_text()
+    assert "\r" not in text
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["omega", "delta_re", "delta_im", "provenance"]
+    assert [float(r[0]) for r in rows[1:]] == curve.omega.tolist()
+    assert [float(r[1]) for r in rows[1:]] == curve.delta.real.tolist()
+    assert [float(r[2]) for r in rows[1:]] == curve.delta.imag.tolist()
+    assert {r[3] for r in rows[1:]} == {"exact-green"}
+    data = json.loads((tmp_path / "c" / "levelshift.json").read_text())
+    assert data["omega"] == curve.omega.tolist()
+    assert data["delta_re"] == curve.delta.real.tolist()
+    assert data["delta_im"] == curve.delta.imag.tolist()
+    assert data["window"] == reports[0].thresholds.to_dict()["window"]
+
+
+def test_run_classify_custom_stack_at_oblique_incidence(tmp_path, monkeypatch):
+    # lossy 8+0.5i mirrors at k_par = 0.3: the default region starts right of
+    # the vacuum light line omega = k_par, where the witness has its branch
+    # point; a region symmetric about omega = 0 crosses it and cannot certify
+    regions = []
+    build = certify.build_expansion
+
+    def spy(f, region, previous=None):
+        regions.append(region)
+        return build(f, region, previous=previous)
+
+    monkeypatch.setattr(certify, "build_expansion", spy)
+    mirror = {"name": "m", "n_re": 8.0, "n_im": 0.5}
+    scn = cli.parse_scenario({
+        "version": 1, "kind": "custom_stack",
+        "custom_stack": {
+            "layers": [{"material": mirror, "thickness": 0.01},
+                       {"material": {"name": "vac"}, "thickness": 1.0},
+                       {"material": mirror, "thickness": 0.01}],
+            "emitter": {"x_a": 0.51, "omega_a": np.pi, "gamma": 1.0},
+            "k_par": 0.3,
+        },
+    })
+    assert cli.run(scn, command="classify", out_dir=tmp_path / "k") == 0
+    report = json.loads((tmp_path / "k" / "report.json").read_text())
+    assert report["metrics"]["n_star"] >= 1
+    assert regions and all(r.omega_lo > 0.3 for r in regions)
 
 
 def test_run_reproducible_manifest(tmp_path):

@@ -57,6 +57,34 @@ def test_pole_of_model_raises():
         pfm.levshift_matrix(p, 10.0 - 0.2j)
 
 
+@pytest.mark.parametrize("n", [1, 8, 16])
+def test_blocked_solves_match_per_frequency_solves(n):
+    # 600 frequencies span three solve blocks; every value is bit for bit
+    # that of one solve per frequency
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    p = pfm.PfmParams(omega_matrix=0.5 * (a + a.T) + 10.0 * np.eye(n),
+                      kappa=rng.uniform(0.1, 1.0, n),
+                      g=rng.normal(size=n) + 1j * rng.normal(size=n))
+    ws = rng.uniform(5.0, 15.0, 600) + 1j * rng.uniform(-0.1, 0.1, 600)
+    eye = np.eye(n, dtype=complex)
+    one_by_one = np.array([np.conj(p.g) @ np.linalg.solve(w * eye - p.mode_matrix, p.g)
+                           for w in ws])
+    assert 600 > 2 * pfm._SOLVE_BLOCK
+    assert np.array_equal(pfm.levshift_matrix(p, ws), one_by_one)
+
+
+def test_pole_mid_block_named():
+    # an exact pole of a diagonal model inside the second block
+    p = pfm.PfmParams(omega_matrix=np.diag([9.0, 11.0]), kappa=[0.3, 0.5],
+                      g=[0.2, 0.1])
+    ws = np.linspace(8.0, 12.0, 600).astype(complex)
+    ws[pfm._SOLVE_BLOCK + 100] = 11.0 - 0.25j
+    with pytest.raises(NearPoleError) as err:
+        pfm.levshift_matrix(p, ws)
+    assert err.value.omega == 11.0 - 0.25j
+
+
 def test_hermiticity_guard():
     with pytest.raises(ValueError):
         pfm.PfmParams(omega_matrix=[[1.0, 0.2], [0.1, 1.0]], kappa=[0.1, 0.1],

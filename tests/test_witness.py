@@ -182,6 +182,26 @@ def test_dispersive_sheet_oracle():
     assert abs(width - (gamma + g_res)) < 0.01 * (gamma + g_res)
 
 
+def test_levshift_curve_evaluates_each_point_once(monkeypatch):
+    pr = fp_problem(4.0)
+    batches = []
+    kernel = wt.green_function
+
+    def spy(*args, **kwargs):
+        batches.append(np.atleast_1d(args[3]).copy())
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(wt, "green_function", spy)
+    curve = wt.levshift_curve(pr, (0.5 * np.pi, 1.5 * np.pi))
+    points = np.concatenate(batches)
+    assert len(batches) == 2 and len(curve) > 2001
+    assert points.size == len(curve)
+    assert np.array_equal(np.sort(points), curve.omega)
+    # the merged samples are those of one call on the final grid, bit for bit
+    monkeypatch.undo()
+    assert np.array_equal(curve.delta, wt.levshift_exact(pr, omega_test=curve.omega))
+
+
 # ---------------------------------------------------------------------------
 # feature extraction
 # ---------------------------------------------------------------------------
@@ -210,39 +230,35 @@ def test_find_omega_min_ambiguity():
         wt.find_omega_min(om, om)  # boundary minimum, none interior
 
 
+def _zero(fn, window, n=2001):
+    """Delta zero bracketed on an n-point curve of ``fn``, polished on ``fn``."""
+    om = np.linspace(window[0], window[1], n)
+    return wt.find_zero_of_delta(wt.LevelShiftCurve(om, fn(om), "test", window), fn)
+
+
 def test_find_zero_of_delta_single_mode():
     p = sm_params()
-    z = wt.find_zero_of_delta(lambda w: wt.single_mode_levshift(p, w), (9.0, 11.03))
+    z = _zero(lambda w: wt.single_mode_levshift(p, w), (9.0, 11.03))
     assert abs(z - 10.0) < 1e-8 * p.kappa
 
 
 def test_find_zero_of_delta_complex_residue_closed_form():
     r, pole = 0.05 + 0.02j, 10.0 - 0.15j
-    z = wt.find_zero_of_delta(lambda w: r / (w - pole), (9.0, 11.0))
+    z = _zero(lambda w: r / (w - pole), (9.0, 11.0))
     assert z == pytest.approx(10.0 - (0.02 / 0.05) * 0.15, abs=1e-9)
 
 
 def test_find_zero_of_delta_antisymmetric():
     om0 = 3.7
-    z = wt.find_zero_of_delta(lambda w: (w - om0) * np.exp(-np.abs(w - om0)),
-                              (2.0, 5.0))
+    z = _zero(lambda w: (w - om0) * np.exp(-np.abs(w - om0)), (2.0, 5.0))
     assert z == pytest.approx(om0, abs=1e-9)
-
-
-def test_find_zero_of_delta_from_curve_samples():
-    p = sm_params()
-    om = np.linspace(9.0, 11.03, 2001)
-    curve = wt.LevelShiftCurve(om, wt.single_mode_levshift(p, om),
-                               "single-mode", (9.0, 11.03))
-    z = wt.find_zero_of_delta(curve, (9.0, 11.03))
-    assert abs(z - 10.0) < 1e-8 * p.kappa
 
 
 def test_find_zero_of_delta_ambiguity():
     with pytest.raises(AmbiguityError):
-        wt.find_zero_of_delta(lambda w: np.sin(w) + 0j, (0.5, 7.0))
+        _zero(lambda w: np.sin(w) + 0j, (0.5, 7.0))
     with pytest.raises(AmbiguityError):
-        wt.find_zero_of_delta(lambda w: np.ones_like(w) + 0j, (0.5, 7.0))
+        _zero(lambda w: np.ones_like(w) + 0j, (0.5, 7.0))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -258,16 +274,18 @@ def test_scans_match_pointwise_loops(seed):
     crossings = [i for i in range(1, v.size)
                  if v[i - 1] != 0 and v[i] != 0 and np.sign(v[i]) != np.sign(v[i - 1])]
     with pytest.raises(AmbiguityError) as err:
-        wt.find_zero_of_delta(lambda w: np.interp(w, om, v) + 0j, (0.0, 1.0), n=v.size)
+        _zero(lambda w: np.interp(w, om, v) + 0j, (0.0, 1.0), n=v.size)
     assert err.value.candidates == [float(om[i]) for i in crossings]
 
     a = np.abs(v)
     extrema = [i for i in range(1, v.size - 1) if (a[i] - a[i - 1]) * (a[i + 1] - a[i]) < 0]
     h = 1.0 / (v.size - 1)
-    want = np.unique(np.concatenate(
+    grid = np.unique(np.concatenate(
         [om] + [np.linspace(max(0.0, om[i] - 2 * h), min(1.0, om[i] + 2 * h), 9)
                 for i in extrema]))
-    assert np.array_equal(wt._refined_grid((0.0, 1.0), v.size, v, om, 2), want)
+    added = wt._refined_grid((0.0, 1.0), v.size, v, om, 2)
+    assert not np.isin(added, om).any()
+    assert np.array_equal(np.union1d(om, added), grid)
 
 
 def test_single_mode_feature_coincidence():
@@ -275,7 +293,7 @@ def test_single_mode_feature_coincidence():
     p = sm_params()
     refined = wt.find_omega_min_refined(
         lambda w: np.abs(wt.single_mode_reflection(p, w)) ** 2, (9.0, 11.03))
-    z = wt.find_zero_of_delta(lambda w: wt.single_mode_levshift(p, w), (9.0, 11.03))
+    z = _zero(lambda w: wt.single_mode_levshift(p, w), (9.0, 11.03))
     assert abs(refined - p.omega1) < 1e-8 * p.kappa
     assert abs(z - p.omega1) < 1e-8 * p.kappa
 
@@ -284,29 +302,10 @@ def test_single_mode_feature_coincidence():
 # curves, serialization, Kramers-Kronig
 # ---------------------------------------------------------------------------
 
-def test_curve_roundtrip_csv():
-    p = sm_params()
-    om = np.linspace(9, 11, 51)
-    curve = wt.LevelShiftCurve(om, wt.single_mode_levshift(p, om),
-                               "single-mode", (9.0, 11.0))
-    text = curve.to_csv()
-    assert text.splitlines()[0] == "omega,delta_re,delta_im,provenance"
-    back = wt.LevelShiftCurve.from_csv(text, window=(9.0, 11.0))
-    assert np.array_equal(back.omega, curve.omega)
-    assert np.array_equal(back.delta, curve.delta)
-    assert back.provenance == "single-mode"
-
-
 def test_curve_requires_increasing_grid():
     with pytest.raises(ValueError):
         wt.LevelShiftCurve(np.array([1.0, 1.0, 2.0]), np.zeros(3, complex),
                            "x", (1.0, 2.0))
-
-
-def test_sample_components():
-    s = wt.LevelShiftSample(1.0, 0.25 - 0.4j)
-    assert s.Delta == 0.25
-    assert s.Gamma == pytest.approx(0.8)
 
 
 def test_kk_single_mode_synthetic():
