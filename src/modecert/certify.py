@@ -98,7 +98,8 @@ class ClassificationReport:
     The three shifts satisfy off_resonant + complex_residue + multi_pole =
     omega_a0_full - omega_min up to the root-finder tolerances
     (``closure_residual`` records the actual mismatch).  ``curve`` holds the
-    witness samples the certificate was checked on; it is not serialised.
+    witness samples the certificate was checked on and ``reflectance`` the
+    ``(omega, r)`` window scan that located omega_min; neither is serialised.
     """
 
     single_mode: bool
@@ -124,6 +125,7 @@ class ClassificationReport:
     n_poles_region: int
     convergence_errors: list = field(default_factory=list)
     curve: LevelShiftCurve | None = field(default=None, repr=False, compare=False)
+    reflectance: tuple | None = field(default=None, repr=False, compare=False)
 
     def flags(self) -> dict:
         return {"single_mode": self.single_mode,
@@ -201,11 +203,6 @@ def _reflectance_dips(problem: WaveProblem, span, n: int = 4000) -> list:
     return om[local_minima(np.abs(reflection(problem, om)) ** 2)].tolist()
 
 
-def _probed_minimum(problem: WaveProblem, window) -> float:
-    fn = lambda w: np.abs(reflection(problem, w)) ** 2
-    return find_omega_min_refined(fn, window)
-
-
 def single_pole_zero(residue: complex, omega_pole: complex) -> float:
     """Zero of Re[r / (omega - omega_pole)] in closed form.
 
@@ -264,7 +261,8 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     area it adds and keeps the poles already found.  At ``k_par != 0``
     growth keeps the left edge, so the region stays clear of the branch
     points, where the witness stops being meromorphic.  The report carries
-    the witness curve its certificate was checked on.
+    the witness curve its certificate was checked on and the reflectance
+    scan of its window.
     """
     emitter = problem.stack.emitter
     if emitter is None:
@@ -275,7 +273,10 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         window, default_region = _default_window_region(problem, window)
         region = region or default_region
     thresholds = replace(thresholds, window=window)
-    omega_min = _probed_minimum(problem, window)
+    om = np.linspace(window[0], window[1], 2001)
+    r = reflection(problem, om)
+    omega_min = find_omega_min_refined(lambda w: np.abs(reflection(problem, w)) ** 2,
+                                       om, np.abs(r) ** 2)
 
     curve = levshift_curve(problem, window, n=2001, refine=10)
 
@@ -345,6 +346,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         n_poles_region=len(expansion.poles),
         convergence_errors=[float(e) for e in conv.errors],
         curve=curve,
+        reflectance=(om, r),
     )
 
 
@@ -384,20 +386,16 @@ def _default_window_region(problem: WaveProblem, window=None):
 
     At ``k_par = 0`` the region is symmetric: the probed dip +- 2.5 free
     spectral ranges, mirror half included.  At ``k_par != 0`` it stays right
-    of the cladding light-line branch point omega_bp, where the witness
-    stops being meromorphic: with e = omega_a - omega_bp it spans
-    (omega_bp + 0.02 e, omega_a + 2.5 e) at depth 1.2 e, the dip scan starts
-    no lower than its left edge, and a given window needs no scan at all.
+    of the cladding light-line branch point, where the witness stops being
+    meromorphic: it spans :func:`_light_line_span` at depth 1.2 e, the dip
+    scan starts no lower than its left edge, and a given window needs no
+    scan at all.
     """
     scale = problem.stack.emitter.omega_a
     lo, region = 0.25 * scale, None
     if problem.k_par != 0:
-        omega_bp = _branch_point(problem)
-        e = scale - omega_bp
-        if not e > 0:
-            raise ConfigurationError(
-                f"emitter frequency {scale} is not above the branch point {omega_bp}")
-        region = ScanRegion(omega_bp + 0.02 * e, scale + 2.5 * e, depth=1.2 * e)
+        span, e = _light_line_span(problem)
+        region = ScanRegion(*span, depth=1.2 * e)
         if window is not None:
             return tuple(map(float, window)), region
         lo = max(lo, region.omega_lo)
@@ -492,8 +490,9 @@ def xray_mode_report(material_table, mode_index: int,
     The incidence angle is fixed operationally at the ``mode_index``-th
     minimum of the angle scan; the witness and pole expansion are then
     studied versus energy at the corresponding fixed parallel wavevector.
-    The energy window, one bracket of a single Delta zero around the probed
-    energy-scan minimum, is set in the report's thresholds.  The returned
+    The energy window is ``thresholds.window`` or, without one, one bracket
+    of a single Delta zero around the probed energy-scan minimum (see
+    :func:`_single_zero_window`); the report's thresholds echo it.  The returned
     spectrum is the weak-coupling emitter line on the exact cavity
     background, with the local-field modulation calibrated against the
     free-space limit.
@@ -510,35 +509,9 @@ def xray_mode_report(material_table, mode_index: int,
     problem = build_xray_cavity(table, theta,
                                 gamma=gamma if gamma is not None else GAMMA_NUC_KEV)
     emitter = problem.stack.emitter
-
-    # energy window: one local FSR around the probed energy-scan minimum
-    omega_bp = _branch_point(problem)
-    e_off = OMEGA_NUC_KEV - omega_bp
-    span = (omega_bp + 0.02 * e_off, OMEGA_NUC_KEV + 2.5 * e_off)
-    dips = _reflectance_dips(problem, span, n=6000)
-    if not dips:
-        raise AmbiguityError("no energy-scan reflectance minima at this angle")
-    probed = min(dips, key=lambda d: abs(d - OMEGA_NUC_KEV))
-    below = [d for d in dips if d < probed]
-    above = [d for d in dips if d > probed]
-    fsr_lo = probed - below[-1] if below else (above[0] - probed if above else e_off)
-    fsr_hi = above[0] - probed if above else fsr_lo
-    # widest fraction of the local gaps that still brackets exactly one zero
-    # of Delta; strongly dispersing neighbor modes add crossings at the edges
-    window = None
-    factor = 0.35
-    while factor > 0.08:
-        cand = (probed - factor * fsr_lo, probed + factor * fsr_hi)
-        om_w = np.linspace(cand[0], cand[1], 801)
-        sgn = np.sign(np.real(levshift_exact(problem, emitter, om_w)))
-        if int(np.sum(sgn[1:] != sgn[:-1])) == 1:
-            window = cand
-            break
-        factor *= 0.8
-    if window is None:
-        raise AmbiguityError(
-            "no window fraction brackets a single Delta zero at this minimum")
-    report = classify(problem, thresholds=replace(thresholds, window=window))
+    if thresholds.window is None:
+        thresholds = replace(thresholds, window=_single_zero_window(problem))
+    report = classify(problem, thresholds=thresholds)
 
     # weak-coupling nuclear line on the cavity background
     g_eff = emitter.gamma
@@ -554,6 +527,47 @@ def xray_mode_report(material_table, mode_index: int,
                 "reflectance": np.abs(r_tot) ** 2,
                 "delta_at_resonance": complex(delta_nuc), "theta": float(theta)}
     return report, spectrum
+
+
+def _single_zero_window(problem: WaveProblem) -> tuple:
+    """Widest fraction of the local gaps around the probed dip with one Delta zero.
+
+    The dips are scanned over :func:`_light_line_span`; strongly dispersing
+    neighbor modes add crossings of Delta at the edges of wider fractions.
+    """
+    span, e_off = _light_line_span(problem)
+    dips = _reflectance_dips(problem, span, n=6000)
+    if not dips:
+        raise AmbiguityError("no energy-scan reflectance minima at this angle")
+    probed = min(dips, key=lambda d: abs(d - OMEGA_NUC_KEV))
+    below = [d for d in dips if d < probed]
+    above = [d for d in dips if d > probed]
+    fsr_lo = probed - below[-1] if below else (above[0] - probed if above else e_off)
+    fsr_hi = above[0] - probed if above else fsr_lo
+    factor = 0.35
+    while factor > 0.08:
+        cand = (probed - factor * fsr_lo, probed + factor * fsr_hi)
+        om_w = np.linspace(cand[0], cand[1], 801)
+        sgn = np.sign(np.real(levshift_exact(problem, omega_test=om_w)))
+        if int(np.sum(sgn[1:] != sgn[:-1])) == 1:
+            return cand
+        factor *= 0.8
+    raise AmbiguityError("no window fraction brackets a single Delta zero at this minimum")
+
+
+def _light_line_span(problem: WaveProblem):
+    """(omega_bp + 0.02 e, omega_a + 2.5 e) and e = omega_a - omega_bp at ``k_par != 0``.
+
+    The span right of the branch point omega_bp: the default region's real
+    extent and the X-ray energy-scan range.
+    """
+    omega_a = problem.stack.emitter.omega_a
+    omega_bp = _branch_point(problem)
+    e = omega_a - omega_bp
+    if not e > 0:
+        raise ConfigurationError(
+            f"emitter frequency {omega_a} is not above the branch point {omega_bp}")
+    return (omega_bp + 0.02 * e, omega_a + 2.5 * e), e
 
 
 def _branch_point(problem: WaveProblem) -> float:

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .layered import (
 )
 from .pfm import PfmParams, diagonalize, levshift_matrix
 from .qnm import ScanRegion, build_expansion, witness_evaluator
-from .witness import levshift_curve
+from .witness import LevelShiftCurve, levshift_curve
 
 SCHEMA_VERSION = 1
 
@@ -101,6 +101,12 @@ def _checked(path: str, build, *args, **kwargs):
         raise ConfigurationError(f"{exc} at {path}") from exc
 
 
+def _field_defaults(cls, skip=()) -> dict:
+    """Field defaults of a dataclass; None for a field without one."""
+    return {f.name: None if f.default is MISSING else f.default
+            for f in fields(cls) if f.name not in skip}
+
+
 def _merged(defaults: dict, given: dict, path: str) -> dict:
     _reject_unknown(given, defaults, path)
     out = dict(defaults)
@@ -156,8 +162,7 @@ def parse_scenario(source) -> Scenario:
     scan = _merged({"window": None, "n_mirror_values": DEFAULT_SWEEP,
                     "n_points": 2001},
                    data.get("scan", {}), "/scan")
-    th = _merged({"residue_phase_tol": 0.05, "convergence_tol": 0.05,
-                  "shift_tol": 0.02},
+    th = _merged(_field_defaults(Thresholds, skip=("window",)),
                  data.get("thresholds", {}), "/thresholds")
     _checked("/thresholds", Thresholds, **th)
     _checked("/scan/window", Thresholds, window=scan["window"])
@@ -165,8 +170,7 @@ def parse_scenario(source) -> Scenario:
 
     region = data.get("region")
     if region is not None:
-        region = _merged({"omega_lo": None, "omega_hi": None, "depth": None,
-                          "im_top": 0.0}, region, "/region")
+        region = _merged(_field_defaults(ScanRegion), region, "/region")
         for k in ("omega_lo", "omega_hi", "depth"):
             if region[k] is None:
                 raise ConfigurationError(f"missing required key {k!r} at /region")
@@ -245,18 +249,32 @@ class _Artifacts:
         return path
 
 
+def _float_table(header: str, rows, tag: str | None = None) -> str:
+    """CSV text: the header line, then one line per row of a float table.
+
+    Every value is written as the ``repr`` of a Python float (``tolist``
+    turns numpy scalars into plain floats); ``tag``, when given, ends each
+    row as a constant text field.  Lines end in ``\n``.
+    """
+    end = ("" if tag is None else "," + tag) + "\n"
+    return header + "\n" + "".join(",".join(map(repr, row.tolist())) + end
+                                   for row in np.asarray(rows, dtype=float))
+
+
 def _spectrum_csv(omega, r) -> str:
-    """``omega,r_re,r_im,reflectance`` rows written as plain floats."""
-    lines = ["omega,r_re,r_im,reflectance"]
-    for w, z in zip(omega, r):
-        z = complex(z)
-        lines.append(",".join(repr(v) for v in (float(w), z.real, z.imag, abs(z) ** 2)))
-    return "\n".join(lines) + "\n"
+    """``omega,r_re,r_im,reflectance`` rows of a reflection spectrum."""
+    r = np.asarray(r, dtype=complex)
+    # Python's complex abs per value: np.abs differs from it in the last bit
+    reflectance = np.fromiter((abs(complex(z)) ** 2 for z in r), float, r.size)
+    return _float_table("omega,r_re,r_im,reflectance",
+                        np.column_stack([omega, r.real, r.imag, reflectance]))
 
 
-def _reflectance_csv(problem: WaveProblem, window, n: int) -> str:
-    om = np.linspace(window[0], window[1], n)
-    return _spectrum_csv(om, reflection(problem, om))
+def _curve_csv(curve: LevelShiftCurve) -> str:
+    """``omega,delta_re,delta_im,provenance`` rows of a witness curve."""
+    return _float_table("omega,delta_re,delta_im,provenance",
+                        np.column_stack([curve.omega, curve.delta.real, curve.delta.imag]),
+                        tag=curve.provenance)
 
 
 def _run_classify(scn: Scenario, art: _Artifacts) -> int:
@@ -275,12 +293,10 @@ def _run_classify(scn: Scenario, art: _Artifacts) -> int:
 
     problem = _problem_from_scenario(scn)
     report = classify(problem, scn.make_region(), thresholds=thresholds)
-    # the witness samples the certificate was checked on
-    art.write("levelshift.csv", report.curve.to_csv(), "curve")
+    # the samples the certificate was checked on
+    art.write("levelshift.csv", _curve_csv(report.curve), "curve")
     art.write("levelshift.json", report.curve.to_json() + "\n", "curve")
-    art.write("reflectance.csv",
-              _reflectance_csv(problem, report.thresholds.window, scn.scan["n_points"]),
-              "curve")
+    art.write("reflectance.csv", _spectrum_csv(*report.reflectance), "curve")
     art.write("report.json", report.to_json() + "\n", "report")
     art.write("report.txt", report.to_text() + "\n", "report")
     return 0
@@ -306,7 +322,10 @@ def _run_poles(scn: Scenario, art: _Artifacts) -> int:
     if region is None:
         raise ConfigurationError("poles command requires an explicit /region")
     expansion = build_expansion(witness_evaluator(problem), region)
-    art.write("poles.csv", expansion.pole_table_csv(), "poles")
+    art.write("poles.csv", _float_table(
+        "re,im,res_re,res_im,residual",
+        [[p.omega_pole.real, p.omega_pole.imag, p.residue.real, p.residue.imag, p.residual]
+         for p in expansion.poles]), "poles")
     art.write("expansion.json",
               json.dumps(expansion.to_dict(), indent=2, sort_keys=True) + "\n",
               "poles")
@@ -321,16 +340,16 @@ def _run_spectrum(scn: Scenario, art: _Artifacts) -> int:
     if window is None:
         omega_a = problem.stack.emitter.omega_a
         window = (0.25 * omega_a, 3.25 * omega_a)
-    art.write("reflectance.csv",
-              _reflectance_csv(problem, window, scn.scan["n_points"]), "curve")
+    om = np.linspace(window[0], window[1], scn.scan["n_points"])
+    art.write("reflectance.csv", _spectrum_csv(om, reflection(problem, om)), "curve")
     curve = levshift_curve(problem, window, n=scn.scan["n_points"])
-    art.write("levelshift.csv", curve.to_csv(), "curve")
+    art.write("levelshift.csv", _curve_csv(curve), "curve")
     return 0
 
 
-def _run_pfm_check(scn: Scenario, art: _Artifacts, seed=None) -> int:
+def _run_pfm_check(scn: Scenario, art: _Artifacts) -> int:
     cfg = scn.synthetic_pfm
-    rng = np.random.default_rng(seed if seed is not None else cfg["seed"])
+    rng = np.random.default_rng(cfg["seed"])
     n = int(cfg["n_modes"])
     a = rng.normal(size=(n, n))
     model = PfmParams(omega_matrix=0.5 * (a + a.T) + 10.0 * np.eye(n),
@@ -347,15 +366,12 @@ def _run_pfm_check(scn: Scenario, art: _Artifacts, seed=None) -> int:
         "n_modes": n, "n_freq": int(cfg["n_freq"]),
         "max_relative_error": err, "tolerance": float(cfg["tol"]),
         "passed": bool(ok),
-        "poles": [{"re": p.omega_pole.real, "im": p.omega_pole.imag,
-                   "res_re": p.residue.real, "res_im": p.residue.imag}
-                  for p in basis.poles],
+        "poles": [p.to_dict() for p in basis.poles],
     }, indent=2, sort_keys=True) + "\n", "report")
     return 0 if ok else 2
 
 
-def run(scenario: Scenario, command: str = "classify", out_dir=None,
-        seed=None) -> int:
+def run(scenario: Scenario, command: str = "classify", out_dir=None) -> int:
     """Execute a scenario; returns the process exit code.
 
     Writes all artifacts plus ``manifest.json`` (path, sha256, role per file)
@@ -375,7 +391,7 @@ def run(scenario: Scenario, command: str = "classify", out_dir=None,
         elif command == "spectrum":
             code = _run_spectrum(scenario, art)
         elif command == "pfm-check":
-            code = _run_pfm_check(scenario, art, seed=seed)
+            code = _run_pfm_check(scenario, art)
         else:
             raise ConfigurationError(f"unknown command {command!r}")
     except ModeCertError as exc:
@@ -393,8 +409,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", type=str, default=None,
                         help="scenario JSON file")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed override for synthetic scenarios")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (("classify", "run the decision tree on one scenario"),
                       ("sweep", "classify across the mirror-index list"),
@@ -411,7 +425,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    code = run(scenario, command=args.command, out_dir=args.out, seed=args.seed)
+    code = run(scenario, command=args.command, out_dir=args.out)
     if code == 0:
         print("ok")
     elif code == 2:

@@ -81,16 +81,6 @@ class PfmParams:
                 "omega_a": self.omega_a}
         return json.dumps(data)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PfmParams":
-        d = json.loads(text)
-        g = np.array([complex(z["re"], z["im"]) for z in d["g"]])
-        return cls(omega_matrix=np.array(d["omega_matrix"]),
-                   kappa=np.array(d["kappa"]), g=g,
-                   kappa_R=(np.array(d["kappa_R"]) if d.get("kappa_R") is not None
-                            else None),
-                   omega_a=d.get("omega_a", 0.0))
-
 
 @dataclass(frozen=True)
 class DiagonalBasis:

@@ -75,6 +75,11 @@ class Pole:
     def kappa(self) -> float:
         return -2.0 * self.omega_pole.imag
 
+    def to_dict(self) -> dict:
+        """The JSON record of a pole with its residue."""
+        return {"re": self.omega_pole.real, "im": self.omega_pole.imag,
+                "res_re": self.residue.real, "res_im": self.residue.imag}
+
 
 @dataclass(frozen=True)
 class ScanRegion:
@@ -131,19 +136,9 @@ class PoleExpansion:
 
     def to_dict(self) -> dict:
         return {
-            "poles": [{"re": p.omega_pole.real, "im": p.omega_pole.imag,
-                       "res_re": p.residue.real, "res_im": p.residue.imag}
-                      for p in self.poles],
+            "poles": [p.to_dict() for p in self.poles],
             "region": self.region.to_dict(),
         }
-
-    def pole_table_csv(self) -> str:
-        lines = ["re,im,res_re,res_im,residual"]
-        for p in self.poles:
-            lines.append(",".join(repr(float(v)) for v in (
-                p.omega_pole.real, p.omega_pole.imag, p.residue.real, p.residue.imag,
-                p.residual)))
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

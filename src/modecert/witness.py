@@ -14,8 +14,6 @@ curves directly comparable across scenarios in units of gamma.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
@@ -148,15 +146,6 @@ class LevelShiftCurve:
     def __len__(self):
         return self.omega.size
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["omega", "delta_re", "delta_im", "provenance"])
-        for om, de in zip(self.omega, self.delta):
-            w.writerow([repr(float(om)), repr(float(de.real)), repr(float(de.imag)),
-                        self.provenance])
-        return buf.getvalue()
-
     def to_json(self) -> str:
         return json.dumps({
             "window": list(self.window),
@@ -204,17 +193,14 @@ def levshift_curve(problem: WaveProblem, window, n: int = 2001,
 # feature extraction
 # ---------------------------------------------------------------------------
 
-def find_omega_min(omega, values, window=None) -> float:
+def find_omega_min(omega, values) -> float:
     """Parabolic-refined location of the single interior minimum of ``values``.
 
-    Raises AmbiguityError when the window holds zero or several interior
-    local minima, or when the global minimum touches the window boundary.
+    Raises AmbiguityError when the samples hold zero or several interior
+    local minima, or when the global minimum touches the first or last one.
     """
     om = np.asarray(omega, dtype=float)
     va = np.asarray(values, dtype=float)
-    if window is not None:
-        mask = (om >= window[0]) & (om <= window[1])
-        om, va = om[mask], va[mask]
     if om.size < 3:
         raise AmbiguityError("not enough samples in window")
     interior = local_minima(va)
@@ -247,18 +233,18 @@ def local_minima(values) -> np.ndarray:
     return np.nonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:]))[0] + 1
 
 
-def find_omega_min_refined(fn, window, n: int = 2001, refine: int = 10) -> float:
-    """Two-stage minimum search: coarse scan, then a refine-times denser local scan.
+def find_omega_min_refined(fn, omega, values, refine: int = 10) -> float:
+    """Minimum of a given coarse scan, refined on a refine-times denser local scan.
 
-    ``fn`` maps a frequency array to the scanned values (e.g. reflectance).
-    The local stage spans two coarse cells around the coarse minimum, which
-    makes the final parabolic refinement accurate to O(h_fine^3).
+    ``values`` (e.g. reflectance) are sampled on the uniform grid ``omega``;
+    ``fn`` maps a frequency array to the same values and is called once, on
+    the local grid, which spans two coarse cells around the coarse minimum.
+    That makes the final parabolic refinement accurate to O(h_fine^3).
     """
-    om = np.linspace(window[0], window[1], n)
-    coarse = find_omega_min(om, np.asarray(fn(om), dtype=float))
-    h = (window[1] - window[0]) / (n - 1)
-    lo = max(window[0], coarse - 2 * h)
-    hi = min(window[1], coarse + 2 * h)
+    coarse = find_omega_min(omega, values)
+    h = (omega[-1] - omega[0]) / (len(omega) - 1)
+    lo = max(omega[0], coarse - 2 * h)
+    hi = min(omega[-1], coarse + 2 * h)
     om2 = np.linspace(lo, hi, 4 * refine + 1)
     return find_omega_min(om2, np.asarray(fn(om2), dtype=float))
 

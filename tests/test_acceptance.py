@@ -48,9 +48,9 @@ def test_criterion_1_single_mode_coincidence():
         p = wt.SingleModeParams(omega1=10.0, kappa=0.4,
                                 kappa_R=np.sqrt(0.4 / (4 * np.pi)), g=0.2,
                                 omega_a=10.0)
-        omega_min = wt.find_omega_min_refined(
-            lambda w: np.abs(wt.single_mode_reflection(p, w)) ** 2, (9.0, 11.03))
+        fn = lambda w: np.abs(wt.single_mode_reflection(p, w)) ** 2
         om = np.linspace(9.0, 11.03, 2001)
+        omega_min = wt.find_omega_min_refined(fn, om, fn(om))
         curve = wt.LevelShiftCurve(om, wt.single_mode_levshift(p, om), "single-mode",
                                    (9.0, 11.03))
         omega_a0 = wt.find_zero_of_delta(curve, lambda w: wt.single_mode_levshift(p, w))

@@ -360,6 +360,18 @@ def test_xray_report_thresholds_reproduce(material_table, monkeypatch):
     assert again.to_dict() == rep.to_dict()
 
 
+def test_xray_given_window_reproduces_report(material_table, monkeypatch):
+    # a given window is certified as it is: no dip scan, no fraction search
+    rep, _ = cf.xray_mode_report(material_table, 4)
+
+    def no_search(problem):
+        raise AssertionError("window searched although one was given")
+
+    monkeypatch.setattr(cf, "_single_zero_window", no_search)
+    again, _ = cf.xray_mode_report(material_table, 4, thresholds=rep.thresholds)
+    assert again.to_dict() == rep.to_dict()
+
+
 def test_xray_mode6_report(material_table):
     rep, _ = cf.xray_mode_report(material_table, 6)
     assert rep.complex_residue_mm and rep.multi_pole_mm

@@ -13,6 +13,7 @@ import pytest
 
 from modecert import certify, cli
 from modecert.errors import ConfigurationError
+from modecert.qnm import ScanRegion
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,6 +34,13 @@ def test_parse_minimal_defaults_echoed():
     assert d["scan"]["n_mirror_values"] == cli.DEFAULT_SWEEP
     assert d["output"]["dir"] == "out"
     assert d["version"] == 1
+
+
+def test_parse_defaults_are_the_dataclass_defaults():
+    scn = cli.parse_scenario({**MINIMAL_FP,
+                              "region": {"omega_lo": 1.0, "omega_hi": 2.0, "depth": 0.5}})
+    assert scn.make_thresholds() == certify.Thresholds()
+    assert scn.make_region() == ScanRegion(1.0, 2.0, 0.5)
 
 
 def test_parse_roundtrip_identity():
@@ -146,6 +154,48 @@ def test_run_classify_writes_the_certified_curve(tmp_path, monkeypatch):
     assert data["window"] == reports[0].thresholds.to_dict()["window"]
 
 
+def test_run_classify_writes_the_window_scan(tmp_path, monkeypatch):
+    # the window reflectance is evaluated once, by the certificate, and
+    # reflectance.csv holds that scan; cli makes no reflection call
+    calls, reports = [], []
+    plain, classify_fn = certify.reflection, cli.classify
+
+    def spy(problem, omega):
+        calls.append(np.size(omega))
+        return plain(problem, omega)
+
+    def classify_spy(*args, **kwargs):
+        reports.append(classify_fn(*args, **kwargs))
+        return reports[-1]
+
+    def cli_reflection(*args, **kwargs):
+        raise AssertionError("cli evaluated the reflection")
+
+    monkeypatch.setattr(certify, "reflection", spy)
+    monkeypatch.setattr(cli, "reflection", cli_reflection)
+    monkeypatch.setattr(cli, "classify", classify_spy)
+    assert cli.run(cli.parse_scenario(MINIMAL_FP), command="classify",
+                   out_dir=tmp_path / "r") == 0
+    # default-window dip scan, the window scan, the local refinement
+    assert calls == [4000, 2001, 41]
+    omega, r = reports[0].reflectance
+    text = (tmp_path / "r" / "reflectance.csv").read_text()
+    assert "\r" not in text
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == ["omega", "r_re", "r_im", "reflectance"]
+    assert [float(row[0]) for row in rows[1:]] == omega.tolist()
+    assert [float(row[1]) for row in rows[1:]] == r.real.tolist()
+    assert [float(row[2]) for row in rows[1:]] == r.imag.tolist()
+    assert [float(row[3]) for row in rows[1:]] == [abs(z) ** 2 for z in r.tolist()]
+
+
+def test_float_table_format():
+    text = cli._float_table("a,b", np.array([[np.float64(0.1), 1.0], [2.5, -0.0]]),
+                            tag="t")
+    assert text == "a,b\n0.1,1.0,t\n2.5,-0.0,t\n"
+    assert cli._float_table("a", []) == "a\n"
+
+
 def test_run_classify_custom_stack_at_oblique_incidence(tmp_path, monkeypatch):
     # lossy 8+0.5i mirrors at k_par = 0.3: the default region starts right of
     # the vacuum light line omega = k_par, where the witness has its branch
@@ -210,7 +260,12 @@ def test_run_poles_with_region(tmp_path):
     exp = json.loads((tmp_path / "p2" / "expansion.json").read_text())
     assert len(exp["poles"]) == 1
     assert exp["poles"][0]["re"] == pytest.approx(1.0412 * np.pi, rel=1e-3)
-    _assert_float_fields((tmp_path / "p2" / "poles.csv").read_text().splitlines())
+    lines = (tmp_path / "p2" / "poles.csv").read_text().splitlines()
+    assert lines[0] == "re,im,res_re,res_im,residual"
+    pole = exp["poles"][0]
+    assert ([float(v) for v in lines[1].split(",")[:4]]
+            == [pole["re"], pole["im"], pole["res_re"], pole["res_im"]])
+    _assert_float_fields(lines)
 
 
 def test_run_pfm_check(tmp_path):
@@ -264,6 +319,19 @@ def test_run_classify_xray(tmp_path):
     spec_lines = (tmp_path / "x" / "nuclear_spectrum.csv").read_text().splitlines()
     assert spec_lines[0] == "omega,r_re,r_im,reflectance"
     _assert_float_fields(spec_lines)
+
+
+def test_run_classify_xray_echoes_given_window(tmp_path, material_table):
+    rep, _ = certify.xray_mode_report(material_table, 4)
+    lo, hi = rep.thresholds.window
+    given = [lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)]
+    scn = cli.parse_scenario({"version": 1, "kind": "xray", "xray": {"mode_index": 4},
+                              "scan": {"window": given}})
+    assert cli.run(scn, command="classify", out_dir=tmp_path / "xw") == 0
+    echoed = json.loads((tmp_path / "xw" / "scenario.json").read_text())["scan"]["window"]
+    report = json.loads((tmp_path / "xw" / "report.json").read_text())
+    assert echoed == given
+    assert report["thresholds"]["window"] == given
 
 
 def test_env_output_override(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Few-mode models: matrix level shift, diagonalization, linear reflection."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -259,9 +261,9 @@ def test_reflection_requires_kappa_r():
 def test_params_json_roundtrip():
     p = pfm.PfmParams(omega_matrix=[[10.0, 0.2], [0.2, 11.0]], kappa=[0.4, 0.5],
                       g=[0.2 + 0.1j, -0.3j], kappa_R=[0.1, 0.2], omega_a=10.5)
-    q = pfm.PfmParams.from_json(p.to_json())
-    assert np.array_equal(q.omega_matrix, p.omega_matrix)
-    assert np.array_equal(q.kappa, p.kappa)
-    assert np.array_equal(q.g, p.g)
-    assert np.array_equal(q.kappa_R, p.kappa_R)
-    assert q.omega_a == p.omega_a
+    d = json.loads(p.to_json())
+    assert d["omega_matrix"] == p.omega_matrix.tolist()
+    assert d["kappa"] == p.kappa.tolist()
+    assert [complex(z["re"], z["im"]) for z in d["g"]] == p.g.tolist()
+    assert d["kappa_R"] == p.kappa_R.tolist()
+    assert d["omega_a"] == p.omega_a

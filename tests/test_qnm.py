@@ -463,8 +463,7 @@ def test_expansion_serialization():
     assert d["region"]["omega_lo"] == 2.0
     assert d["poles"][0]["re"] == pytest.approx(4.0, abs=1e-9)
     assert d["poles"][0]["res_im"] == pytest.approx(0.1, abs=1e-9)
-    csv_text = exp.pole_table_csv()
-    assert csv_text.splitlines()[0] == "re,im,res_re,res_im,residual"
+    assert d["poles"] == [p.to_dict() for p in exp.poles]
 
 
 def test_scan_region_validation():

@@ -125,8 +125,9 @@ def test_free_space_normalization_grazing():
 
 def test_delta_small_at_probed_minimum_n20():
     pr = fp_problem(20.0)
-    wmin = wt.find_omega_min_refined(
-        lambda w: np.abs(ly.reflection(pr, w)) ** 2, (0.8 * np.pi, 1.3 * np.pi))
+    fn = lambda w: np.abs(ly.reflection(pr, w)) ** 2
+    om = np.linspace(0.8 * np.pi, 1.3 * np.pi, 2001)
+    wmin = wt.find_omega_min_refined(fn, om, fn(om))
     curve = wt.levshift_curve(pr, (0.8 * np.pi, 1.3 * np.pi), n=1001, refine=1)
     d0 = wt.levshift_exact(pr, omega_test=complex(wmin))
     assert abs(d0.real) < 0.05 * np.max(np.abs(curve.Delta))
@@ -211,8 +212,15 @@ def test_find_omega_min_single_mode():
     om = np.linspace(9.0, 11.03, 2001)
     r2 = np.abs(wt.single_mode_reflection(p, om)) ** 2
     assert abs(wt.find_omega_min(om, r2) - 10.0) < 2e-8 * p.kappa
-    refined = wt.find_omega_min_refined(
-        lambda w: np.abs(wt.single_mode_reflection(p, w)) ** 2, (9.0, 11.03))
+    local = []
+
+    def fn(w):
+        local.append(w)
+        return np.abs(wt.single_mode_reflection(p, w)) ** 2
+
+    refined = wt.find_omega_min_refined(fn, om, r2)
+    # one call, on the local grid only
+    assert [w.size for w in local] == [41]
     assert abs(refined - 10.0) < 1e-9 * p.kappa
 
 
@@ -291,8 +299,9 @@ def test_scans_match_pointwise_loops(seed):
 def test_single_mode_feature_coincidence():
     # omega_min and omega_a0 both coincide with omega1 to 1e-8 kappa
     p = sm_params()
-    refined = wt.find_omega_min_refined(
-        lambda w: np.abs(wt.single_mode_reflection(p, w)) ** 2, (9.0, 11.03))
+    fn = lambda w: np.abs(wt.single_mode_reflection(p, w)) ** 2
+    om = np.linspace(9.0, 11.03, 2001)
+    refined = wt.find_omega_min_refined(fn, om, fn(om))
     z = _zero(lambda w: wt.single_mode_levshift(p, w), (9.0, 11.03))
     assert abs(refined - p.omega1) < 1e-8 * p.kappa
     assert abs(z - p.omega1) < 1e-8 * p.kappa
