@@ -5,24 +5,28 @@ located by recursive rectangle subdivision driven by the argument principle
 applied to h = 1/f, and polished by Newton iteration on h.  Winding numbers
 alone cannot certify a box: a pole of f and a zero of f in the same box
 cancel in the count.  Every boundary pass therefore also computes the first
-two moments of the singularity distribution,
+two moments of the singularity distribution (Delves & Lyness, 1967),
 
     s_k = (1/2 pi i) oint z^k h'(z)/h(z) dz  =  sum_poles p^k - sum_zeros z^k,
 
-via the derivative-free identity s_k = z0^k W - (k / 2 pi i) oint z^{k-1} L dz
-with L a continuous branch of log h along the contour.  A box counts as empty
-only if W = 0 and s_1, s_2 vanish; a box is accepted as "one simple pole" only
-if W = 1 and s_1 agrees with the Newton-refined location.  Anything else is
-subdivided until resolved or the depth budget is exhausted.
+as sums of the log increments d_i = log(h_{i+1}/h_i) (principal branch)
+between neighbour samples z_i, z_{i+1} of the closed boundary loop:
+W = sum Im d_i / 2 pi, s_1 = sum (z_i + z_{i+1}) d_i / 4 pi i and
+s_2 = sum z_i z_{i+1} d_i / 2 pi i.  That is the trapezoid rule for
+s_k = z0^k W - (k / 2 pi i) oint z^{k-1} L dz, L a continuous branch of
+log h, summed by parts, so no branch is ever built.  A box counts as empty
+only if W = 0 and s_1, s_2 vanish; a box is accepted as "one simple pole"
+only if W = 1 and s_1 agrees with the Newton-refined location.  Anything
+else is subdivided until resolved or the depth budget is exhausted.
 
 The box tree is searched breadth first, because an evaluator call costs far
 more than the points it carries.  Each box boundary is one closed loop of
-samples, corners included, refined by inserting neighbour midpoints; the
-loops of one subdivision level are sampled together, so there is one
-evaluator call per round over a level.  The Newton runs of a level advance
-in lockstep, one call per step.  A search over a grown region can start
-from the poles of an earlier search over a region inside it and subdivide
-only the strips the growth added.
+samples, corners included, refined by inserting neighbour midpoints.  The
+loops of a subdivision level lie end to end in one flat array, examined in
+one array pass and sampled in one evaluator call per round.  The Newton
+runs of a level advance in lockstep, one call per step.  A search over a
+grown region can start from the poles of an earlier search over a region
+inside it and subdivide only the strips the growth added.
 
 Residues are evaluated by the trapezoid rule on a circle around each pole,
 which is exponentially convergent for meromorphic integrands and exact for
@@ -158,10 +162,6 @@ class ConvergenceReport:
 # evaluator plumbing
 # ---------------------------------------------------------------------------
 
-class _Unresolvable(Exception):
-    """Internal: a boundary loop could not be resolved; perturb its box and retry."""
-
-
 def witness_evaluator(problem):
     """Witness of the problem's emitter on complex arrays, for the pole search.
 
@@ -196,82 +196,53 @@ _MAX_BOUNDARY_POINTS = 120_000
 def _box_moments(f, boxes):
     """Winding number and first two singularity moments of h = 1/f over boxes.
 
-    Each box boundary is one closed loop of samples.  All loops are sampled
-    in one evaluator call, and each refinement round fills the midpoints of
-    every unresolved loop in one more call.  Returns, per box, either
-    (W, s1, s2, median |h| on the boundary) or an _Unresolvable when its
-    phase cannot be tracked within the refinement budget.
+    The boundary loops lie end to end in one flat array with a box id per
+    sample; a next-sample index closes each loop onto its own first sample.
+    The moments are per-loop sums of log increments (see the module
+    docstring).  Each round samples the midpoints of the too-large
+    increments of all open loops in one evaluator call.  Returns a list of
+    (W, s1, s2) per box, None where the boundary cannot be tracked within
+    the budget, and the h samples of the first box's resolved loop.
     """
     t = np.linspace(0.0, 1.0, _EDGE_POINTS, endpoint=False)
-    loops = []
-    for re_lo, re_hi, im_lo, im_hi in boxes:
-        corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
-                            complex(re_hi, im_hi), complex(re_lo, im_hi)])
-        loops.append((corners[:, None] + t * (np.roll(corners, -1) - corners)[:, None]).ravel())
-    values = _split_call(f, loops)
-    out = [None] * len(boxes)
-    todo = list(range(len(boxes)))
+    b = np.asarray(boxes)   # rows (re_lo, re_hi, im_lo, im_hi); corners counter-clockwise
+    corners = (b[:, [0, 1, 1, 0]] + 1j * b[:, [2, 2, 3, 3]])[..., None]
+    z = (corners + t * (np.roll(corners, -1, axis=1) - corners)).ravel()
+    zf = np.stack([z, f(z)])
+    owner = np.repeat(np.arange(len(boxes)), 4 * _EDGE_POINTS)
+    out, h_first = [None] * len(boxes), None
     for rnd in range(_MAX_REFINE_ROUNDS):
-        mids = {}
-        for i in todo:
-            zs, fs = loops[i], values[i]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hs = 1.0 / fs
-            if not np.all(np.isfinite(hs)) or np.any(hs == 0):
-                out[i] = _Unresolvable("f vanished or blew up on the boundary")
-                continue
-            hn = np.roll(hs, -1)
-            dphi = np.angle(hn / hs)
-            dmod = np.abs(np.log(np.abs(hn / hs)))
-            bad = (np.abs(dphi) > _PHASE_STEP) | (dmod > _LOGMOD_STEP)
-            if not np.any(bad):
-                out[i] = _loop_moments(zs, hs, dphi)
-            elif zs.size > _MAX_BOUNDARY_POINTS:
-                out[i] = _Unresolvable("boundary refinement budget exhausted")
-            elif rnd == _MAX_REFINE_ROUNDS - 1:
-                out[i] = _Unresolvable("phase tracking did not converge")
-            else:
-                # midpoints of the bad neighbour pairs; corners are samples, so
-                # every midpoint lies on the boundary
-                idx = np.nonzero(bad)[0]
-                mids[i] = (idx, 0.5 * (zs[idx] + np.roll(zs, -1)[idx]))
-        if not mids:
+        z, n = zf[0], zf.shape[1]
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        sizes = np.diff(np.append(first, n))
+        nxt = np.arange(1, n + 1)
+        nxt[first + sizes - 1] = first
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = 1.0 / zf[1]
+            d = np.log(h[nxt] / h)
+            w_raw = np.add.reduceat(d.imag, first) / TWO_PI
+            s1 = np.add.reduceat(0.5 * (z + z[nxt]) * d, first) / (2j * np.pi)
+            s2 = np.add.reduceat(z * z[nxt] * d, first) / (2j * np.pi)
+        broken = np.logical_or.reduceat(~np.isfinite(h) | (h == 0), first)
+        bad = (np.abs(d.imag) > _PHASE_STEP) | (np.abs(d.real) > _LOGMOD_STEP)
+        refine = np.logical_or.reduceat(bad, first) & ~broken
+        w = np.round(w_raw)
+        for i in np.flatnonzero(~broken & ~refine & (np.abs(w_raw - w) <= 0.1)):
+            out[owner[first[i]]] = (int(w[i]), s1[i], s2[i])
+        if owner[0] == 0 and out[0] is not None:
+            h_first = h[:sizes[0]]
+        grow = refine & (sizes <= _MAX_BOUNDARY_POINTS) & (rnd < _MAX_REFINE_ROUNDS - 1)
+        if not np.any(grow):
             break
-        for i, f_mid in zip(mids, _split_call(f, [z_mid for _, z_mid in mids.values()])):
-            idx, z_mid = mids[i]
-            loops[i] = np.insert(loops[i], idx + 1, z_mid)
-            values[i] = np.insert(values[i], idx + 1, f_mid)
-        todo = list(mids)
-    return out
-
-
-def _loop_moments(zs, hs, dphi):
-    """(W, s1, s2, median |h|) of a resolved loop of samples ``hs`` at ``zs``."""
-    # winding from wrapped increments, all below the aliasing threshold
-    w_raw = float(np.sum(dphi)) / TWO_PI
-    w = int(np.round(w_raw))
-    if abs(w_raw - w) > 0.1:
-        return _Unresolvable("non-integer winding number")
-    # continuous log h along the loop, closed with the continued branch
-    phases = np.angle(hs[0]) + np.concatenate(([0.0], np.cumsum(dphi[:-1])))
-    logs = np.log(np.abs(hs)) + 1j * phases
-    z_ext = np.concatenate([zs, zs[:1]])
-    l_ext = np.concatenate([logs, [logs[0] + 1j * TWO_PI * w]])
-    dz = np.diff(z_ext)
-    mid_l = 0.5 * (l_ext[:-1] + l_ext[1:])
-    int_l = np.sum(mid_l * dz)
-    mid_zl = 0.5 * (l_ext[:-1] * z_ext[:-1] + l_ext[1:] * z_ext[1:])
-    int_zl = np.sum(mid_zl * dz)
-    z0 = z_ext[0]
-    s1 = z0 * w - int_l / (2j * np.pi)
-    s2 = z0 * z0 * w - int_zl / (1j * np.pi)
-    return w, s1, s2, float(np.median(np.abs(hs)))
-
-
-def _split_call(f, arrays):
-    """f over several point arrays in one call, split back per array."""
-    values = f(np.concatenate(arrays))
-    return np.split(values, np.cumsum([a.size for a in arrays])[:-1])
+        # midpoints of the bad neighbour pairs; corners are samples, so every
+        # midpoint lies on the boundary.  Finished loops are dropped.
+        keep = np.repeat(grow, sizes)
+        idx = np.flatnonzero(bad & keep)
+        z_mid = 0.5 * (z[idx] + z[nxt[idx]])
+        keep = np.insert(keep, idx + 1, True)
+        zf = np.insert(zf, idx + 1, [z_mid, f(z_mid)], axis=1)[:, keep]
+        owner = np.insert(owner, idx + 1, owner[idx])[keep]
+    return out, h_first
 
 
 def _newton_run(z0: complex, scale: float):
@@ -329,10 +300,10 @@ def _newton(f, starts, scales):
     out = [None] * len(runs)
     while points:
         deltas = [1e-4 * scales[i] for i in points]
-        triples = [np.array([z, z + d, z - d]) for z, d in zip(points.values(), deltas)]
+        triples = np.array([[z, z + d, z - d] for z, d in zip(points.values(), deltas)])
         with np.errstate(all="ignore"):
             try:
-                values = _split_call(f, triples)
+                values = f(triples.ravel()).reshape(triples.shape)
             except ModeCertError:
                 values = [_call_or_none(f, zz) for zz in triples]
         for i, vals, delta in zip(list(points), values, deltas):
@@ -407,8 +378,8 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
         prev_region, prev_poles = previous
         found = [(p.omega_pole, p.residual) for p in prev_poles]
         boxes = [region.box] + _ring(region.box, prev_region.box)
-    resolved = _resolved_moments(f, boxes)
-    med_h = resolved[0][1][3]   # median |1/f| on the root boundary
+    resolved, h_root = _resolved_moments(f, boxes)
+    med_h = float(np.median(np.abs(h_root)))   # median |1/f| on the root boundary
     h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
     if previous is not None:
         resolved = resolved[1:]
@@ -417,11 +388,11 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
                       if (tols := _gates(box, moments, dedupe)) is not None]
         # single simple pole only if the refined location reproduces BOTH
         # moments; hidden pole/zero pairs shift s1 or s2 and force a split
-        singles = [(box, s1, tols[0]) for box, (w, s1, _, _), tols in open_boxes if w == 1]
+        singles = [(box, s1, tols[0]) for box, (w, s1, _), tols in open_boxes if w == 1]
         refined = iter(_newton(f, [_start(box, s1) for box, s1, _ in singles],
                                [diam for _, _, diam in singles]))
         children = []
-        for box, (w, s1, s2, _), (diam, match1, match2) in open_boxes:
+        for box, (w, s1, s2), (diam, match1, match2) in open_boxes:
             if w == 1:
                 z_hat, resid = next(refined)
                 if (z_hat is not None and resid < h_tol
@@ -447,7 +418,7 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
             children.extend(_split(box))
         if not children:
             break
-        resolved = _resolved_moments(f, children)
+        resolved, _ = _resolved_moments(f, children)
     return _dedupe(found, dedupe, region)
 
 
@@ -457,7 +428,7 @@ def _gates(box, moments, dedupe):
     Returns None when the moments show no pole: an empty box, a pole-zero
     pair below the search resolution, or one lone zero of f.
     """
-    w, s1, s2, _ = moments
+    w, s1, s2 = moments
     diam = float(np.hypot(box[1] - box[0], box[3] - box[2]))
     zmax = max(abs(complex(box[0], box[2])), abs(complex(box[1], box[3])))
     eps1 = max(2e-4 * diam, 1e-13 * max(zmax, 1.0))
@@ -495,21 +466,25 @@ def _resolved_moments(f, boxes):
     """(box, moments) per box, each box replaced by its first perturbation that resolves.
 
     Boxes whose boundary is unresolvable are perturbed (:func:`_perturbed`)
-    and retried together, at most four attempts in all.
+    and retried together, at most four attempts in all.  Also returns the h
+    samples of the first box's resolved boundary.
     """
     boxes = list(boxes)
     out = [None] * len(boxes)
     todo = range(len(boxes))
     for attempt in range(4):
+        moments, h_first = _box_moments(f, [boxes[i] for i in todo])
+        if todo[0] == 0:
+            h_root = h_first
         retry = []
-        for i, moments in zip(todo, _box_moments(f, [boxes[i] for i in todo])):
-            if isinstance(moments, _Unresolvable):
+        for i, m in zip(todo, moments):
+            if m is None:
                 boxes[i] = _perturbed(boxes[i], attempt)
                 retry.append(i)
             else:
-                out[i] = (boxes[i], moments)
+                out[i] = (boxes[i], m)
         if not retry:
-            return out
+            return out, h_root
         todo = retry
     raise UnresolvedRegionError("boundary winding ill-conditioned", box=boxes[todo[0]])
 

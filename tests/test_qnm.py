@@ -55,7 +55,11 @@ def test_randomized_rational_suite():
 
 def test_winding_consistency_pure_poles():
     # products of bare poles have no zeros, so the top-level winding of 1/f
-    # equals the pole count exactly
+    # equals the pole count exactly, and the moments are the power sums of
+    # the poles
+    re_lo, re_hi, im_lo, im_hi = REGION.box
+    diam = np.hypot(re_hi - re_lo, im_hi - im_lo)
+    zmax = max(abs(complex(re_lo, im_lo)), abs(complex(re_hi, im_hi)))
     rng = np.random.default_rng(5)
     for _ in range(10):
         n = int(rng.integers(1, 5))
@@ -65,9 +69,11 @@ def test_winding_consistency_pure_poles():
             z = np.asarray(z, dtype=complex)
             return 1.0 / np.prod(z[..., None] - zs, axis=-1)
 
-        [(w, _, _, _)] = qnm._box_moments(f, [REGION.box])
+        [(w, s1, s2)], _ = qnm._box_moments(f, [REGION.box])
         poles = qnm.find_poles(f, REGION)
         assert w == n == len(poles)
+        assert abs(s1 - np.sum(zs)) < 3e-3 * diam
+        assert abs(s2 - np.sum(zs ** 2)) < 3e-3 * diam * zmax
 
 
 def _fewest_rounds(monkeypatch, f, box):
@@ -75,7 +81,7 @@ def _fewest_rounds(monkeypatch, f, box):
     rounds = 0
     while True:
         monkeypatch.setattr(qnm, "_MAX_REFINE_ROUNDS", rounds + 1)
-        if not isinstance(qnm._box_moments(f, [box])[0], qnm._Unresolvable):
+        if qnm._box_moments(f, [box])[0][0] is not None:
             monkeypatch.undo()
             return rounds
         rounds += 1
@@ -85,23 +91,28 @@ def test_box_moments_one_call_per_refinement_round(monkeypatch):
     # poles just inside the top edge and the bottom-left corner of the first
     # box force refinement on several of its edges in the same round; a pole
     # closer still to the top edge of the second box needs more rounds.  f
-    # has one zero between the first two poles, so that winding is 2 - 1
-    zs = (5 - 0.01j, 0.02 - 1.98j, 25 - 1e-4j)
-    first, second = (0.0, 10.0, -2.0, 0.0), (20.0, 30.0, -2.0, 0.0)
+    # has one zero between the first two poles, so that winding is 2 - 1.
+    # The third box has a pole on a boundary sample, so the first call holds
+    # resolved, refining and broken loops
+    zs = (5 - 0.01j, 0.02 - 1.98j, 25 - 1e-4j, 45 - 2j)
+    first, second, third = ((0.0, 10.0, -2.0, 0.0), (20.0, 30.0, -2.0, 0.0),
+                            (40.0, 50.0, -2.0, 0.0))
     sizes = []
 
     def f(z):
         sizes.append(np.size(z))
-        return sum(1.0 / (z - p) for p in zs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # inf where a sample hits a pole, as the layered kernel returns
+            return np.where(np.isin(z, zs), np.inf, sum(1.0 / (z - p) for p in zs))
 
     rounds = [_fewest_rounds(monkeypatch, f, box) for box in (first, second)]
     assert rounds[0] >= 2 and rounds[1] != rounds[0]
-    alone = [qnm._box_moments(f, [box])[0] for box in (first, second)]
+    alone = [qnm._box_moments(f, [box])[0][0] for box in (first, second, third)]
     sizes.clear()
-    both = qnm._box_moments(f, [first, second])
+    together, _ = qnm._box_moments(f, [first, second, third])
     assert len(sizes) == max(rounds) + 1
-    assert both == alone
-    assert both[0][0] == 1 and both[1][0] == 1
+    assert together == alone
+    assert together[0][0] == 1 and together[1][0] == 1 and together[2] is None
 
 
 def test_newton_lockstep_matches_single_runs():
