@@ -23,10 +23,12 @@ Conventions
   outgoing conditions in both claddings, so dG/dx jumps by +1 at x = x' and
   free space gives G = exp(i k |x - x'|) / (2 i k).
 * One vectorized march (:func:`_march`) carries the right-outgoing solution
-  from the right cladding to the left, broadcasting over omega and k_par.
-  ``reflection`` and ``reflectance_vs_angle`` read r = B_0/A_0 from it, and
-  ``green_function`` takes its left-outgoing solution as the right-outgoing
-  one of the mirrored stack with A and B swapped.  ``transfer_matrix`` with
+  leftwards from the right cladding, broadcasting over omega and k_par, only
+  as far as the medium it is read in.  ``reflection`` and
+  ``reflectance_vs_angle`` march to the left cladding and read r = B_0/A_0;
+  ``green_function`` marches to the medium of x_< and takes its left-outgoing
+  solution as the right-outgoing one of the mirrored stack with A and B
+  swapped, marched to the same medium.  ``transfer_matrix`` with
   ``interface_matrix`` and ``propagation_matrix`` is the scalar reference.
 * Evaluator contract: where the Wronskian falls below its numerical floor
   (omega on a pole), ``green_function`` returns inf at those entries of an
@@ -226,11 +228,12 @@ def _wavenumbers(problem: WaveProblem, omega):
     """k_z of every medium (claddings included), stacked along a first axis.
 
     Row j holds medium j at the shape of ``omega`` broadcast against k_par.
+    The exponent guard runs here, once for all finite layers.
     """
     w = _check_omega(omega)
     kp = problem.k_par
     normal = not np.any(kp)
-    if not normal and np.ndim(kp) > w.ndim:
+    if not normal and np.ndim(kp):
         w = np.broadcast_to(w, np.broadcast_shapes(w.shape, np.shape(kp)))
     stack = problem.stack
     n = stack._n_const
@@ -239,19 +242,22 @@ def _wavenumbers(problem: WaveProblem, omega):
     else:
         n = n.reshape((-1,) + (1,) * w.ndim)
     if normal:
-        return n * w  # entire in omega, no branch cut
-    nw2 = n * n * w * w
-    kz2 = nw2 - kp * kp
-    floor = np.abs(nw2)
-    del nw2   # every medium at once: keep few full-size temporaries alive
-    floor += kp * kp
-    floor *= 1e-14
-    near = np.abs(kz2) < floor
-    if np.any(near):
-        j = int(np.argmax(near.reshape(len(near), -1).any(axis=1)))
-        raise BranchPointError(
-            f"k_z = 0 in medium {stack.media()[j].name!r}: branch point", omega=omega)
-    return np.sqrt(kz2, out=kz2)
+        ks = n * w  # entire in omega, no branch cut
+    else:
+        nw2 = n * n * w * w
+        kz2 = nw2 - kp * kp
+        floor = np.abs(nw2)
+        del nw2   # every medium at once: keep few full-size temporaries alive
+        floor += kp * kp
+        floor *= 1e-14
+        near = np.abs(kz2) < floor
+        if np.any(near):
+            j = int(np.argmax(near.reshape(len(near), -1).any(axis=1)))
+            raise BranchPointError(
+                f"k_z = 0 in medium {stack.media()[j].name!r}: branch point", omega=omega)
+        ks = np.sqrt(kz2, out=kz2)
+    _check_exponent(ks[1:-1], stack._thicknesses.reshape((-1,) + (1,) * (ks.ndim - 1)))
+    return ks
 
 
 def interface_matrix(k_a, k_b) -> np.ndarray:
@@ -302,36 +308,36 @@ def transfer_matrix(problem: WaveProblem, omega: complex) -> np.ndarray:
 # the march: reflection, outgoing solutions and the Green's function
 # ---------------------------------------------------------------------------
 
-def _march(ks, ds, keep=()):
-    """March the right-outgoing solution from the right cladding to the left.
+def _march(ks, ds, keep=(), stop=0):
+    """March the right-outgoing solution from the right cladding to medium ``stop``.
 
     ``ks`` stacks the wavenumbers of every medium along its first axis (see
     :func:`_wavenumbers`) and ``ds`` is the thickness array of the layers.
-    Starts from (A, B) = (1, 0) in the right cladding and applies the factors
-    of :func:`transfer_matrix` right to left (I_N, P_N, ..., P_1, I_0), so the
-    left cladding ends with (A_0, B_0) = (m11, m21) and r = B_0 / A_0.
-    Broadcasts over whatever shape the wavenumbers have (omega, k_par or
-    both); the exponent guard runs once for all layers.  Returns (A_0, B_0,
-    kept) where ``kept`` maps each medium index in ``keep`` to its amplitudes
-    referenced to the medium's right and left edge, ((A, B)_right,
-    (A, B)_left); the claddings use their inner boundary for both.  Only the
-    kept media are stored.
+    Starts from (A, B) = (1, 0) in the right cladding, so the first interface
+    step gives (p, m), and applies the factors of :func:`transfer_matrix` right
+    to left (I_N, P_N, ..., P_stop+1, I_stop); with ``stop = 0`` the left
+    cladding ends with (A_0, B_0) = (m11, m21) and r = B_0 / A_0.  Broadcasts
+    over whatever shape the wavenumbers have (omega, k_par or both).  Returns
+    (right, kept): the amplitudes at the right edge of medium ``stop`` (the
+    inner boundary of a cladding), and for each medium index in ``keep`` (none
+    below ``stop``) its amplitudes referenced to the medium's right and left
+    edge, ((A, B)_right, (A, B)_left); the claddings use their inner boundary
+    for both.  P_stop is applied only when ``stop`` is kept.
     """
     n_lay = len(ds)
-    _check_exponent(ks[1:-1], ds.reshape((-1,) + (1,) * (ks.ndim - 1)))
-    a, b = 1.0, 0.0
-    kept = {n_lay + 1: ((a, b), (a, b))} if n_lay + 1 in keep else {}
-    for j in range(n_lay, -1, -1):
+    right = (1.0, 0.0)
+    kept = {n_lay + 1: (right, right)} if n_lay + 1 in keep else {}
+    for j in range(n_lay, stop - 1, -1):
         inv = 0.5 / ks[j]
         p, m_ = (ks[j] + ks[j + 1]) * inv, (ks[j] - ks[j + 1]) * inv
-        a, b = p * a + m_ * b, m_ * a + p * b      # right-edge referenced
+        a, b = (p, m_) if j == n_lay else (p * a + m_ * b, m_ * a + p * b)
         right = (a, b)
-        if j:
+        if j and (j > stop or j in keep):
             ph = np.exp(-1j * ks[j] * ds[j - 1])
             a, b = a * ph, b / ph                   # shift reference to left edge
         if j in keep:
             kept[j] = (right, (a, b))
-    return a, b, kept
+    return right, kept
 
 
 def reflection(problem: WaveProblem, omega):
@@ -339,7 +345,7 @@ def reflection(problem: WaveProblem, omega):
 
     Accepts scalar or array omega; |r|^2 <= 1 for real omega in passive stacks.
     """
-    a0, b0, _ = _march(_wavenumbers(problem, omega), problem.stack._thicknesses)
+    (a0, b0), _ = _march(_wavenumbers(problem, omega), problem.stack._thicknesses)
     return b0 / a0
 
 
@@ -363,9 +369,8 @@ def _locate(stack: LayerStack, x: float):
     return j, bounds[j - 1]
 
 
-def _eval_amp(amps, k, x, ref):
+def _eval_amp(amps, ph):
     a, b = amps
-    ph = np.exp(1j * k * (x - ref))
     return a * ph + b / ph
 
 
@@ -377,7 +382,8 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
     from the resonator poles and therefore usable at complex omega.  E_R
     comes from :func:`_march`; E_L is the right-outgoing solution of the
     mirrored stack with A and B swapped, whose right-edge amplitudes are
-    referenced to the left edges of the original layers.
+    referenced to the left edges of the original layers.  Both marches stop
+    in the medium of x_<, so together they cross every interface once.
 
     Where the Wronskian falls below its numerical floor (omega at a pole)
     an array ``omega`` gets ``inf`` at those entries.
@@ -392,22 +398,23 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
     x_lo, x_hi = (x, xp) if x <= xp else (xp, x)
     j_lo, ref_lo = _locate(problem.stack, x_lo)
     j_hi, ref_hi = _locate(problem.stack, x_hi)
-    mirror = len(ks) - 1 - j_lo
-    _, _, er = _march(ks, ds, keep={j_lo, j_hi})
-    _, _, el = _march(ks[::-1], ds[::-1], keep={mirror})
-    bl, al = el[mirror][0]
+    _, er = _march(ks, ds, keep={j_lo, j_hi}, stop=j_lo)
+    (bl, al), _ = _march(ks[::-1], ds[::-1], stop=len(ks) - 1 - j_lo)
 
     # Wronskian in the layer of x_<; constant across layers analytically
     ar, br = er[j_lo][1]
-    w = 2j * ks[j_lo] * (bl * ar - al * br)
-    floor = 1e-13 * np.abs(2.0 * ks[j_lo]) * (np.abs(bl * ar) + np.abs(al * br))
+    two_ik = 2j * ks[j_lo]
+    u, v = bl * ar, al * br
+    w = two_ik * (u - v)
+    floor = 1e-13 * np.abs(two_ik) * (np.abs(u) + np.abs(v))
     bad = np.abs(w) <= floor
     if np.ndim(bad) == 0 and bad:
         raise NearPoleError(f"Wronskian vanishes: omega at/near a pole ({omega})",
                             omega=omega)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (_eval_amp((al, bl), ks[j_lo], x_lo, ref_lo)
-             * _eval_amp(er[j_hi][1], ks[j_hi], x_hi, ref_hi) / w)
+        ph_lo = np.exp(1j * ks[j_lo] * (x_lo - ref_lo))
+        ph_hi = ph_lo if x_hi == x_lo else np.exp(1j * ks[j_hi] * (x_hi - ref_hi))
+        g = _eval_amp((al, bl), ph_lo) * _eval_amp(er[j_hi][1], ph_hi) / w
     return np.where(bad, complex(np.inf, 0.0), g) if np.any(bad) else g
 
 
@@ -420,8 +427,9 @@ def field_profile(problem: WaveProblem, omega, xs):
     ks = _wavenumbers(problem, complex(omega))
     xs_flat = [float(x) for x in np.atleast_1d(xs)]
     where = [_locate(problem.stack, x) for x in xs_flat]
-    a0, _, er = _march(ks, problem.stack._thicknesses, keep={j for j, _ in where})
-    out = [_eval_amp(er[j][1], ks[j], x, ref) / a0 for x, (j, ref) in zip(xs_flat, where)]
+    (a0, _), er = _march(ks, problem.stack._thicknesses, keep={j for j, _ in where})
+    out = [_eval_amp(er[j][1], np.exp(1j * ks[j] * (x - ref))) / a0
+           for x, (j, ref) in zip(xs_flat, where)]
     return np.array(out, dtype=complex).reshape(np.shape(xs))
 
 

@@ -88,7 +88,7 @@ def single_mode_atom_reflection(p: SingleModeParams, omega):
 def _free_space_wavenumber(problem: WaveProblem, omega):
     """Vacuum longitudinal wavenumber at the problem's parallel wavevector."""
     w = np.asarray(omega, dtype=complex) if np.ndim(omega) else complex(omega)
-    if problem.k_par == 0.0:
+    if not np.any(problem.k_par):
         return w
     return np.sqrt(w * w - problem.k_par ** 2)
 

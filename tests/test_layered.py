@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modecert import layered as ly
+from modecert import layered as ly, witness as wt
 from modecert.errors import (
     BranchPointError,
     ConfigurationError,
@@ -16,6 +16,8 @@ from conftest import fp_problem
 
 
 GLASS2 = ly.Material.constant("glass2", 2.0)
+# |Im k| d = 1000 omega over a 100-unit layer: far past the exponent guard
+BLACK = ly.Material.constant("black", 1.0 + 10.0j)
 
 
 def empty_problem():
@@ -88,10 +90,26 @@ def test_branch_point_error_at_kz_zero():
 
 
 def test_thickness_overflow_error():
-    absorber = ly.Material.constant("black", 1.0 + 10.0j)
-    st = ly.LayerStack(ly.VACUUM, ((absorber, 100.0),), ly.VACUUM)
+    st = ly.LayerStack(ly.VACUUM, ((BLACK, 100.0),), ly.VACUUM)
     with pytest.raises(ThicknessOverflowError):
         ly.reflection(ly.WaveProblem(st), 10.0)
+
+
+@pytest.mark.parametrize("layers, x_a", [
+    (((BLACK, 100.0), (GLASS2, 1.0)), 100.5),
+    (((GLASS2, 1.0), (BLACK, 100.0)), 0.5),
+    (((BLACK, 100.0),), 50.0),
+], ids=["absorber_left", "absorber_right", "absorber_contains"])
+def test_thickness_overflow_error_green_and_witness(layers, x_a):
+    # the guard runs once per call over every finite layer, wherever the
+    # truncated marches stop relative to the absorber
+    emitter = ly.EmitterSpec(x_a=x_a, omega_a=10.0, gamma=1.0)
+    pr = ly.WaveProblem(ly.LayerStack(ly.VACUUM, layers, ly.VACUUM, emitter))
+    for omega in (10.0, np.array([9.0, 10.0])):
+        with pytest.raises(ThicknessOverflowError):
+            ly.green_function(pr, x_a, x_a, omega)
+        with pytest.raises(ThicknessOverflowError):
+            wt.levshift_exact(pr, omega_test=omega)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,22 @@ def test_free_space_normalization_grazing():
     assert np.max(np.abs(d + 0.5j)) < 1e-12
 
 
+def test_levshift_array_k_par_matches_scalar_calls():
+    # an array k_par broadcasts through the calibration as through the kernel
+    stack = ly.build_fabry_perot(1.0, 4.0)
+    kps = np.array([0.1, 0.2, 0.3])
+    scalar = [ly.WaveProblem(stack, k_par=kp) for kp in kps]
+    z = 3.0 - 0.1j
+    got = wt.levshift_exact(ly.WaveProblem(stack, k_par=kps), omega_test=z)
+    want = [wt.levshift_exact(pr, omega_test=z) for pr in scalar]
+    # scalar calls run on Python complex numbers, array calls on numpy loops
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+    om = np.array([2.5, z])
+    got = wt.levshift_exact(ly.WaveProblem(stack, k_par=kps), omega_test=om[:, None])
+    want = np.array([wt.levshift_exact(pr, omega_test=om) for pr in scalar]).T
+    assert got.shape == (2, 3) and np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_delta_small_at_probed_minimum_n20():
     pr = fp_problem(20.0)
     fn = lambda w: np.abs(ly.reflection(pr, w)) ** 2
