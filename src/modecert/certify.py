@@ -47,7 +47,6 @@ from .qnm import (
     build_expansion,
     convergence_report,
     counted_poles,
-    witness_evaluator,
 )
 from .witness import (
     LevelShiftCurve,
@@ -57,6 +56,7 @@ from .witness import (
     levshift_exact,
     local_minima,
     parabola_vertex,
+    witness_evaluator,
 )
 
 

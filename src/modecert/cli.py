@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -37,8 +36,8 @@ from .layered import (
     reflection,
 )
 from .pfm import PfmParams, diagonalize, levshift_matrix
-from .qnm import ScanRegion, build_expansion, witness_evaluator
-from .witness import LevelShiftCurve, levshift_curve
+from .qnm import ScanRegion, build_expansion
+from .witness import LevelShiftCurve, levshift_curve, witness_evaluator
 
 SCHEMA_VERSION = 1
 
@@ -264,10 +263,9 @@ def _float_table(header: str, rows, tag: str | None = None) -> str:
 def _spectrum_csv(omega, r) -> str:
     """``omega,r_re,r_im,reflectance`` rows of a reflection spectrum."""
     r = np.asarray(r, dtype=complex)
-    # Python's complex abs per value: np.abs differs from it in the last bit
-    reflectance = np.fromiter((abs(complex(z)) ** 2 for z in r), float, r.size)
+    # the expression classify locates omega_min with
     return _float_table("omega,r_re,r_im,reflectance",
-                        np.column_stack([omega, r.real, r.imag, reflectance]))
+                        np.column_stack([omega, r.real, r.imag, np.abs(r) ** 2]))
 
 
 def _curve_csv(curve: LevelShiftCurve) -> str:
@@ -375,10 +373,9 @@ def run(scenario: Scenario, command: str = "classify", out_dir=None) -> int:
     """Execute a scenario; returns the process exit code.
 
     Writes all artifacts plus ``manifest.json`` (path, sha256, role per file)
-    into the output directory.  The MODECERT_OUT environment variable
-    overrides the output directory.
+    into ``out_dir``, or into the scenario's ``output.dir`` when it is None.
     """
-    out = os.environ.get("MODECERT_OUT") or out_dir or scenario.output["dir"]
+    out = out_dir or scenario.output["dir"]
     art = _Artifacts(Path(out))
     art.write("scenario.json", scenario.to_json() + "\n", "config")
     try:

@@ -228,7 +228,7 @@ def _wavenumbers(problem: WaveProblem, omega):
     """k_z of every medium (claddings included), stacked along a first axis.
 
     Row j holds medium j at the shape of ``omega`` broadcast against k_par.
-    The exponent guard runs here, once for all finite layers.
+    The exponent guard runs here, once over the sum of all finite layers.
     """
     w = _check_omega(omega)
     kp = problem.k_par
@@ -275,16 +275,17 @@ def interface_matrix(k_a, k_b) -> np.ndarray:
 
 def propagation_matrix(k, d) -> np.ndarray:
     """2x2 matrix mapping right-edge-referenced to left-edge-referenced amplitudes."""
-    _check_exponent(k, d)
+    _check_exponent([k], d)
     ph = np.exp(-1j * k * d)
     return np.array([[ph, 0.0], [0.0, 1.0 / ph]], dtype=complex)
 
 
 def _check_exponent(k, d):
-    ex = np.abs(np.imag(k)) * d
+    """Bound the whole march: |Im k_z| * thickness summed over the layer axis 0."""
+    ex = np.sum(np.abs(np.imag(k)) * d, axis=0)
     if np.any(ex > _MAX_EXPONENT):
         raise ThicknessOverflowError(
-            f"|Im k_z| * thickness = {float(np.max(ex)):.3g} exceeds {_MAX_EXPONENT:g}")
+            f"sum of |Im k_z| * thickness = {float(np.max(ex)):.3g} exceeds {_MAX_EXPONENT:g}")
 
 
 def transfer_matrix(problem: WaveProblem, omega: complex) -> np.ndarray:

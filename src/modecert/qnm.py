@@ -24,9 +24,10 @@ more than the points it carries.  Each box boundary is one closed loop of
 samples, corners included, refined by inserting neighbour midpoints.  The
 loops of a subdivision level lie end to end in one flat array, examined in
 one array pass and sampled in one evaluator call per round.  The Newton
-runs of a level advance in lockstep, one call per step.  A search over a
-grown region can start from the poles of an earlier search over a region
-inside it and subdivide only the strips the growth added.
+runs of a level are one array iteration, one call per step.  A search over
+a grown region can start from the poles of an earlier search over a region
+inside it and subdivide only the strips the growth added.  The evaluator is
+called on arrays only; an error it raises ends the search unchanged.
 
 Residues are evaluated by the trapezoid rule on a circle around each pole,
 which is exponentially convergent for meromorphic integrands and exact for
@@ -44,7 +45,6 @@ import numpy as np
 from .errors import (
     AccuracyError,
     ExceptionalPointError,
-    ModeCertError,
     RegionTooSmallError,
     UnresolvedRegionError,
 )
@@ -70,14 +70,6 @@ class Pole:
     omega_pole: complex
     residue: complex | None = None
     residual: float = np.nan
-
-    @property
-    def Omega(self) -> float:
-        return self.omega_pole.real
-
-    @property
-    def kappa(self) -> float:
-        return -2.0 * self.omega_pole.imag
 
     def to_dict(self) -> dict:
         """The JSON record of a pole with its residue."""
@@ -135,9 +127,6 @@ class PoleExpansion:
                            tuple(sorted(self.poles, key=lambda p: (p.omega_pole.real,
                                                                    p.omega_pole.imag))))
 
-    def __len__(self):
-        return len(self.poles)
-
     def to_dict(self) -> dict:
         return {
             "poles": [p.to_dict() for p in self.poles],
@@ -156,30 +145,6 @@ class ConvergenceReport:
     n_star: int
     errors: list          # errors[k] is the sup-norm error of the (k+1)-pole sum
     offset: complex
-
-
-# ---------------------------------------------------------------------------
-# evaluator plumbing
-# ---------------------------------------------------------------------------
-
-def witness_evaluator(problem):
-    """Witness of the problem's emitter on complex arrays, for the pole search.
-
-    Newton refinement deliberately steps onto poles, where the kernel returns
-    inf for those entries, which is the correct limit for h = 1/f.
-    """
-    from .witness import levshift_exact
-
-    def f(w):
-        # omega = 0 is a removable point of the witness (delta ~ gamma omega G);
-        # nudge exact zeros so symmetric scan contours may cross the origin
-        w = np.asarray(w, dtype=complex)
-        if np.any(w == 0):
-            w = np.where(w == 0, 1e-30 + 0j, w)
-        with np.errstate(all="ignore"):
-            return levshift_exact(problem, omega_test=w)
-
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -245,87 +210,51 @@ def _box_moments(f, boxes):
     return out, h_first
 
 
-def _newton_run(z0: complex, scale: float):
-    """One Newton refinement of a zero of h = 1/f, as a generator.
-
-    Yields each point at which it needs (h, h') and is sent them back, or
-    None when the evaluator raised there; returns (z, |h(z)|) or (None, inf).
-    """
-    z = complex(z0)
-    prev_step = None
-    for _ in range(_NEWTON_ITERS):
-        got = yield z
-        if got is None:
-            return None, np.inf
-        t, dt = got
-        if not np.isfinite(t):
-            # stepped onto a singularity of the target; back off half the step
-            if prev_step is None:
-                return None, np.inf
-            z = z + 0.5 * prev_step
-            prev_step = 0.5 * prev_step
-            if abs(prev_step) < 1e-16 * max(abs(z), scale):
-                return None, np.inf
-            continue
-        if not np.isfinite(dt) or dt == 0:
-            return None, np.inf
-        step = t / dt
-        if not np.isfinite(step):
-            return None, np.inf
-        z_new = z - step
-        if abs(z_new - z0) > 10.0 * scale:
-            return None, np.inf
-        z = z_new
-        prev_step = step
-        if abs(step) < 1e-14 * max(abs(z), scale):
-            break
-    got = yield z
-    if got is None or not np.isfinite(got[0]):
-        return None, np.inf
-    return z, abs(got[0])
-
-
 def _newton(f, starts, scales):
-    """Newton refinement of zeros of h = 1/f from several starts in lockstep.
+    """Newton refinement of zeros of h = 1/f from several starts, as one array iteration.
 
     Every step evaluates f at z and z +- delta (delta = 1e-4 * scale, a
-    central difference; f is analytic) for all unfinished runs in one call.
-    Each run keeps its own step, back-off and exit rules (see
-    :func:`_newton_run`).  When the shared call raises a ModeCertError, the
-    step is evaluated run by run, so only the runs whose own points raise
-    end.  Returns one (z, |h(z)|) or (None, inf) per start.
+    central difference; f is analytic) for all live runs in one call.  A run
+    fails when h, the slope or the step is not finite, when the slope is 0,
+    or when it strays more than 10 scale from its start; it stops when the
+    step falls below 1e-14 max(|z|, scale) or after ``_NEWTON_ITERS`` steps.
+    The live runs are kept packed in arrays that shrink as runs end.  One
+    last call evaluates h at the stopped runs.  Returns one (z, |h(z)|) or
+    (None, inf) per start.
     """
-    runs = {i: _newton_run(z0, scale) for i, (z0, scale) in enumerate(zip(starts, scales))}
-    points = {i: next(run) for i, run in runs.items()}
-    out = [None] * len(runs)
-    while points:
-        deltas = [1e-4 * scales[i] for i in points]
-        triples = np.array([[z, z + d, z - d] for z, d in zip(points.values(), deltas)])
-        with np.errstate(all="ignore"):
-            try:
-                values = f(triples.ravel()).reshape(triples.shape)
-            except ModeCertError:
-                values = [_call_or_none(f, zz) for zz in triples]
-        for i, vals, delta in zip(list(points), values, deltas):
-            got = None
-            if vals is not None:
-                with np.errstate(all="ignore"):
-                    # a non-finite f means h = 1/f vanished exactly: we are at the pole
-                    t = 1.0 / np.where(np.isfinite(vals), vals, np.inf)
-                got = t[0], (t[1] - t[2]) / (2.0 * delta)
-            try:
-                points[i] = runs[i].send(got)
-            except StopIteration as done:
-                out[i] = done.value
-                del points[i]
+    def h_at(w):
+        v = f(w)
+        # a non-finite f means h = 1/f vanished exactly: we are at the pole
+        return 1.0 / np.where(np.isfinite(v), v, np.inf)
+
+    run = np.arange(len(starts))
+    z0 = z = np.array(starts, dtype=complex)
+    scale = np.array(scales, dtype=float)
+    stopped = []   # (runs, z) of the runs that stopped
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_ITERS):
+            if not run.size:
+                break
+            d = 1e-4 * scale
+            h = h_at(np.array([z, z + d, z - d]).T.ravel()).reshape(-1, 3)
+            slope = (h[:, 1] - h[:, 2]) / (2.0 * d)
+            step = h[:, 0] / slope
+            z = z - step
+            # the step is finite only if h is finite and the slope is not 0
+            ok = np.isfinite(step) & np.isfinite(slope) & (np.abs(z - z0) <= 10.0 * scale)
+            done = ok & (np.abs(step) < 1e-14 * np.maximum(np.abs(z), scale))
+            stopped.append((run[done], z[done]))
+            ok &= ~done
+            run, z, z0, scale = run[ok], z[ok], z0[ok], scale[ok]
+        stopped.append((run, z))
+        run = np.concatenate([r for r, _ in stopped])
+        z = np.concatenate([zr for _, zr in stopped])
+        h = h_at(z) if run.size else []
+    out = [(None, np.inf)] * len(starts)
+    for k, zk, hk in zip(run, z, h):
+        if np.isfinite(hk):
+            out[k] = (zk, abs(hk))
     return out
-
-
-def _call_or_none(f, z):
-    try:
-        return f(z)
-    except ModeCertError:
-        return None
 
 
 def _perturbed(box, attempt: int):
@@ -350,7 +279,7 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
     must be analytic in the region apart from isolated simple poles and
     must not have a pole on the region boundary.  Returned poles carry the
     refinement residual |1/f|; residues are not filled in (see
-    :func:`compute_residue` / :func:`build_expansion`).
+    :func:`build_expansion`).
 
     The box tree is searched level by level: the boundary loops of a level
     share one evaluator call per refinement round (:func:`_box_moments`) and
@@ -539,30 +468,6 @@ def _dedupe(found, radius, region: ScanRegion):
 # residues and expansions
 # ---------------------------------------------------------------------------
 
-def compute_residue(f, pole_location: complex, radius: float, samples: int = 64,
-                    tol: float | None = None):
-    """Residue of f at a pole via the M-point circular trapezoid rule.
-
-    Returns (residue, error_estimate); the estimate is the change under
-    doubling M, read from one 2M-point ring.  The caller must pick ``radius``
-    smaller than half the distance to the nearest other pole.
-
-    Raises
-    ------
-    AccuracyError
-        If ``tol`` is given and the doubling estimate exceeds it (relative
-        to |residue|, absolute once the residue is numerically zero).
-    """
-    if samples < 16:
-        raise ValueError("samples must be >= 16")
-    [(res, err)] = _ring_residues(f, [pole_location], [radius], samples)
-    if tol is not None and not _accurate(res, err, tol):
-        raise AccuracyError(
-            f"residue error estimate {err:.3g} above tolerance; "
-            "reduce the radius or increase the sample count")
-    return res, err
-
-
 def _ring_residues(f, centres, radii, samples: int):
     """(residue, doubling error) on a 2M-point ring around each centre, one call."""
     m2 = 2 * samples
@@ -587,7 +492,8 @@ def build_expansion(f, region: ScanRegion,
     """Pole expansion of an evaluator ``f`` over a scan region.
 
     ``f`` maps complex arrays to complex arrays, as :func:`find_poles`
-    requires; :func:`witness_evaluator` gives the witness of a problem.
+    requires; :func:`modecert.witness.witness_evaluator` gives the witness
+    of a problem.
     Locates the poles of ``f`` and computes residues by contour integration
     with radii that keep clear of neighboring poles and of the region's side
     and bottom edges (the witness is analytic across the real axis, so

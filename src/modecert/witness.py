@@ -111,6 +111,24 @@ def levshift_exact(problem: WaveProblem, emitter: EmitterSpec | None = None,
     return emitter.gamma * _free_space_wavenumber(problem, omega_test) * g
 
 
+def witness_evaluator(problem: WaveProblem):
+    """Witness of the problem's emitter on complex arrays, for the pole search.
+
+    Newton refinement deliberately steps onto poles, where the kernel returns
+    inf for those entries, which is the correct limit for h = 1/f.
+    """
+    def f(w):
+        # omega = 0 is a removable point of the witness (delta ~ gamma omega G);
+        # nudge exact zeros so symmetric scan contours may cross the origin
+        w = np.asarray(w, dtype=complex)
+        if np.any(w == 0):
+            w = np.where(w == 0, 1e-30 + 0j, w)
+        with np.errstate(all="ignore"):
+            return levshift_exact(problem, omega_test=w)
+
+    return f
+
+
 # ---------------------------------------------------------------------------
 # sampled curves
 # ---------------------------------------------------------------------------

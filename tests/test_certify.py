@@ -169,6 +169,15 @@ def test_bragg_window_on_emitter(n_high, periods):
     assert lo < rep.omega_min < hi
 
 
+@pytest.mark.parametrize("n_mirror", [20.0, 4.0])
+def test_report_thresholds_reproduce_at_normal_incidence(n_mirror):
+    # the report echoes its window; given back at k_par = 0, the window is
+    # certified as given and the default region is centred on it
+    rep = cf.classify(fp_problem(n_mirror))
+    again = cf.classify(fp_problem(n_mirror), thresholds=rep.thresholds)
+    assert again.to_dict() == rep.to_dict()
+
+
 # ---------------------------------------------------------------------------
 # region growth on lossy mirrors
 # ---------------------------------------------------------------------------
@@ -267,7 +276,7 @@ def test_lossy_unpaired_negative_poles_counted():
     # omega = 0 have no mirror partner, so each counts as a mode of its own
     problem = lossy_problem(8.0 + 0.5j)
     window, region = cf._default_window_region(problem)
-    exp = qnm.build_expansion(qnm.witness_evaluator(problem), region)
+    exp = qnm.build_expansion(wt.witness_evaluator(problem), region)
     negative = [p for p in exp.poles if p.omega_pole.real < 0]
     assert len(negative) == 3
     assert all(qnm._mirror_partner(exp, p) is None for p in exp.poles)

@@ -4,7 +4,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 import re
 from pathlib import Path
 
@@ -186,7 +185,7 @@ def test_run_classify_writes_the_window_scan(tmp_path, monkeypatch):
     assert [float(row[0]) for row in rows[1:]] == omega.tolist()
     assert [float(row[1]) for row in rows[1:]] == r.real.tolist()
     assert [float(row[2]) for row in rows[1:]] == r.imag.tolist()
-    assert [float(row[3]) for row in rows[1:]] == [abs(z) ** 2 for z in r.tolist()]
+    assert [float(row[3]) for row in rows[1:]] == (np.abs(r) ** 2).tolist()
 
 
 def test_float_table_format():
@@ -334,15 +333,6 @@ def test_run_classify_xray_echoes_given_window(tmp_path, material_table):
     assert report["thresholds"]["window"] == given
 
 
-def test_env_output_override(tmp_path, monkeypatch):
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("MODECERT_OUT", str(target))
-    scn = cli.parse_scenario({"version": 1, "kind": "synthetic_pfm"})
-    cli.run(scn, command="pfm-check", out_dir=tmp_path / "ignored")
-    assert (target / "pfm_check.json").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 def test_main_entrypoint(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"version": 1, "kind": "synthetic_pfm"}))
@@ -416,8 +406,7 @@ def test_readme_runs_every_shipped_scenario():
 
 
 @pytest.mark.parametrize("scenario,command", _readme_commands())
-def test_shipped_scenario_runs(tmp_path, monkeypatch, scenario, command):
-    monkeypatch.delenv("MODECERT_OUT", raising=False)
+def test_shipped_scenario_runs(tmp_path, scenario, command):
     out = tmp_path / "out"
     code = cli.main(["--scenario", str(ROOT / scenario), "--out", str(out), command])
     assert code == 0

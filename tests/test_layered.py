@@ -18,6 +18,8 @@ from conftest import fp_problem
 GLASS2 = ly.Material.constant("glass2", 2.0)
 # |Im k| d = 1000 omega over a 100-unit layer: far past the exponent guard
 BLACK = ly.Material.constant("black", 1.0 + 10.0j)
+# |Im k| d = 200 at omega = 10 over a 20-unit layer: under the guard alone
+GREY = ly.Material.constant("grey", 1.0 + 1.0j)
 
 
 def empty_problem():
@@ -99,10 +101,11 @@ def test_thickness_overflow_error():
     (((BLACK, 100.0), (GLASS2, 1.0)), 100.5),
     (((GLASS2, 1.0), (BLACK, 100.0)), 0.5),
     (((BLACK, 100.0),), 50.0),
-], ids=["absorber_left", "absorber_right", "absorber_contains"])
+    (((GREY, 40.0), (GREY, 40.0), (GLASS2, 1.0), (GREY, 40.0)), 80.5),
+], ids=["absorber_left", "absorber_right", "absorber_contains", "grey_sum"])
 def test_thickness_overflow_error_green_and_witness(layers, x_a):
-    # the guard runs once per call over every finite layer, wherever the
-    # truncated marches stop relative to the absorber
+    # the guard runs once per call over the sum of all finite layers,
+    # wherever the truncated marches stop relative to the absorbers
     emitter = ly.EmitterSpec(x_a=x_a, omega_a=10.0, gamma=1.0)
     pr = ly.WaveProblem(ly.LayerStack(ly.VACUUM, layers, ly.VACUUM, emitter))
     for omega in (10.0, np.array([9.0, 10.0])):
@@ -110,6 +113,17 @@ def test_thickness_overflow_error_green_and_witness(layers, x_a):
             ly.green_function(pr, x_a, x_a, omega)
         with pytest.raises(ThicknessOverflowError):
             wt.levshift_exact(pr, omega_test=omega)
+
+
+def test_thickness_overflow_guard_sums_the_layers():
+    # three grey 20-unit layers pass, four overflow, though no layer comes
+    # near the bound on its own
+    def stack(n_grey):
+        return ly.WaveProblem(ly.LayerStack(ly.VACUUM, ((GREY, 20.0),) * n_grey, ly.VACUUM))
+
+    assert np.isfinite(ly.reflection(stack(3), 10.0))
+    with pytest.raises(ThicknessOverflowError):
+        ly.reflection(stack(4), 10.0)
 
 
 # ---------------------------------------------------------------------------

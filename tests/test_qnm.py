@@ -1,13 +1,16 @@
 """Pole search, residues and expansions against constructed oracles."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from modecert import certify as cf, layered as ly, qnm, witness as wt
 from modecert.errors import (
     AccuracyError,
+    BranchPointError,
     ExceptionalPointError,
-    ModeCertError,
     RegionTooSmallError,
 )
 
@@ -138,46 +141,26 @@ def test_newton_lockstep_matches_single_runs():
         assert abs(z - p) < 1e-12 and resid < 1e-10
 
 
-def test_newton_error_ends_only_the_raising_run():
-    # the evaluator raises for Im z < -1: the run started near the pole below
-    # that line fails, the others are found exactly as by single runs
-    zs = np.array([2 - 0.3j, 5 - 1.5j, 8 - 0.6j])
-    c = -1.0
-
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        if np.any(z.imag < c):
-            raise ModeCertError("below the cut")
-        return np.sum(1.0 / (z[..., None] - zs), axis=-1)
-
-    starts = [z + 0.02 for z in zs]
-    got = qnm._newton(f, starts, [1.0] * 3)
-    assert got[1] == (None, np.inf)
-    assert got[0] == qnm._newton(f, starts[:1], [1.0])[0]
-    assert got[2] == qnm._newton(f, starts[2:], [1.0])[0]
-    assert abs(got[0][0] - zs[0]) < 1e-12 and abs(got[2][0] - zs[2]) < 1e-12
-
-
-def test_find_poles_survives_raising_newton_steps():
-    # the evaluator raises below the region, where one of two lockstep Newton
-    # runs of a level steps; the other box keeps its run and every pole is
-    # still found
+def test_newton_step_error_ends_the_search():
+    # the evaluator raises below the region, where a Newton step of the pole
+    # next to the bottom edge lands: the error comes out of find_poles as it
+    # was raised, not as a failed run
     zs = np.array([2 - 0.3j, 8 - 1.9j, 8 - 0.6j, 3 - 1.5j])
     raised = []
 
     def f(z):
         z = np.asarray(z, dtype=complex)
         if np.any(z.imag < -2.0):
-            raised.append(z.size)
-            raise ModeCertError("below the region")
+            raised.append(BranchPointError("below the region", omega=z))
+            raise raised[-1]
         return np.sum(1.0 / (z[..., None] - zs), axis=-1)
 
-    got = sorted((p.omega_pole for p in qnm.find_poles(f, REGION)),
-                 key=lambda c: (c.real, c.imag))
-    assert max(raised) >= 6      # a shared call of two or more runs raised
-    want = sorted(zs, key=lambda c: (c.real, c.imag))
-    assert len(got) == 4
-    assert np.max(np.abs(np.array(got) - want)) < 1e-10
+    with pytest.raises(BranchPointError) as info:
+        qnm.find_poles(f, REGION)
+    assert len(raised) == 1 and info.value is raised[0]
+    # a Newton step: runs of (z, z + delta, z - delta)
+    z = info.value.omega.reshape(-1, 3)
+    assert np.allclose(z[:, 1] + z[:, 2], 2 * z[:, 0]) and np.all(z[:, 1] != z[:, 0])
 
 
 def test_dedupe_merges_close_candidates():
@@ -257,7 +240,7 @@ def test_conjugate_symmetry_fabry_perot():
     # obey omega(-) = -omega(+)*, r(-) = r(+)*
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(-3.71 * np.pi, 3.73 * np.pi, 1.2 * np.pi)
-    exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
+    exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
     pos = sorted((p for p in exp.poles if p.omega_pole.real > 0.1),
                  key=lambda p: p.omega_pole.real)
     neg = sorted((p for p in exp.poles if p.omega_pole.real < -0.1),
@@ -269,42 +252,37 @@ def test_conjugate_symmetry_fabry_perot():
 
 
 # ---------------------------------------------------------------------------
-# compute_residue
+# residue rings
 # ---------------------------------------------------------------------------
 
+def _residue(f, z0, radius):
+    [(res, err)] = qnm._ring_residues(f, [z0], [radius], 64)
+    return res, err
+
+
 def test_residue_simple_unit():
-    r, err = qnm.compute_residue(lambda z: 1.0 / (z - (2 - 0.4j)), 2 - 0.4j,
-                                 0.3, 64)
+    r, err = _residue(lambda z: 1.0 / (z - (2 - 0.4j)), 2 - 0.4j, 0.3)
     assert abs(r - 1.0) < 1e-12
     assert err < 1e-12
 
 
 def test_residue_analytic_zero():
-    r, err = qnm.compute_residue(np.exp, 1 + 1j, 0.5, 64)
+    r, err = _residue(np.exp, 1 + 1j, 0.5)
     assert abs(r) < 1e-12
 
 
 def test_residue_with_background():
     z0 = 4 - 0.3j
-    r, _ = qnm.compute_residue(lambda z: (2 + 1j) / (z - z0) + np.cos(z / 3),
-                               z0, 0.25, 64)
+    r, _ = _residue(lambda z: (2 + 1j) / (z - z0) + np.cos(z / 3), z0, 0.25)
     assert abs(r - (2 + 1j)) < 1e-10
 
 
 def test_residue_radius_independence():
     z0, z1 = 4 - 0.3j, 6 - 0.8j
     f = lambda z: (1.2 - 0.7j) / (z - z0) + 0.5 / (z - z1)
-    r1, _ = qnm.compute_residue(f, z0, 0.4, 64)
-    r2, _ = qnm.compute_residue(f, z0, 0.2, 64)
+    r1, _ = _residue(f, z0, 0.4)
+    r2, _ = _residue(f, z0, 0.2)
     assert abs(r1 - r2) < 1e-9 * abs(r1)
-
-
-def test_residue_accuracy_error():
-    # a second pole nearly on the circle ruins the trapezoid estimate
-    z0, z1 = 4 - 0.3j, 4.41 - 0.3j
-    with pytest.raises(AccuracyError):
-        qnm.compute_residue(lambda z: 1 / (z - z0) + 1 / (z - z1), z0, 0.4,
-                            16, tol=1e-10)
 
 
 def test_residue_one_evaluator_call():
@@ -312,16 +290,22 @@ def test_residue_one_evaluator_call():
 
     def f(z):
         calls.append(np.size(z))
-        return 1.0 / (z - (2 - 0.4j))
+        return 1.0 / (z - (2 - 0.4j)) + 1.0 / (z - (5 - 0.4j))
 
-    r, _ = qnm.compute_residue(f, 2 - 0.4j, 0.3, 64)
-    assert calls == [128]
-    assert abs(r - 1.0) < 1e-12
+    rings = qnm._ring_residues(f, [2 - 0.4j, 5 - 0.4j], [0.3, 0.2], 64)
+    assert calls == [2 * 128]
+    assert all(abs(r - 1.0) < 1e-12 for r, _ in rings)
 
 
-def test_residue_sample_floor():
-    with pytest.raises(ValueError):
-        qnm.compute_residue(np.exp, 0j, 0.1, 8)
+def test_residue_accuracy_error(monkeypatch):
+    # the search is made to miss two poles of f, one just outside each ring
+    # around the pole it returns (radius 0.9, then 0.45): neither ring meets
+    # the doubling tolerance
+    z0 = 5 - 1j
+    f = lambda z: 1.0 / (z - z0) + 1.0 / (z - (z0 + 0.905)) + 1.0 / (z - (z0 - 0.455))
+    monkeypatch.setattr(qnm, "find_poles", lambda f, region, previous=None: [qnm.Pole(z0)])
+    with pytest.raises(AccuracyError, match="even at half the ring radius"):
+        qnm.build_expansion(f, REGION)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +369,7 @@ def test_expansion_oracle_pairs():
 def test_expansion_fabry_perot_single_mode_limit():
     pr = fp_problem(20.0)
     region = qnm.ScanRegion(0.6 * np.pi, 1.5 * np.pi, 0.3)
-    exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
+    exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
     assert len(exp.poles) == 1
     assert abs(np.angle(exp.poles[0].residue)) < 0.05
 
@@ -393,7 +377,7 @@ def test_expansion_fabry_perot_single_mode_limit():
 def test_expansion_fabry_perot_multi_mode():
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(0.25 * np.pi, 9.75 * np.pi, 2.0 * np.pi)
-    exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
+    exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
     assert len(exp.poles) >= 4
     main = min(exp.poles, key=lambda p: abs(p.omega_pole.real - 1.386 * np.pi))
     assert abs(np.angle(main.residue)) > 0.05
@@ -423,7 +407,7 @@ def test_truncation_convergence_sweep_n4():
     # the n = 4 cavity over a wide symmetric region
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(-14.77 * np.pi, 14.81 * np.pi, 1.2 * np.pi)
-    exp = qnm.build_expansion(qnm.witness_evaluator(pr), region)
+    exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
     win = (0.92 * np.pi, 1.85 * np.pi)
     curve = wt.levshift_curve(pr, win, n=1001, refine=1)
     rep = qnm.convergence_report(exp, curve, 0.05, 1.386 * np.pi)
@@ -482,3 +466,20 @@ def test_scan_region_validation():
         qnm.ScanRegion(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         qnm.ScanRegion(0.0, 1.0, -1.0)
+
+
+def test_qnm_layering():
+    # the pole search is generic: of the package it imports only the error
+    # types, it is no generator, and no handler catches the package's errors
+    tree = ast.parse(Path(qnm.__file__).read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    relative = {n.module for n in nodes if isinstance(n, ast.ImportFrom) and n.level}
+    absolute = {n.module for n in nodes if isinstance(n, ast.ImportFrom) and not n.level}
+    absolute |= {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+    assert relative == {"errors"}
+    assert not any(name.startswith("modecert") for name in absolute)
+    assert not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in nodes)
+    caught = [ast.unparse(n.type) if n.type else "" for n in nodes
+              if isinstance(n, ast.ExceptHandler)]
+    assert not any(c in ("", "Exception", "BaseException") or "ModeCertError" in c
+                   for c in caught)
