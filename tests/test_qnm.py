@@ -141,6 +141,49 @@ def test_newton_lockstep_matches_single_runs():
         assert abs(z - p) < 1e-12 and resid < 1e-10
 
 
+def test_newton_error_ends_only_the_raising_run():
+    # f vanishes for Im z < -1, so h = 1/f is not finite there: the run
+    # started near the pole below that line fails on its first step, the
+    # others are found exactly as by single runs (an evaluator that raises
+    # instead ends the whole search, see the test below)
+    zs = np.array([2 - 0.3j, 5 - 1.5j, 8 - 0.6j])
+    c = -1.0
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        return np.where(z.imag < c, 0.0, np.sum(1.0 / (z[..., None] - zs), axis=-1))
+
+    starts = [z + 0.02 for z in zs]
+    got = qnm._newton(f, starts, [1.0] * 3)
+    assert got[1] == (None, np.inf)
+    assert got[0] == qnm._newton(f, starts[:1], [1.0])[0]
+    assert got[2] == qnm._newton(f, starts[2:], [1.0])[0]
+    assert abs(got[0][0] - zs[0]) < 1e-12 and abs(got[2][0] - zs[2]) < 1e-12
+
+
+def test_find_poles_survives_raising_newton_steps():
+    # f vanishes below the region, where one of two lockstep Newton runs of
+    # a level steps: that run fails, its box is split, the other box keeps
+    # its run and every pole is still found
+    zs = np.array([2 - 0.3j, 8 - 1.9j, 8 - 0.6j, 3 - 1.5j])
+    calls = []   # (points, points below the region) per call
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        below = z.imag < -2.0
+        calls.append((z.size, np.count_nonzero(below)))
+        return np.where(below, 0.0, np.sum(1.0 / (z[..., None] - zs), axis=-1))
+
+    got = sorted((p.omega_pole for p in qnm.find_poles(f, REGION)),
+                 key=lambda c: (c.real, c.imag))
+    out = [k for k, (_, m) in enumerate(calls) if m]
+    # a run left the region right after a step it shared with another run
+    assert out and any(calls[k - 1][0] >= 6 for k in out)
+    want = sorted(zs, key=lambda c: (c.real, c.imag))
+    assert len(got) == 4
+    assert np.max(np.abs(np.array(got) - want)) < 1e-10
+
+
 def test_newton_step_error_ends_the_search():
     # the evaluator raises below the region, where a Newton step of the pole
     # next to the bottom edge lands: the error comes out of find_poles as it
