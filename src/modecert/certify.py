@@ -17,6 +17,9 @@ and sets the flags
 The quantitative shift decomposition splits omega_a0 - omega_min into
 off-resonant, complex-residue and multi-pole contributions that close
 exactly by construction.
+
+:func:`classify` is the one certificate path at every ``k_par``; an X-ray
+cavity is a plain wave problem (:func:`xray_problem`).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .witness import (
     local_minima,
     parabola_vertex,
     witness_evaluator,
+    zero_bracket,
 )
 
 
@@ -73,7 +77,7 @@ class Thresholds:
     residue_phase_tol: float = 0.05     # rad on |arg r_main|
     convergence_tol: float = 0.05       # relative sup-norm for N*
     shift_tol: float = 0.02             # |Re omega_main - omega_min| in units of kappa_main
-    window: tuple | None = None         # frequency interval; None derives one FSR
+    window: tuple | None = None         # frequency interval; None: classify picks one
 
     def __post_init__(self):
         if min(self.residue_phase_tol, self.convergence_tol, self.shift_tol) <= 0:
@@ -248,37 +252,39 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
              thresholds: Thresholds = Thresholds()) -> ClassificationReport:
     """Run the decision tree on the emitter of one cavity problem.
 
-    The probed emitter is ``problem.stack.emitter``.  Without
-    ``thresholds.window`` the window is one free spectral range around the
-    reflectance minimum nearest the emitter frequency (see
-    :func:`_default_window_region`); the report's thresholds echo the window
-    used.  With ``region=None`` the default region of the same function is
-    searched (symmetric at ``k_par = 0``, right of the cladding light-line
-    branch points otherwise); a given ``region`` is searched as it is.  The
-    region is doubled, up to ``_MAX_REGION_GROWTH`` times, when the
-    truncation tolerance is unreachable with the poles found (slowly
-    decaying mode ladders need wide regions); each growth searches only the
-    area it adds and keeps the poles already found.  At ``k_par != 0``
-    growth keeps the left edge, so the region stays clear of the branch
-    points, where the witness stops being meromorphic.  The report carries
-    the witness curve its certificate was checked on and the reflectance
-    scan of its window.
+    The probed emitter is ``problem.stack.emitter``.  The witness curve is
+    sampled on the widest candidate window of :func:`_default_window_region`
+    (a given ``thresholds.window`` is the only one); the widest candidate
+    whose samples bracket one Delta zero is certified, sampled again if
+    narrower, and echoed in the report's thresholds.  With ``region=None``
+    the default region of the same function is searched (symmetric at
+    ``k_par = 0``, right of the cladding light-line branch points
+    otherwise); a given ``region`` is searched as it is.  The region is
+    doubled, up to ``_MAX_REGION_GROWTH`` times, when the truncation
+    tolerance is unreachable with the poles found (slowly decaying mode
+    ladders need wide regions); each growth searches only the area it adds
+    and keeps the poles already found.  At ``k_par != 0`` growth keeps the
+    left edge, clear of the branch points.  The report carries the witness
+    curve its certificate was checked on and the reflectance scan of its
+    window.
     """
     emitter = problem.stack.emitter
     if emitter is None:
         raise ValueError("no emitter on the stack")
 
-    window = thresholds.window
-    if window is None or region is None:
-        window, default_region = _default_window_region(problem, window)
+    candidates = [thresholds.window]
+    if thresholds.window is None or region is None:
+        candidates, default_region = _default_window_region(problem, thresholds.window)
         region = region or default_region
+    curve = levshift_curve(problem, candidates[0], n=2001, refine=10)
+    window = _one_zero_window(curve, candidates)
+    if window != candidates[0]:
+        curve = levshift_curve(problem, window, n=2001, refine=10)
     thresholds = replace(thresholds, window=window)
     om = np.linspace(window[0], window[1], 2001)
     r = reflection(problem, om)
     omega_min = find_omega_min_refined(lambda w: np.abs(reflection(problem, w)) ** 2,
                                        om, np.abs(r) ** 2)
-
-    curve = levshift_curve(problem, window, n=2001, refine=10)
 
     f = witness_evaluator(problem)
     expansion = None
@@ -311,14 +317,10 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
             f"single-pole zero mismatch: closed form {z_sp}, numeric {z_sp_num}")
 
     shifts = shift_decomposition(main.residue, main.omega_pole, omega_min, omega_a0)
-    off_resonant = shifts["off_resonant"]
-    complex_residue = shifts["complex_residue"]
-    multi_pole = shifts["multi_pole"]
-    closure = shifts["closure_residual"]
 
     multi_pole_mm = bool(conv.n_star > 1)
     complex_residue_mm = bool(abs(phase) > thresholds.residue_phase_tol)
-    off_resonant_mm = bool(abs(off_resonant) > thresholds.shift_tol * kappa_main)
+    off_resonant_mm = bool(abs(shifts["off_resonant"]) > thresholds.shift_tol * kappa_main)
     single = not (multi_pole_mm or complex_residue_mm or off_resonant_mm)
 
     delta_min = levshift_exact(problem, emitter, omega_min)
@@ -335,10 +337,10 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         main_residue_phase=phase,
         n_star=int(conv.n_star),
         constant_term_magnitude=float(abs(conv.offset)),
-        off_resonant_shift=off_resonant,
-        complex_residue_shift=complex_residue,
-        multi_pole_shift=multi_pole,
-        closure_residual=float(closure),
+        off_resonant_shift=shifts["off_resonant"],
+        complex_residue_shift=shifts["complex_residue"],
+        multi_pole_shift=shifts["multi_pole"],
+        closure_residual=shifts["closure_residual"],
         delta_at_min=float(np.real(delta_min)),
         gamma_at_min=float(-2.0 * np.imag(delta_min)),
         gamma_unit=float(emitter.gamma),
@@ -376,30 +378,53 @@ def _single_pole_zero_numeric(residue, omega_pole, window):
     return float(brentq(fn, om[i - 1], om[i], xtol=1e-12 * span))
 
 
+def _one_zero_window(curve: LevelShiftCurve, candidates) -> tuple:
+    """First of ``candidates`` whose samples of ``curve`` bracket one Delta zero."""
+    for cand in candidates:
+        inside = (curve.omega >= cand[0]) & (curve.omega <= cand[1])
+        try:
+            zero_bracket(curve.omega[inside], curve.Delta[inside])
+        except AmbiguityError:
+            continue
+        return cand
+    raise AmbiguityError("no candidate window brackets a single Delta zero",
+                         candidates=candidates)
+
+
 def _default_window_region(problem: WaveProblem, window=None):
-    """One-FSR window on the probed dip plus the default scan region.
+    """Candidate windows about the probed dip, widest first, and the default region.
 
-    The reflectance is scanned over (0.25, 3.4) omega_a of the problem's
-    emitter.  The probed dip is the minimum nearest omega_a, within
-    (0.55, 1.55) omega_a; the free spectral range is the median spacing of
-    the scanned dips.  A given ``window`` is kept and centres the region.
-
-    At ``k_par = 0`` the region is symmetric: the probed dip +- 2.5 free
-    spectral ranges, mirror half included.  At ``k_par != 0`` it stays right
-    of the cladding light-line branch point, where the witness stops being
-    meromorphic: it spans :func:`_light_line_span` at depth 1.2 e, the dip
-    scan starts no lower than its left edge, and a given window needs no
-    scan at all.
+    The probed dip is the reflectance minimum nearest omega_a; a given
+    ``window`` is the one candidate.  At ``k_par = 0`` the candidate is one
+    free spectral range (the median dip spacing over (0.25, 3.4) omega_a)
+    about a dip within (0.55, 1.55) omega_a, and the region is the window
+    centre +- 2.5 free spectral ranges, mirror half included.  At
+    ``k_par != 0`` the region spans :func:`_light_line_span` at depth 1.2 e,
+    right of the branch point where the witness stops being meromorphic, and
+    a given window needs no scan; the candidates are the fractions 0.35,
+    0.28, ... (> 0.08) of the gaps to the neighbouring dips, since strongly
+    dispersing neighbour modes add Delta zeros to wider ones.
     """
     scale = problem.stack.emitter.omega_a
-    lo, region = 0.25 * scale, None
     if problem.k_par != 0:
         span, e = _light_line_span(problem)
         region = ScanRegion(*span, depth=1.2 * e)
         if window is not None:
-            return tuple(map(float, window)), region
-        lo = max(lo, region.omega_lo)
-    dips = _reflectance_dips(problem, (lo, 3.4 * scale))
+            return [tuple(map(float, window))], region
+        dips = _reflectance_dips(problem, span, n=6000)
+        if not dips:
+            raise AmbiguityError("no reflectance minima found for the default window")
+        probed = min(dips, key=lambda d: abs(d - scale))
+        below = [d for d in dips if d < probed]
+        above = [d for d in dips if d > probed]
+        gap_lo = probed - below[-1] if below else (above[0] - probed if above else e)
+        gap_hi = above[0] - probed if above else gap_lo
+        candidates, factor = [], 0.35
+        while factor > 0.08:
+            candidates.append((probed - factor * gap_lo, probed + factor * gap_hi))
+            factor *= 0.8
+        return candidates, region
+    dips = _reflectance_dips(problem, (0.25 * scale, 3.4 * scale))
     if not dips:
         raise AmbiguityError("no reflectance minima found for the default window")
     fsr = float(np.median(np.diff(dips))) if len(dips) > 1 else scale
@@ -412,10 +437,9 @@ def _default_window_region(problem: WaveProblem, window=None):
         window = (c - 0.5 * fsr, c + 0.5 * fsr)
     else:
         c = 0.5 * (window[0] + window[1])
-    if region is None:
-        span = c + 2.5 * fsr
-        region = ScanRegion(-(span + 0.017 * fsr), span + 0.031 * fsr, depth=1.2 * fsr)
-    return tuple(map(float, window)), region
+    span = c + 2.5 * fsr
+    region = ScanRegion(-(span + 0.017 * fsr), span + 0.031 * fsr, depth=1.2 * fsr)
+    return [tuple(map(float, window))], region
 
 
 # ---------------------------------------------------------------------------
@@ -473,31 +497,17 @@ def scan_table_csv(rows) -> str:
 
 def xray_angle_minima(material_table):
     """Grazing angles (radians) of the 14.4 keV reflectance minima, 0.03-0.6 deg."""
-    table = (material_table if isinstance(material_table, dict)
-             else load_material_table(material_table))
-    stack = build_xray_cavity(table, math.radians(0.1)).stack
+    stack = build_xray_cavity(material_table, math.radians(0.1)).stack
     th = np.radians(np.linspace(0.03, 0.6, 4001))
     r2 = reflectance_vs_angle(stack, OMEGA_NUC_KEV, th)
     return [parabola_vertex(th, r2, i) for i in local_minima(r2)]
 
 
-def xray_mode_report(material_table, mode_index: int,
-                     thresholds: Thresholds = Thresholds(),
-                     gamma: float | None = None,
-                     spectrum_halfwidth: float = 40.0):
-    """Classification at the m-th reflectance-vs-angle minimum plus the nuclear line.
+def xray_problem(material_table, mode_index: int, gamma: float | None = None) -> WaveProblem:
+    """The X-ray cavity at its ``mode_index``-th rocking minimum (1-based).
 
-    The incidence angle is fixed operationally at the ``mode_index``-th
-    minimum of the angle scan; the witness and pole expansion are then
-    studied versus energy at the corresponding fixed parallel wavevector.
-    The energy window is ``thresholds.window`` or, without one, one bracket
-    of a single Delta zero around the probed energy-scan minimum (see
-    :func:`_single_zero_window`); the report's thresholds echo it.  The returned
-    spectrum is the weak-coupling emitter line on the exact cavity
-    background, with the local-field modulation calibrated against the
-    free-space limit.
-
-    Returns (report, spectrum) where spectrum is a dict of arrays.
+    The angle is fixed at that minimum, so the witness is studied versus
+    energy at fixed ``k_par``; ``gamma`` defaults to the 57Fe natural width.
     """
     table = (material_table if isinstance(material_table, dict)
              else load_material_table(material_table))
@@ -505,54 +515,27 @@ def xray_mode_report(material_table, mode_index: int,
     if len(minima) < mode_index:
         raise ConfigurationError(
             f"only {len(minima)} reflectance minima found, need {mode_index}")
-    theta = minima[mode_index - 1]
-    problem = build_xray_cavity(table, theta,
-                                gamma=gamma if gamma is not None else GAMMA_NUC_KEV)
-    emitter = problem.stack.emitter
-    if thresholds.window is None:
-        thresholds = replace(thresholds, window=_single_zero_window(problem))
-    report = classify(problem, thresholds=thresholds)
-
-    # weak-coupling nuclear line on the cavity background
-    g_eff = emitter.gamma
-    delta_nuc = levshift_exact(problem, emitter, OMEGA_NUC_KEV)
-    gamma_eff = -2.0 * delta_nuc.imag
-    half = spectrum_halfwidth * max(gamma_eff, g_eff)
-    om = np.linspace(OMEGA_NUC_KEV - half, OMEGA_NUC_KEV + half, 801)
-    r_cav = reflection(problem, om)
-    psi = field_profile(problem, OMEGA_NUC_KEV, np.array([emitter.x_a]))[0]
-    dl = levshift_exact(problem, emitter, om)
-    r_tot = r_cav - 0.5j * g_eff * psi * psi / (om - emitter.omega_a - dl)
-    spectrum = {"omega": om, "r_total": r_tot, "r_cav": r_cav,
-                "reflectance": np.abs(r_tot) ** 2,
-                "delta_at_resonance": complex(delta_nuc), "theta": float(theta)}
-    return report, spectrum
+    return build_xray_cavity(table, minima[mode_index - 1],
+                             gamma=gamma if gamma is not None else GAMMA_NUC_KEV)
 
 
-def _single_zero_window(problem: WaveProblem) -> tuple:
-    """Widest fraction of the local gaps around the probed dip with one Delta zero.
+def nuclear_spectrum(problem: WaveProblem, halfwidth: float) -> dict:
+    """Weak-coupling emitter line on the exact cavity reflection background.
 
-    The dips are scanned over :func:`_light_line_span`; strongly dispersing
-    neighbor modes add crossings of Delta at the edges of wider fractions.
+    801 points within ``halfwidth`` times the larger of the free and cavity
+    widths of omega_a; the local field is calibrated against free space.
     """
-    span, e_off = _light_line_span(problem)
-    dips = _reflectance_dips(problem, span, n=6000)
-    if not dips:
-        raise AmbiguityError("no energy-scan reflectance minima at this angle")
-    probed = min(dips, key=lambda d: abs(d - OMEGA_NUC_KEV))
-    below = [d for d in dips if d < probed]
-    above = [d for d in dips if d > probed]
-    fsr_lo = probed - below[-1] if below else (above[0] - probed if above else e_off)
-    fsr_hi = above[0] - probed if above else fsr_lo
-    factor = 0.35
-    while factor > 0.08:
-        cand = (probed - factor * fsr_lo, probed + factor * fsr_hi)
-        om_w = np.linspace(cand[0], cand[1], 801)
-        sgn = np.sign(np.real(levshift_exact(problem, omega_test=om_w)))
-        if int(np.sum(sgn[1:] != sgn[:-1])) == 1:
-            return cand
-        factor *= 0.8
-    raise AmbiguityError("no window fraction brackets a single Delta zero at this minimum")
+    emitter = problem.stack.emitter
+    omega_a = emitter.omega_a
+    gamma_eff = -2.0 * levshift_exact(problem, emitter, omega_a).imag
+    half = halfwidth * max(gamma_eff, emitter.gamma)
+    om = np.linspace(omega_a - half, omega_a + half, 801)
+    r_cav = reflection(problem, om)
+    psi = field_profile(problem, omega_a, np.array([emitter.x_a]))[0]
+    dl = levshift_exact(problem, emitter, om)
+    r_tot = r_cav - 0.5j * emitter.gamma * psi * psi / (om - omega_a - dl)
+    return {"omega": om, "r_total": r_tot, "r_cav": r_cav,
+            "reflectance": np.abs(r_tot) ** 2}
 
 
 def _light_line_span(problem: WaveProblem):

@@ -20,9 +20,10 @@ import numpy as np
 from .certify import (
     Thresholds,
     classify,
+    nuclear_spectrum,
     scan_mirror_index,
     scan_table_csv,
-    xray_mode_report,
+    xray_problem,
 )
 from .errors import ConfigurationError, ModeCertError
 from .layered import (
@@ -32,7 +33,6 @@ from .layered import (
     WaveProblem,
     build_fabry_perot,
     default_material_table_path,
-    load_material_table,
     reflection,
 )
 from .pfm import PfmParams, diagonalize, levshift_matrix
@@ -216,6 +216,10 @@ def _problem_from_scenario(scn: Scenario) -> WaveProblem:
                               gamma=float(em["gamma"]))
         return WaveProblem(LayerStack(left, layers, right, emitter),
                            k_par=float(c["k_par"]))
+    if scn.kind == "xray":
+        x = scn.xray
+        return xray_problem(x["material_table"] or default_material_table_path(),
+                            int(x["mode_index"]), gamma=x["gamma"])
     raise ConfigurationError(f"no wave problem for scenario kind {scn.kind!r}")
 
 
@@ -276,25 +280,17 @@ def _curve_csv(curve: LevelShiftCurve) -> str:
 
 
 def _run_classify(scn: Scenario, art: _Artifacts) -> int:
-    thresholds = scn.make_thresholds()
+    problem = _problem_from_scenario(scn)
+    report = classify(problem, scn.make_region(), scn.make_thresholds())
     if scn.kind == "xray":
-        table = scn.xray["material_table"] or default_material_table_path()
-        report, spectrum = xray_mode_report(table, int(scn.xray["mode_index"]),
-                                            thresholds=thresholds,
-                                            gamma=scn.xray["gamma"],
-                                            spectrum_halfwidth=scn.xray["spectrum_halfwidth"])
+        spectrum = nuclear_spectrum(problem, scn.xray["spectrum_halfwidth"])
         art.write("nuclear_spectrum.csv",
                   _spectrum_csv(spectrum["omega"], spectrum["r_total"]), "spectrum")
-        art.write("report.json", report.to_json() + "\n", "report")
-        art.write("report.txt", report.to_text() + "\n", "report")
-        return 0
-
-    problem = _problem_from_scenario(scn)
-    report = classify(problem, scn.make_region(), thresholds=thresholds)
-    # the samples the certificate was checked on
-    art.write("levelshift.csv", _curve_csv(report.curve), "curve")
-    art.write("levelshift.json", report.curve.to_json() + "\n", "curve")
-    art.write("reflectance.csv", _spectrum_csv(*report.reflectance), "curve")
+    else:
+        # the samples the certificate was checked on
+        art.write("levelshift.csv", _curve_csv(report.curve), "curve")
+        art.write("levelshift.json", report.curve.to_json() + "\n", "curve")
+        art.write("reflectance.csv", _spectrum_csv(*report.reflectance), "curve")
     art.write("report.json", report.to_json() + "\n", "report")
     art.write("report.txt", report.to_text() + "\n", "report")
     return 0

@@ -267,29 +267,41 @@ def find_omega_min_refined(fn, omega, values, refine: int = 10) -> float:
     return find_omega_min(om2, np.asarray(fn(om2), dtype=float))
 
 
-def find_zero_of_delta(curve: LevelShiftCurve, exact) -> float:
-    """Root omega_a0 of Delta on the curve's window; requires one sign change.
+def zero_bracket(omega, values) -> tuple:
+    """Samples ``(lo, hi)`` around the one zero of ``values``; AmbiguityError otherwise.
 
-    The sign change is bracketed on the curve's own samples, so the window
-    is sampled once for the certificate and for its zero; ``exact`` (a
-    callable returning the complex witness at a frequency) polishes the
-    bracket with brentq to 1e-10 of the window width plus 4 eps relative,
-    the larger term on narrow windows far from omega = 0 (X-ray energies).
+    A zero is a sign change between nonzero neighbours; a lone exact zero
+    sample counts only when there is none, and then ``lo == hi``.
     """
-    om, dvals = curve.omega, curve.Delta
-    sign = np.sign(dvals)
+    sign = np.sign(values)
     nz = sign != 0
     crossings = np.nonzero(nz[:-1] & nz[1:] & (sign[1:] != sign[:-1]))[0] + 1
     exact_zeros = np.nonzero(~nz)[0]
     if len(exact_zeros) == 1 and len(crossings) == 0:
-        return float(om[exact_zeros[0]])
+        return float(omega[exact_zeros[0]]), float(omega[exact_zeros[0]])
     if len(crossings) != 1:
         raise AmbiguityError(
             f"{len(crossings)} sign changes of Delta in window (need exactly 1)",
-            candidates=[float(om[i]) for i in crossings])
+            candidates=[float(omega[i]) for i in crossings])
     i = crossings[0]
+    return float(omega[i - 1]), float(omega[i])
+
+
+def find_zero_of_delta(curve: LevelShiftCurve, exact) -> float:
+    """Root omega_a0 of Delta on the curve's window; requires one sign change.
+
+    The sign change is bracketed on the curve's own samples
+    (:func:`zero_bracket`), so the window is sampled once for the
+    certificate and for its zero; ``exact`` (a callable returning the
+    complex witness at a frequency) polishes the bracket with brentq to
+    1e-10 of the window width plus 4 eps relative, the larger term on
+    narrow windows far from omega = 0 (X-ray energies).
+    """
+    a, b = zero_bracket(curve.omega, curve.Delta)
+    if a == b:
+        return a
     lo, hi = curve.window
-    return float(brentq(lambda w: float(np.real(exact(w))), om[i - 1], om[i],
+    return float(brentq(lambda w: float(np.real(exact(w))), a, b,
                         xtol=1e-10 * (hi - lo), rtol=4 * np.finfo(float).eps))
 
 

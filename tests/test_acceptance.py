@@ -243,8 +243,8 @@ def test_criterion_9_xray_sign_inversion(material_table):
     name = "X-ray sign inversion (modes 4 and 6)"
     t0 = time.time()
     try:
-        rep4, _ = cf.xray_mode_report(material_table, 4)
-        rep6, _ = cf.xray_mode_report(material_table, 6)
+        rep4 = cf.classify(cf.xray_problem(material_table, 4))
+        rep6 = cf.classify(cf.xray_problem(material_table, 6))
         assert np.sign(rep4.delta_at_min) != np.sign(rep6.delta_at_min)
         assert rep4.off_resonant_mm
         assert rep6.complex_residue_mm and rep6.multi_pole_mm

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import functools
 import io
+import json
 
 import numpy as np
 import pytest
@@ -189,7 +190,7 @@ def test_growth_path_independent(monkeypatch):
     grown = cf.classify(problem)
     assert len(built) == 2   # one growth
     final = built[-1].region
-    window, first = cf._default_window_region(problem)
+    (window,), first = cf._default_window_region(problem)
     assert final == cf._grow(first)
     direct = cf.classify(problem, region=final, thresholds=cf.Thresholds(window=window))
     assert len(built) == 3
@@ -251,12 +252,16 @@ def test_fabry_perot_call_budget(monkeypatch):
 
 
 def test_xray_call_budget(monkeypatch, material_table):
-    # rocking minimum 6: 118 kernel calls (235 with one search call per box)
+    # rocking minimum 6, certificate plus nuclear line: 116 kernel calls (118
+    # with 801-point grids per tried window fraction, 235 with one search
+    # call per box)
+    problem = cf.xray_problem(material_table, 6)
     n_calls, n_points, (rep, _) = _kernel_work(
-        monkeypatch, lambda: cf.xray_mode_report(material_table, 6))
+        monkeypatch, lambda: (cf.classify(problem), cf.nuclear_spectrum(problem, 40.0)))
     assert rep.n_star >= 2
-    assert n_calls <= 118
-    assert n_points <= 19600    # 23507 with three samplings of the window
+    assert n_calls <= 116
+    assert n_points <= 18500    # 19466 with grids per window fraction, 23507
+                                # with three samplings of the window
 
 
 @pytest.mark.parametrize("problem", [
@@ -275,7 +280,7 @@ def test_lossy_unpaired_negative_poles_counted():
     # a complex mirror index breaks f(-z*) = -f(z)*: the poles left of
     # omega = 0 have no mirror partner, so each counts as a mode of its own
     problem = lossy_problem(8.0 + 0.5j)
-    window, region = cf._default_window_region(problem)
+    (window,), region = cf._default_window_region(problem)
     exp = qnm.build_expansion(wt.witness_evaluator(problem), region)
     negative = [p for p in exp.poles if p.omega_pole.real < 0]
     assert len(negative) == 3
@@ -343,7 +348,8 @@ def test_xray_angle_minima(material_table):
 
 
 def test_xray_mode4_report(material_table):
-    rep, spec = cf.xray_mode_report(material_table, 4)
+    problem = cf.xray_problem(material_table, 4)
+    rep, spec = cf.classify(problem), cf.nuclear_spectrum(problem, 40.0)
     assert rep.off_resonant_mm
     assert rep.delta_at_min < 0
     assert spec["reflectance"].shape == spec["omega"].shape
@@ -351,52 +357,83 @@ def test_xray_mode4_report(material_table):
     assert np.max(spec["reflectance"]) > 10 * np.abs(spec["r_cav"][0]) ** 2
 
 
-def test_xray_report_thresholds_reproduce(material_table, monkeypatch):
-    # the report echoes the energy window it certified, so classify on the
-    # same problem and region with the report's thresholds gives the report
-    calls = []
-    plain = cf.classify
-
-    def spy(problem, region=None, thresholds=cf.Thresholds()):
-        calls.append((problem, region))
-        return plain(problem, region, thresholds)
-
-    monkeypatch.setattr(cf, "classify", spy)
-    rep, _ = cf.xray_mode_report(material_table, 4)
-    (problem, region), = calls
+def test_xray_report_thresholds_reproduce(material_table):
+    # report.json echoes the energy window it certified, so classify on the
+    # same problem with the thresholds read back from it gives the report
+    problem = cf.xray_problem(material_table, 4)
+    rep = cf.classify(problem)
     assert rep.thresholds.window is not None
-    again = plain(problem, region, thresholds=rep.thresholds)
+    echoed = json.loads(rep.to_json())["thresholds"]
+    again = cf.classify(problem, thresholds=cf.Thresholds(**echoed))
     assert again.to_dict() == rep.to_dict()
 
 
 def test_xray_given_window_reproduces_report(material_table, monkeypatch):
     # a given window is certified as it is: no dip scan, no fraction search
-    rep, _ = cf.xray_mode_report(material_table, 4)
+    problem = cf.xray_problem(material_table, 4)
+    rep = cf.classify(problem)
 
-    def no_search(problem):
-        raise AssertionError("window searched although one was given")
+    def no_scan(*args, **kwargs):
+        raise AssertionError("dips scanned although a window was given")
 
-    monkeypatch.setattr(cf, "_single_zero_window", no_search)
-    again, _ = cf.xray_mode_report(material_table, 4, thresholds=rep.thresholds)
+    monkeypatch.setattr(cf, "_reflectance_dips", no_scan)
+    again = cf.classify(problem, thresholds=rep.thresholds)
     assert again.to_dict() == rep.to_dict()
 
 
+@pytest.mark.parametrize("mode_index,n_curves", [(4, 1), (6, 2)])
+def test_xray_window_from_one_sampling(material_table, monkeypatch, mode_index, n_curves):
+    # classify picks the grazing-incidence window of the bare problem from
+    # its own witness curve: one curve (two on minimum 6, whose widest window
+    # fraction brackets two Delta zeros), and no window grid of its own
+    curves, arrays = [], []
+    curve_fn, exact_fn = cf.levshift_curve, cf.levshift_exact
+
+    def curve_spy(problem, window, **kwargs):
+        curves.append(window)
+        return curve_fn(problem, window, **kwargs)
+
+    def exact_spy(problem, emitter=None, omega_test=None):
+        if np.ndim(omega_test):
+            arrays.append(np.size(omega_test))
+        return exact_fn(problem, emitter, omega_test)
+
+    monkeypatch.setattr(cf, "levshift_curve", curve_spy)
+    monkeypatch.setattr(cf, "levshift_exact", exact_spy)
+    theta = cf.xray_angle_minima(material_table)[mode_index - 1]
+    rep = cf.classify(ly.build_xray_cavity(material_table, theta))
+    assert len(curves) == n_curves
+    assert curves[-1] == rep.thresholds.window
+    assert curves[-1][0] < rep.omega_a_zero < curves[-1][1]
+    assert arrays == []
+
+
+def test_xray_no_single_zero_window(material_table):
+    # minimum 9: no fraction of the local dip gaps brackets one Delta zero;
+    # the error carries the tried windows
+    with pytest.raises(AmbiguityError, match="single Delta zero") as info:
+        cf.classify(cf.xray_problem(material_table, 9))
+    windows = info.value.candidates
+    assert len(windows) == 7
+    assert all(a[0] < b[0] < b[1] < a[1] for a, b in zip(windows, windows[1:]))
+
+
 def test_xray_mode6_report(material_table):
-    rep, _ = cf.xray_mode_report(material_table, 6)
+    rep = cf.classify(cf.xray_problem(material_table, 6))
     assert rep.complex_residue_mm and rep.multi_pole_mm
     assert rep.delta_at_min > 0
     assert abs(rep.main_residue_phase) > 0.3
 
 
 def test_xray_sign_inversion(material_table):
-    rep4, _ = cf.xray_mode_report(material_table, 4)
-    rep6, _ = cf.xray_mode_report(material_table, 6)
+    rep4 = cf.classify(cf.xray_problem(material_table, 4))
+    rep6 = cf.classify(cf.xray_problem(material_table, 6))
     assert np.sign(rep4.delta_at_min) != np.sign(rep6.delta_at_min)
 
 
 def test_xray_too_few_minima(material_table):
     with pytest.raises(ConfigurationError):
-        cf.xray_mode_report(material_table, 40)
+        cf.xray_problem(material_table, 40)
 
 
 def test_single_layer_guide_off_resonant(material_table):

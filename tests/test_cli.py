@@ -1,5 +1,6 @@
 """Scenario parsing, artifact runs, manifests and exit codes."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -321,7 +322,7 @@ def test_run_classify_xray(tmp_path):
 
 
 def test_run_classify_xray_echoes_given_window(tmp_path, material_table):
-    rep, _ = certify.xray_mode_report(material_table, 4)
+    rep = certify.classify(certify.xray_problem(material_table, 4))
     lo, hi = rep.thresholds.window
     given = [lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)]
     scn = cli.parse_scenario({"version": 1, "kind": "xray", "xray": {"mode_index": 4},
@@ -331,6 +332,83 @@ def test_run_classify_xray_echoes_given_window(tmp_path, material_table):
     report = json.loads((tmp_path / "xw" / "report.json").read_text())
     assert echoed == given
     assert report["thresholds"]["window"] == given
+
+
+def _xray_copy(problem) -> dict:
+    """A custom_stack scenario section of the same layers, emitter and k_par."""
+    def material(m):
+        return {"name": m.name, "n_re": m.n_const.real, "n_im": m.n_const.imag}
+
+    st = problem.stack
+    return {"left": material(st.left), "right": material(st.right),
+            "layers": [{"material": material(m), "thickness": d} for m, d in st.layers],
+            "emitter": {"x_a": st.emitter.x_a, "omega_a": st.emitter.omega_a,
+                        "gamma": st.emitter.gamma},
+            "k_par": problem.k_par}
+
+
+def test_run_classify_xray_is_a_plain_wave_problem(tmp_path, material_table):
+    # a custom stack copy of rocking minimum 4 certifies as the xray kind
+    copy = _xray_copy(certify.xray_problem(material_table, 4))
+    for kind, section in (("xray", {"xray": {"mode_index": 4}}),
+                          ("custom_stack", {"custom_stack": copy})):
+        scn = cli.parse_scenario({"version": 1, "kind": kind, **section})
+        assert cli.run(scn, command="classify", out_dir=tmp_path / kind) == 0
+    report = (tmp_path / "xray" / "report.json").read_text()
+    assert (tmp_path / "custom_stack" / "report.json").read_text() == report
+
+
+def test_run_classify_xray_searches_given_region(tmp_path, monkeypatch):
+    # an xray scenario's /region is searched as given, not replaced by the
+    # default region: 1-2 keV lies far below the branch point, where the
+    # evanescent layers overflow the march, a typed error
+    regions = []
+    build = certify.build_expansion
+
+    def spy(f, region, previous=None):
+        regions.append(region)
+        return build(f, region, previous=previous)
+
+    monkeypatch.setattr(certify, "build_expansion", spy)
+    given = {"omega_lo": 1.0, "omega_hi": 2.0, "depth": 0.5}
+    scn = cli.parse_scenario({"version": 1, "kind": "xray", "xray": {"mode_index": 4},
+                              "region": given})
+    assert cli.run(scn, command="classify", out_dir=tmp_path / "xr") == 1
+    assert regions == [ScanRegion(**given)]
+    error = (tmp_path / "xr" / "error.txt").read_text()
+    assert error.startswith("ThicknessOverflowError")
+    echoed = json.loads((tmp_path / "xr" / "scenario.json").read_text())["region"]
+    assert echoed == {**given, "im_top": 0.0}
+
+
+def test_run_poles_xray(tmp_path, material_table):
+    # the poles command builds the xray problem like any other kind
+    problem = certify.xray_problem(material_table, 4)
+    _, region = certify._default_window_region(problem)
+    scn = cli.parse_scenario({"version": 1, "kind": "xray", "xray": {"mode_index": 4},
+                              "region": {"omega_lo": region.omega_lo,
+                                         "omega_hi": region.omega_hi,
+                                         "depth": region.depth}})
+    assert cli.run(scn, command="poles", out_dir=tmp_path / "xp") == 0
+    exp = json.loads((tmp_path / "xp" / "expansion.json").read_text())
+    assert len(exp["poles"]) == 7
+    assert all(region.omega_lo < p["re"] < region.omega_hi for p in exp["poles"])
+
+
+def _callers(module, name: str) -> list:
+    """Top-level definition around each call of ``name`` in ``module``'s source."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return [getattr(top, "name", "<module>") for top in tree.body for n in ast.walk(top)
+            if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def test_one_certificate_path():
+    # every kind is certified by the one classify call of _run_classify, and
+    # within certify only the certificate and the nuclear line evaluate the
+    # witness directly (no window search samples it on grids of its own)
+    assert _callers(cli, "classify") == ["_run_classify"]
+    assert set(_callers(certify, "levshift_exact")) == {"classify", "nuclear_spectrum"}
 
 
 def test_main_entrypoint(tmp_path):
