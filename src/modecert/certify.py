@@ -271,6 +271,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     emitter = problem.stack.emitter
     if emitter is None:
         raise ValueError("no emitter on the stack")
+    check_region(problem, region)
 
     candidates = [thresholds.window]
     if thresholds.window is None or region is None:
@@ -368,14 +369,12 @@ def _grow(region: ScanRegion, pinned: bool = False) -> ScanRegion:
 def _single_pole_zero_numeric(residue, omega_pole, window):
     fn = lambda w: (residue / (w - omega_pole)).real
     span = 20.0 * abs(omega_pole.imag) + (window[1] - window[0])
-    lo, hi = omega_pole.real - span, omega_pole.real + span
-    om = np.linspace(lo, hi, 4001)
-    sgn = np.sign(fn(om))
-    idx = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0] + 1
-    if len(idx) != 1:
+    om = np.linspace(omega_pole.real - span, omega_pole.real + span, 4001)
+    try:
+        a, b = zero_bracket(om, fn(om))
+    except AmbiguityError:
         return None
-    i = idx[0]
-    return float(brentq(fn, om[i - 1], om[i], xtol=1e-12 * span))
+    return a if a == b else float(brentq(fn, a, b, xtol=1e-12 * span))
 
 
 def _one_zero_window(curve: LevelShiftCurve, candidates) -> tuple:
@@ -551,6 +550,15 @@ def _light_line_span(problem: WaveProblem):
         raise ConfigurationError(
             f"emitter frequency {omega_a} is not above the branch point {omega_bp}")
     return (omega_bp + 0.02 * e, omega_a + 2.5 * e), e
+
+
+def check_region(problem: WaveProblem, region: ScanRegion | None) -> None:
+    """ConfigurationError for a given region not right of the branch point at ``k_par != 0``."""
+    if region is not None and problem.k_par != 0:
+        omega_bp = _branch_point(problem)
+        if not region.omega_lo > omega_bp:
+            raise ConfigurationError(f"region omega_lo = {region.omega_lo!r} is not right "
+                                     f"of the branch point {omega_bp!r}")
 
 
 def _branch_point(problem: WaveProblem) -> float:

@@ -60,6 +60,9 @@ def test_single_pole_zero_closed_form_vs_numeric():
                                            (omega_pole.real - 1, omega_pole.real + 1))
         assert num is not None
         assert abs(num - z) < 1e-8 * kappa
+    # the zero of 1 / (w + i) is the middle sample of its 4001-point grid:
+    # that sample is the root, not a cross-check skipped for want of a sign change
+    assert cf._single_pole_zero_numeric(1.0 + 0j, -1j, (-6.0, 6.0)) == 0.0
 
 
 def test_single_pole_zero_imaginary_residue_rejected():
@@ -204,14 +207,22 @@ def test_growth_path_independent(monkeypatch):
 
 
 def test_growth_length_scaling():
-    # L -> 2L, omega -> omega/2: same certificate in units of 1/L
-    rep1 = cf.classify(lossy_problem(3.0 + 1.0j, 1.0))
-    rep2 = cf.classify(lossy_problem(3.0 + 1.0j, 2.0))
-    assert rep1.flags() == rep2.flags()
-    assert rep1.n_star == rep2.n_star
-    for key in ("omega_min", "omega_a_zero", "re_main_pole", "kappa_main"):
-        a, b = getattr(rep1, key), 2.0 * getattr(rep2, key)
-        assert abs(a - b) < 1e-9 * abs(a), key
+    # L -> sL, omega -> omega/s: same certificate in units of 1/L, on a lossy
+    # stack that grows its region and on Fabry-Perot stacks whose poles come
+    # in mirror pairs -Re p + i Im p
+    scaled = [(lossy_problem(3.0 + 1.0j, 1.0), lossy_problem(3.0 + 1.0j, 2.0), 2.0)]
+    for n_mirror in (4.0, 9.25, 20.0):
+        for s in (0.3, 7.0):
+            scaled.append((fp_problem(n_mirror),
+                           ly.WaveProblem(ly.build_fabry_perot(s, n_mirror)), s))
+    for problem, copy, s in scaled:
+        rep1, rep2 = cf.classify(problem), cf.classify(copy)
+        assert rep1.flags() == rep2.flags()
+        assert rep1.n_star == rep2.n_star
+        assert rep1.n_poles_region == rep2.n_poles_region
+        for key in ("omega_min", "omega_a_zero", "re_main_pole", "kappa_main"):
+            a, b = getattr(rep1, key), s * getattr(rep2, key)
+            assert abs(a - b) < 1e-9 * abs(a), (key, s)
 
 
 def _kernel_work(monkeypatch, certify):

@@ -360,25 +360,24 @@ def test_run_classify_xray_is_a_plain_wave_problem(tmp_path, material_table):
 
 def test_run_classify_xray_searches_given_region(tmp_path, monkeypatch):
     # an xray scenario's /region is searched as given, not replaced by the
-    # default region: 1-2 keV lies far below the branch point, where the
-    # evanescent layers overflow the march, a typed error
+    # default region; 1-2 keV lies far left of the branch point, where the
+    # witness is not meromorphic, so classify and poles refuse it before any
+    # search
     regions = []
-    build = certify.build_expansion
-
-    def spy(f, region, previous=None):
-        regions.append(region)
-        return build(f, region, previous=previous)
-
+    spy = lambda f, region, previous=None: regions.append(region)
     monkeypatch.setattr(certify, "build_expansion", spy)
+    monkeypatch.setattr(cli, "build_expansion", spy)
     given = {"omega_lo": 1.0, "omega_hi": 2.0, "depth": 0.5}
     scn = cli.parse_scenario({"version": 1, "kind": "xray", "xray": {"mode_index": 4},
                               "region": given})
-    assert cli.run(scn, command="classify", out_dir=tmp_path / "xr") == 1
-    assert regions == [ScanRegion(**given)]
-    error = (tmp_path / "xr" / "error.txt").read_text()
-    assert error.startswith("ThicknessOverflowError")
-    echoed = json.loads((tmp_path / "xr" / "scenario.json").read_text())["region"]
-    assert echoed == {**given, "im_top": 0.0}
+    for command in ("classify", "poles"):
+        assert cli.run(scn, command=command, out_dir=tmp_path / command) == 1
+        error = (tmp_path / command / "error.txt").read_text()
+        assert error.startswith("ConfigurationError: region omega_lo = 1.0 ")
+        assert "branch point" in error
+        echoed = json.loads((tmp_path / command / "scenario.json").read_text())["region"]
+        assert echoed == {**given, "im_top": 0.0}
+    assert regions == []
 
 
 def test_run_poles_xray(tmp_path, material_table):
