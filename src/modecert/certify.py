@@ -263,7 +263,9 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     doubled, up to ``_MAX_REGION_GROWTH`` times, when the truncation
     tolerance is unreachable with the poles found (slowly decaying mode
     ladders need wide regions); each growth searches only the area it adds
-    and keeps the poles already found.  At ``k_par != 0`` growth keeps the
+    and keeps the poles already found.  A conjugate-symmetric problem
+    (:attr:`WaveProblem.conjugate_symmetric`) searches only the right part
+    of the region and mirrors its poles.  At ``k_par != 0`` growth keeps the
     left edge, clear of the branch points.  The report carries the witness
     curve its certificate was checked on and the reflectance scan of its
     window.
@@ -291,7 +293,8 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     expansion = None
     conv = None
     for attempt in range(_MAX_REGION_GROWTH + 1):
-        expansion = build_expansion(f, region, previous=expansion)
+        expansion = build_expansion(f, region, previous=expansion,
+                                    mirror=problem.conjugate_symmetric)
         if not expansion.poles:
             raise AmbiguityError("no poles found in the scan region")
         try:

@@ -317,7 +317,8 @@ def _run_poles(scn: Scenario, art: _Artifacts) -> int:
     if region is None:
         raise ConfigurationError("poles command requires an explicit /region")
     check_region(problem, region)
-    expansion = build_expansion(witness_evaluator(problem), region)
+    expansion = build_expansion(witness_evaluator(problem), region,
+                                mirror=problem.conjugate_symmetric)
     art.write("poles.csv", _float_table(
         "re,im,res_re,res_im,residual",
         [[p.omega_pole.real, p.omega_pole.imag, p.residue.real, p.residue.imag, p.residual]

@@ -212,6 +212,16 @@ class WaveProblem:
     stack: LayerStack
     k_par: float = 0.0
 
+    @property
+    def conjugate_symmetric(self) -> bool:
+        """G(-omega*) = G(omega)*: normal incidence and every index constant and real.
+
+        The witness then obeys f(-z*) = -f(z)*, so its poles come in mirror
+        pairs -p*, p.  Dispersive media do not qualify.
+        """
+        n = self.stack._n_const
+        return not np.any(self.k_par) and n is not None and not np.any(n.imag)
+
 
 # ---------------------------------------------------------------------------
 # wavenumbers and elementary matrices

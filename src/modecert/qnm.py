@@ -34,6 +34,14 @@ which is exponentially convergent for meromorphic integrands and exact for
 the pole's own 1/(z - z0) part; one 2M-point ring gives the M- and 2M-point
 sums, whose difference is the error estimate.  An expansion evaluates all
 its residue rings in one call.
+
+A conjugate-symmetric evaluator, f(-z*) = -f(z)* (the witness at normal
+incidence with constant real indices), has a partner pole -p* with residue
+r* for every pole p with residue r.  Its expansion searches only the part
+of the region right of a thin strip about the imaginary axis, extended to
+the mirror image of the left edge, and rings only the poles found there;
+every pole found right of the strip gains its mirror.  Without the symmetry
+the whole region is searched and nothing is mirrored.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ _NEWTON_REL = 1e-8      # accepted |1/f| at a pole, relative to the boundary med
 _DEDUPE_REL = 1e-6      # merge radius of pole candidates, relative to the width
 _RESIDUE_SAMPLES = 64   # M of the residue trapezoid rule (the ring has 2M points)
 _RESIDUE_TOL = 1e-8     # relative doubling error accepted for a residue
+_STRIP_REL = 0.0025     # half-width of a mirrored search's strip about Re z = 0, per width
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +124,8 @@ class PoleExpansion:
     """Poles and residues of the witness over a scan region.
 
     ``candidates`` are the poles the search returned, before the residue
-    floor; a search over a larger region starts from them.
+    floor; a search over a larger region starts from them.  A mirrored
+    expansion searched only part of its region (:func:`_searched`).
     """
 
     poles: tuple
@@ -487,8 +497,8 @@ def _accurate(res, err, tol: float) -> bool:
     return not (err > tol * max(abs(res), 1e-300) and err > tol)
 
 
-def build_expansion(f, region: ScanRegion,
-                    previous: PoleExpansion | None = None) -> PoleExpansion:
+def build_expansion(f, region: ScanRegion, previous: PoleExpansion | None = None,
+                    mirror: bool = False) -> PoleExpansion:
     """Pole expansion of an evaluator ``f`` over a scan region.
 
     ``f`` maps complex arrays to complex arrays, as :func:`find_poles`
@@ -499,43 +509,73 @@ def build_expansion(f, region: ScanRegion,
     and bottom edges (the witness is analytic across the real axis, so
     circles may cross the top edge).
 
+    ``mirror`` asserts f(-z*) = -f(z)*.  Then only the part of the region
+    right of a strip Re z >= -a (a = ``_STRIP_REL`` widths) is searched,
+    and each pole p found right of the strip gains the mirror -p* when that
+    lies in the region, with the conjugate residue and the residual of p.
+    Ring radii are sized over all poles of the region against its edges,
+    but only the poles found are ringed.
+
     ``previous`` is an expansion of the same function over a region inside
     this one: its pole candidates are reused and only the added area is
     searched.  Residues are always recomputed over the whole pole set.
     """
-    poles = find_poles(f, region, None if previous is None
-                       else (previous.region, previous.candidates))
+    searched = _searched(region, mirror)
+    found = find_poles(f, searched, None if previous is None
+                       else (_searched(previous.region, mirror), previous.candidates))
 
-    radii = []
-    for p in poles:
-        dists = [abs(p.omega_pole - q.omega_pole) for q in poles if q is not p]
-        d_edges = [p.omega_pole.real - region.omega_lo,
-                   region.omega_hi - p.omega_pole.real,
-                   p.omega_pole.imag - (region.im_top - region.depth)]
-        radii.append(min(0.45 * min(dists + [2.0 * min(d_edges)]), 0.25 * region.width))
-    centres = [p.omega_pole for p in poles]
-    residues = [None] * len(poles)
-    todo = range(len(poles))
+    # the region's poles as (location, index of the found pole whose ring
+    # gives the residue, whether that residue is conjugated)
+    members = [(p.omega_pole, i, False) for i, p in enumerate(found)
+               if _inside(p.omega_pole, region.box)]
+    members += [(-p.omega_pole.conjugate(), i, True) for i, p in enumerate(found)
+                if p.omega_pole.real > -searched.omega_lo
+                and _inside(-p.omega_pole.conjugate(), region.box)]
+    radii = {}   # ring radius per ringed found pole: that of its first member
+    for k, (z, i, _) in enumerate(members):
+        dists = [abs(z - w) for j, (w, _, _) in enumerate(members) if j != k]
+        d_edges = [z.real - region.omega_lo, region.omega_hi - z.real,
+                   z.imag - (region.im_top - region.depth)]
+        radii.setdefault(i, min(0.45 * min(dists + [2.0 * min(d_edges)]),
+                                0.25 * region.width))
+    residues = {}
+    todo = list(radii)
     # a singularity just below the region can spoil a ring: those rings are
     # retried at half the radius, all in one more call
     for shrink in (1.0, 0.5):
         if not todo:
             break
-        rings = _ring_residues(f, [centres[i] for i in todo],
+        rings = _ring_residues(f, [found[i].omega_pole for i in todo],
                                [shrink * radii[i] for i in todo], _RESIDUE_SAMPLES)
         for i, (res, _) in zip(todo, rings):
             residues[i] = res
         todo = [i for i, (res, err) in zip(todo, rings) if not _accurate(res, err, _RESIDUE_TOL)]
     if todo:
-        raise AccuracyError(f"residue error estimate above tolerance at {centres[todo[0]]}, "
-                            "even at half the ring radius")
-    out = [Pole(p.omega_pole, res, p.residual) for p, res in zip(poles, residues)]
+        raise AccuracyError(f"residue error estimate above tolerance at "
+                            f"{found[todo[0]].omega_pole}, even at half the ring radius")
+    out = [Pole(z, residues[i].conjugate() if conj else residues[i], found[i].residual)
+           for z, i, conj in members]
     if out:
         # symmetry-dark modes survive as poles with near-cancelled residues;
         # they are below the search resolution and carry no weight
         floor = 1e-7 * max(abs(p.residue) for p in out)
         out = [p for p in out if abs(p.residue) >= floor]
-    return PoleExpansion(poles=tuple(out), region=region, candidates=tuple(poles))
+    return PoleExpansion(poles=tuple(out), region=region, candidates=tuple(found))
+
+
+def _searched(region: ScanRegion, mirror: bool) -> ScanRegion:
+    """The part of ``region`` that :func:`build_expansion` searches.
+
+    Mirrored: right of the strip [-a, a], a = ``_STRIP_REL`` widths, which
+    keeps the left edge clear of the poles on the imaginary axis, and up to
+    the mirror image of the left edge, so that every pole of the region is
+    found or mirrored.  A larger region's part contains a smaller one's.
+    """
+    if not mirror:
+        return region
+    lo = max(region.omega_lo, -_STRIP_REL * region.width)
+    return ScanRegion(lo, max(region.omega_hi, -region.omega_lo), region.depth,
+                      im_top=region.im_top)
 
 
 def counted_poles(expansion: PoleExpansion, center: float) -> list:

@@ -255,11 +255,50 @@ def test_growth_call_budget(monkeypatch):
 
 
 def test_fabry_perot_call_budget(monkeypatch):
-    # n = 4: 47 kernel calls (82 with one search call per box)
+    # n = 4: 35 kernel calls with the mirrored half search (47 searching the
+    # whole region, 82 with one search call per box)
     n_calls, n_points, rep = _kernel_work(monkeypatch, lambda: cf.classify(fp_problem(4.0)))
     assert rep.n_star >= 2
-    assert n_calls <= 47
-    assert n_points <= 5100     # 9099 with three samplings of the window
+    assert n_calls <= 35
+    assert n_points <= 3760     # 5100 searching the whole region, 9099 with
+                                # three samplings of the window
+
+
+def _full_search(monkeypatch):
+    """Make classify search the whole region, mirroring nothing."""
+    build = qnm.build_expansion
+    monkeypatch.setattr(cf, "build_expansion",
+                        lambda f, region, previous=None, mirror=False:
+                        build(f, region, previous=previous))
+
+
+def test_mirrored_growth_from_given_region(monkeypatch):
+    # a given region right of the imaginary axis grows across it, and the
+    # mirrored search still covers every grown region as the full one does
+    problem = fp_problem(4.0)
+    _, first = cf._default_window_region(problem)
+    region = qnm.ScanRegion(0.6 * np.pi, 1.5 * np.pi, first.depth)
+    built = _expansion_spy(monkeypatch)
+    half = cf.classify(problem, region=region)
+    assert len(built) >= 3 and built[-1].region.omega_lo < 0.0
+    _full_search(monkeypatch)
+    full = cf.classify(problem, region=region)
+    assert half.flags() == full.flags()
+    assert half.n_star == full.n_star
+    assert half.n_poles_region == full.n_poles_region
+
+
+@pytest.mark.parametrize("n_mirror", [4.0, 5.0, 6.0, 8.0, 12.0, 20.0])
+def test_mirrored_classify_matches_full_search(monkeypatch, n_mirror):
+    # the shipped sweep: the mirrored half search certifies as the full one
+    problem = fp_problem(n_mirror)
+    assert problem.conjugate_symmetric
+    half = cf.classify(problem)
+    _full_search(monkeypatch)
+    full = cf.classify(problem)
+    assert half.flags() == full.flags()
+    assert half.n_star == full.n_star
+    assert half.n_poles_region == full.n_poles_region
 
 
 def test_xray_call_budget(monkeypatch, material_table):

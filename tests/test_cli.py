@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modecert import certify, cli
+from modecert import certify, cli, layered as ly
 from modecert.errors import ConfigurationError
 from modecert.qnm import ScanRegion
 
@@ -203,9 +203,9 @@ def test_run_classify_custom_stack_at_oblique_incidence(tmp_path, monkeypatch):
     regions = []
     build = certify.build_expansion
 
-    def spy(f, region, previous=None):
+    def spy(f, region, previous=None, mirror=False):
         regions.append(region)
-        return build(f, region, previous=previous)
+        return build(f, region, previous=previous, mirror=mirror)
 
     monkeypatch.setattr(certify, "build_expansion", spy)
     mirror = {"name": "m", "n_re": 8.0, "n_im": 0.5}
@@ -223,6 +223,46 @@ def test_run_classify_custom_stack_at_oblique_incidence(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "k" / "report.json").read_text())
     assert report["metrics"]["n_star"] >= 1
     assert regions and all(r.omega_lo > 0.3 for r in regions)
+
+
+def _lossy_scenario(n_re, n_im):
+    mirror = {"name": "m", "n_re": n_re, "n_im": n_im}
+    return cli.parse_scenario({
+        "version": 1, "kind": "custom_stack",
+        "custom_stack": {
+            "layers": [{"material": mirror, "thickness": 0.01},
+                       {"material": {"name": "vac"}, "thickness": 1.0},
+                       {"material": mirror, "thickness": 0.01}],
+            "emitter": {"x_a": 0.51, "omega_a": np.pi, "gamma": 1.0},
+        },
+    })
+
+
+def test_mirrored_search_scope(tmp_path, monkeypatch, material_table):
+    # only normal incidence with constant real indices mirrors poles: a
+    # complex index, a Lorentzian medium and k_par != 0 do not, and lossy
+    # 8+0.5i and X-ray minimum 6 run the full search
+    lorentz = ly.Material.lorentzian("lor", 1.5, 3.0, 0.1, 0.5)
+    stack = ly.LayerStack(ly.VACUUM, ((lorentz, 0.1), (ly.VACUUM, 1.0), (lorentz, 0.1)),
+                          ly.VACUUM, ly.EmitterSpec(0.6, np.pi, 1.0))
+    assert not ly.WaveProblem(stack).conjugate_symmetric
+    assert cli._problem_from_scenario(_lossy_scenario(8.0, 0.0)).conjugate_symmetric
+    scenarios = {"lossy": _lossy_scenario(8.0, 0.5),
+                 "xray": cli.parse_scenario({"version": 1, "kind": "xray",
+                                             "xray": {"mode_index": 6}})}
+    for name, scn in scenarios.items():
+        assert not cli._problem_from_scenario(scn).conjugate_symmetric
+    mirrors = []
+    build = certify.build_expansion
+
+    def spy(f, region, previous=None, mirror=False):
+        mirrors.append(mirror)
+        return build(f, region, previous=previous, mirror=mirror)
+
+    monkeypatch.setattr(certify, "build_expansion", spy)
+    for name, scn in scenarios.items():
+        assert cli.run(scn, command="classify", out_dir=tmp_path / name) == 0
+    assert mirrors and not any(mirrors)
 
 
 def test_run_reproducible_manifest(tmp_path):
@@ -364,7 +404,7 @@ def test_run_classify_xray_searches_given_region(tmp_path, monkeypatch):
     # witness is not meromorphic, so classify and poles refuse it before any
     # search
     regions = []
-    spy = lambda f, region, previous=None: regions.append(region)
+    spy = lambda f, region, previous=None, mirror=False: regions.append(region)
     monkeypatch.setattr(certify, "build_expansion", spy)
     monkeypatch.setattr(cli, "build_expansion", spy)
     given = {"omega_lo": 1.0, "omega_hi": 2.0, "depth": 0.5}

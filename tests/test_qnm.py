@@ -279,11 +279,14 @@ def test_higher_order_pole_rejected():
 
 
 def test_conjugate_symmetry_fabry_perot():
-    # real-coefficient problem scanned over a symmetric region: mirror poles
-    # obey omega(-) = -omega(+)*, r(-) = r(+)*
+    # real-coefficient problem scanned over a symmetric region: the full
+    # search finds mirror poles omega(-) = -omega(+)*, r(-) = r(+)*, and the
+    # mirrored half search gives the same poles, each mirror carrying the
+    # conjugate residue of its twin
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(-3.71 * np.pi, 3.73 * np.pi, 1.2 * np.pi)
-    exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
+    f = wt.witness_evaluator(pr)
+    exp = qnm.build_expansion(f, region)
     pos = sorted((p for p in exp.poles if p.omega_pole.real > 0.1),
                  key=lambda p: p.omega_pole.real)
     neg = sorted((p for p in exp.poles if p.omega_pole.real < -0.1),
@@ -292,6 +295,102 @@ def test_conjugate_symmetry_fabry_perot():
     for pp, pn in zip(pos, neg):
         assert abs(pn.omega_pole + np.conj(pp.omega_pole)) < 1e-8
         assert abs(pn.residue - np.conj(pp.residue)) < 1e-6 * abs(pp.residue)
+
+    half = qnm.build_expansion(f, region, mirror=True)
+    assert qnm._searched(region, True).omega_lo > region.omega_lo
+    assert len(half.poles) == len(exp.poles)
+    for p in exp.poles:
+        q = min(half.poles, key=lambda q: abs(q.omega_pole - p.omega_pole))
+        assert abs(p.omega_pole - q.omega_pole) < 1e-8
+        assert abs(p.residue - q.residue) < 1e-6 * abs(p.residue)
+    _assert_mirrored_twins(half)
+
+
+def _assert_mirrored_twins(exp):
+    """Every pole left of the searched part is the exact mirror of its twin.
+
+    Returns the poles whose twin lies outside the region.
+    """
+    lone = []
+    for q in exp.poles:
+        if q.omega_pole.real >= qnm._searched(exp.region, True).omega_lo:
+            continue
+        twins = [p for p in exp.poles if p.omega_pole == -q.omega_pole.conjugate()]
+        if qnm._inside(-q.omega_pole.conjugate(), exp.region.box):
+            assert len(twins) == 1
+            assert q.residue == twins[0].residue.conjugate()
+            assert q.residual == twins[0].residual
+        else:
+            assert twins == []
+            lone.append(q)
+    return lone
+
+
+def _mirror_instance(rng, strip):
+    """Rational f with f(-z*) = -f(z)*: pole pairs p, -p* with residues r, r*.
+
+    Two poles sit on the imaginary axis (real residues), one pair inside
+    the strip |Re z| < ``strip``, one pair at 1.5 ``strip``, and the other
+    pairs have a pole right of each growth sliver below (Re 6.6-6.9 and
+    9.1-9.9) and random ones.  Apart from the pairs at the strip, poles are
+    0.3 apart and keep 0.1 clear of the real edges of the regions of
+    :func:`test_mirrored_search_matches_full_search`.
+    """
+    edges = np.array([4.0, 4.2, 6.5, 7.0, 9.0, 10.0])
+    while True:
+        axis = 1j * rng.uniform(-1.8, -0.2, 2)
+        re = np.concatenate(([0.3 * strip, 1.5 * strip], rng.uniform(6.6, 6.9, 1),
+                             rng.uniform(9.1, 9.9, 1), rng.uniform(0.5, 8.5, 3)))
+        right = re + 1j * rng.uniform(-1.8, -0.2, re.size)
+        rs = rng.uniform(0.2, 3.0, re.size) * np.exp(1j * rng.uniform(-np.pi, np.pi, re.size))
+        zs = np.concatenate((axis, right, -right.conj()))
+        spread = np.abs(zs[:, None] - zs[None, :]) + np.eye(zs.size)
+        for k in (2, 3):   # the pairs at the strip
+            spread[k, k + re.size] = spread[k + re.size, k] = 1.0
+        if (spread.min() > 0.3 and np.abs(np.abs(re[2:, None]) - edges).min() > 0.1):
+            break
+    rs_all = np.concatenate((rng.uniform(0.2, 3.0, 2), rs, rs.conj()))
+
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        return np.sum(rs_all / (z[..., None] - zs), axis=-1)
+
+    return f, zs, rs_all
+
+
+def test_mirrored_search_matches_full_search():
+    # the regions grow through previous with the left edge moving further
+    # out than the right one, as the default region does from its second
+    # growth on: the slivers [-7, -6.5) and [-10, -9) hold poles whose twins
+    # lie outside the region, so their sources lie right of it.  The strip
+    # widens with the region: the pair just outside the first strip is
+    # mirrored at first and found directly once the region has grown
+    regions = [qnm.ScanRegion(-4.0, 4.2, 2.0), qnm.ScanRegion(-7.0, 6.5, 2.0),
+               qnm.ScanRegion(-10.0, 9.0, 2.0)]
+    strip = qnm._STRIP_REL * regions[0].width
+    assert 1.5 * strip < qnm._STRIP_REL * regions[1].width
+    rng = np.random.default_rng(2024)
+    for _ in range(4):
+        f, zs, rs = _mirror_instance(rng, strip)
+        w = np.array([1.3 - 0.7j, -2.1 - 1.4j])
+        assert np.allclose(f(-np.conj(w)), -np.conj(f(w)), rtol=1e-13)
+        half = None
+        for region in regions:
+            half = qnm.build_expansion(f, region, previous=half, mirror=True)
+            full = qnm.build_expansion(f, region)
+            want = [(z, r) for z, r in zip(zs, rs) if qnm._inside(z, region.box)]
+            assert qnm._searched(region, True).omega_lo == -qnm._STRIP_REL * region.width
+            assert len(half.poles) == len(full.poles) == len(want)
+            for z, r in want:
+                p, q = (min(e.poles, key=lambda p: abs(p.omega_pole - z)) for e in (half, full))
+                assert abs(p.omega_pole - q.omega_pole) < 1e-10
+                assert abs(p.omega_pole - z) < 1e-10
+                assert abs(p.residue - r) < 1e-10 * max(1.0, abs(r))
+            lone = _assert_mirrored_twins(half)
+            assert (len(lone) > 0) == (region.omega_lo < -region.omega_hi)
+        # one pair straddles the imaginary axis inside the strip: both found
+        inner = [p for p in half.poles if 0.1 * strip < abs(p.omega_pole.real) < strip]
+        assert len(inner) == 2
 
 
 # ---------------------------------------------------------------------------
