@@ -279,10 +279,10 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     if thresholds.window is None or region is None:
         candidates, default_region = _default_window_region(problem, thresholds.window)
         region = region or default_region
-    curve = levshift_curve(problem, candidates[0], n=2001, refine=10)
+    curve = levshift_curve(problem, candidates[0], n=2001)
     window = _one_zero_window(curve, candidates)
     if window != candidates[0]:
-        curve = levshift_curve(problem, window, n=2001, refine=10)
+        curve = levshift_curve(problem, window, n=2001)
     thresholds = replace(thresholds, window=window)
     om = np.linspace(window[0], window[1], 2001)
     r = reflection(problem, om)
@@ -311,7 +311,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     phase = float(np.angle(main.residue))
 
     # zero of the full Delta, bracketed on the curve, polished on the exact witness
-    omega_a0 = find_zero_of_delta(curve, lambda w: levshift_exact(problem, emitter, w))
+    omega_a0 = find_zero_of_delta(curve, lambda w: levshift_exact(problem, w))
 
     # single-pole zero: closed form, cross-checked by a numeric root
     z_sp = single_pole_zero(main.residue, main.omega_pole)
@@ -327,7 +327,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     off_resonant_mm = bool(abs(shifts["off_resonant"]) > thresholds.shift_tol * kappa_main)
     single = not (multi_pole_mm or complex_residue_mm or off_resonant_mm)
 
-    delta_min = levshift_exact(problem, emitter, omega_min)
+    delta_min = levshift_exact(problem, omega_min)
     return ClassificationReport(
         single_mode=single,
         off_resonant_mm=off_resonant_mm,
@@ -366,7 +366,7 @@ def _grow(region: ScanRegion, pinned: bool = False) -> ScanRegion:
         lo = region.omega_lo
         hi = region.omega_hi + 1.001 * region.width
         depth = 1.6 * region.depth
-    return ScanRegion(lo, hi, depth, im_top=region.im_top)
+    return ScanRegion(lo, hi, depth)
 
 
 def _single_pole_zero_numeric(residue, omega_pole, window):
@@ -529,12 +529,12 @@ def nuclear_spectrum(problem: WaveProblem, halfwidth: float) -> dict:
     """
     emitter = problem.stack.emitter
     omega_a = emitter.omega_a
-    gamma_eff = -2.0 * levshift_exact(problem, emitter, omega_a).imag
+    gamma_eff = -2.0 * levshift_exact(problem, omega_a).imag
     half = halfwidth * max(gamma_eff, emitter.gamma)
     om = np.linspace(omega_a - half, omega_a + half, 801)
     r_cav = reflection(problem, om)
     psi = field_profile(problem, omega_a, np.array([emitter.x_a]))[0]
-    dl = levshift_exact(problem, emitter, om)
+    dl = levshift_exact(problem, om)
     r_tot = r_cav - 0.5j * emitter.gamma * psi * psi / (om - omega_a - dl)
     return {"omega": om, "r_total": r_tot, "r_cav": r_cav,
             "reflectance": np.abs(r_tot) ** 2}

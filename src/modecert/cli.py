@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,24 @@ DEFAULT_SWEEP = [4.0, 5.0, 6.0, 8.0, 12.0, 20.0]
 # scenario schema
 # ---------------------------------------------------------------------------
 
+# the keys of each scenario section with their defaults; None marks a key
+# without one.  /custom_stack and /region stay None when absent, and every
+# /region key is required.
+_SECTIONS = {
+    "fabry_perot": {"L": 1.0, "n_mirror": 20.0, "gamma": 1.0},
+    "xray": {"material_table": None, "mode_index": 4, "gamma": None,
+             "spectrum_halfwidth": 40.0},
+    "synthetic_pfm": {"n_modes": 3, "seed": 7, "n_freq": 50, "tol": 1e-11},
+    "scan": {"window": None, "n_mirror_values": DEFAULT_SWEEP, "n_points": 2001},
+    "thresholds": {f.name: f.default for f in fields(Thresholds) if f.name != "window"},
+    "output": {"dir": "out"},
+    "region": dict.fromkeys(f.name for f in fields(ScanRegion)),
+    "custom_stack": {"left": None, "layers": None, "right": None, "emitter": None,
+                     "k_par": 0.0},
+}
+_OPTIONAL_SECTIONS = ("custom_stack", "region")
+
+
 @dataclass
 class Scenario:
     """Validated scenario with every default filled in (echoed on serialize)."""
@@ -64,18 +82,8 @@ class Scenario:
     output: dict
 
     def to_dict(self) -> dict:
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "fabry_perot": self.fabry_perot,
-            "xray": self.xray,
-            "custom_stack": self.custom_stack,
-            "synthetic_pfm": self.synthetic_pfm,
-            "scan": self.scan,
-            "region": self.region,
-            "thresholds": self.thresholds,
-            "output": self.output,
-        }
+        return {"version": SCHEMA_VERSION,
+                **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -87,7 +95,7 @@ class Scenario:
         return None if self.region is None else ScanRegion(**self.region)
 
 
-def _reject_unknown(obj: dict, allowed: dict, path: str):
+def _reject_unknown(obj: dict, allowed, path: str):
     for key in obj:
         if key not in allowed:
             raise ConfigurationError(f"unknown key {key!r} at {path or '/'}")
@@ -99,12 +107,6 @@ def _checked(path: str, build, *args, **kwargs):
         return build(*args, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{exc} at {path}") from exc
-
-
-def _field_defaults(cls, skip=()) -> dict:
-    """Field defaults of a dataclass; None for a field without one."""
-    return {f.name: None if f.default is MISSING else f.default
-            for f in fields(cls) if f.name not in skip}
 
 
 def _merged(defaults: dict, given: dict, path: str) -> dict:
@@ -140,10 +142,7 @@ def parse_scenario(source) -> Scenario:
     else:
         data = dict(source)
 
-    top_allowed = {"version": None, "kind": None, "fabry_perot": None, "xray": None,
-                   "custom_stack": None, "synthetic_pfm": None, "scan": None,
-                   "region": None, "thresholds": None, "output": None}
-    _reject_unknown(data, top_allowed, "")
+    _reject_unknown(data, {"version"} | {f.name for f in fields(Scenario)}, "")
 
     if data.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigurationError(
@@ -152,51 +151,33 @@ def parse_scenario(source) -> Scenario:
     if kind not in ("fabry_perot", "xray", "custom_stack", "synthetic_pfm"):
         raise ConfigurationError(f"unknown scenario kind {kind!r} at /kind")
 
-    fp = _merged({"L": 1.0, "n_mirror": 20.0, "gamma": 1.0},
-                 data.get("fabry_perot", {}), "/fabry_perot")
-    xr = _merged({"material_table": None, "mode_index": 4, "gamma": None,
-                  "spectrum_halfwidth": 40.0},
-                 data.get("xray", {}), "/xray")
-    sp = _merged({"n_modes": 3, "seed": 7, "n_freq": 50, "tol": 1e-11},
-                 data.get("synthetic_pfm", {}), "/synthetic_pfm")
-    scan = _merged({"window": None, "n_mirror_values": DEFAULT_SWEEP,
-                    "n_points": 2001},
-                   data.get("scan", {}), "/scan")
-    th = _merged(_field_defaults(Thresholds, skip=("window",)),
-                 data.get("thresholds", {}), "/thresholds")
-    _checked("/thresholds", Thresholds, **th)
-    _checked("/scan/window", Thresholds, window=scan["window"])
-    out = _merged({"dir": "out"}, data.get("output", {}), "/output")
+    sections = {name: None if name in _OPTIONAL_SECTIONS and data.get(name) is None
+                else _merged(defaults, data.get(name, {}), f"/{name}")
+                for name, defaults in _SECTIONS.items()}
+    _checked("/thresholds", Thresholds, **sections["thresholds"])
+    _checked("/scan/window", Thresholds, window=sections["scan"]["window"])
 
-    region = data.get("region")
+    region = sections["region"]
     if region is not None:
-        region = _merged(_field_defaults(ScanRegion), region, "/region")
-        for k in ("omega_lo", "omega_hi", "depth"):
-            if region[k] is None:
+        for k, v in region.items():
+            if v is None:
                 raise ConfigurationError(f"missing required key {k!r} at /region")
         _checked("/region", ScanRegion, **region)
 
-    custom = data.get("custom_stack")
-    if custom is not None:
-        custom = _merged({"left": None, "layers": None, "right": None,
-                          "emitter": None, "k_par": 0.0}, custom, "/custom_stack")
-        if kind == "custom_stack":
-            for k in ("layers", "emitter"):
-                if custom[k] is None:
-                    raise ConfigurationError(f"missing required key {k!r} at /custom_stack")
-    elif kind == "custom_stack":
-        raise ConfigurationError("kind custom_stack requires a /custom_stack section")
+    custom = sections["custom_stack"]
+    if kind == "custom_stack":
+        if custom is None:
+            raise ConfigurationError("kind custom_stack requires a /custom_stack section")
+        for k in ("layers", "emitter"):
+            if custom[k] is None:
+                raise ConfigurationError(f"missing required key {k!r} at /custom_stack")
 
-    return Scenario(kind=kind, fabry_perot=fp, xray=xr, custom_stack=custom,
-                    synthetic_pfm=sp, scan=scan, region=region, thresholds=th,
-                    output=out)
+    return Scenario(kind=kind, **sections)
 
 
 def _material_from_dict(d: dict, path: str) -> Material:
-    allowed = {"name": None, "n_re": None, "n_im": None}
-    _reject_unknown(d, allowed, path)
-    return Material.constant(d.get("name", "custom"),
-                             complex(d.get("n_re", 1.0), d.get("n_im", 0.0)))
+    m = _merged({"name": "custom", "n_re": 1.0, "n_im": 0.0}, d, path)
+    return Material.constant(m["name"], complex(m["n_re"], m["n_im"]))
 
 
 def _problem_from_scenario(scn: Scenario) -> WaveProblem:
@@ -368,6 +349,16 @@ def _run_pfm_check(scn: Scenario, art: _Artifacts) -> int:
     return 0 if ok else 2
 
 
+# command name -> (runner writing its artifacts and returning the exit code, help)
+COMMANDS = {
+    "classify": (_run_classify, "run the decision tree on one scenario"),
+    "sweep": (_run_sweep, "classify across the mirror-index list"),
+    "poles": (_run_poles, "pole/residue table over the scenario region"),
+    "spectrum": (_run_spectrum, "reflectance and level-shift curves"),
+    "pfm-check": (_run_pfm_check, "matrix-vs-diagonalized consistency check"),
+}
+
+
 def run(scenario: Scenario, command: str = "classify", out_dir=None) -> int:
     """Execute a scenario; returns the process exit code.
 
@@ -378,18 +369,9 @@ def run(scenario: Scenario, command: str = "classify", out_dir=None) -> int:
     art = _Artifacts(Path(out))
     art.write("scenario.json", scenario.to_json() + "\n", "config")
     try:
-        if command == "classify":
-            code = _run_classify(scenario, art)
-        elif command == "sweep":
-            code = _run_sweep(scenario, art)
-        elif command == "poles":
-            code = _run_poles(scenario, art)
-        elif command == "spectrum":
-            code = _run_spectrum(scenario, art)
-        elif command == "pfm-check":
-            code = _run_pfm_check(scenario, art)
-        else:
+        if command not in COMMANDS:
             raise ConfigurationError(f"unknown command {command!r}")
+        code = COMMANDS[command][0](scenario, art)
     except ModeCertError as exc:
         art.write("error.txt", f"{type(exc).__name__}: {exc}\n", "error")
         art.finish()
@@ -406,11 +388,7 @@ def main(argv=None) -> int:
                         help="scenario JSON file")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("classify", "run the decision tree on one scenario"),
-                      ("sweep", "classify across the mirror-index list"),
-                      ("poles", "pole/residue table over the scenario region"),
-                      ("spectrum", "reflectance and level-shift curves"),
-                      ("pfm-check", "matrix-vs-diagonalized consistency check")):
+    for name, (_, doc) in COMMANDS.items():
         sub.add_parser(name, help=doc)
     args = parser.parse_args(argv)
 

@@ -2,14 +2,23 @@
 
 All errors raised by the numerical machinery derive from :class:`ModeCertError`
 so callers can catch everything from one base.  Diagnostic payloads (offending
-frequency, sub-box, candidate list) ride along as attributes.
+frequency, sub-box, candidate list, error table) are keyword arguments of the
+constructor and ride along as attributes of the same names.
 """
 
 from __future__ import annotations
 
 
 class ModeCertError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``ModeCertError(message, **payload)`` stores each payload entry as an
+    attribute; each subclass names its payload and the defaults it keeps.
+    """
+
+    def __init__(self, message, **payload):
+        super().__init__(message)
+        self.__dict__.update(payload)
 
 
 class DomainError(ModeCertError):
@@ -17,11 +26,10 @@ class DomainError(ModeCertError):
 
 
 class BranchPointError(ModeCertError):
-    """A cladding wavenumber sits exactly at k_z = 0, where the branch is undefined."""
+    """A cladding wavenumber sits exactly at k_z = 0, where the branch is undefined.
 
-    def __init__(self, message, omega=None):
-        super().__init__(message)
-        self.omega = omega
+    Payload: ``omega``, the offending frequency value(s).
+    """
 
 
 class ThicknessOverflowError(ModeCertError):
@@ -31,43 +39,24 @@ class ThicknessOverflowError(ModeCertError):
 class NearPoleError(ModeCertError):
     """Green's function requested at (or numerically at) a pole.
 
-    Attributes
-    ----------
-    omega : complex or ndarray
-        The offending frequency value(s).
+    Payload: ``omega``, the offending frequency value(s).
     """
-
-    def __init__(self, message, omega=None):
-        super().__init__(message)
-        self.omega = omega
 
 
 class AmbiguityError(ModeCertError):
     """Feature extraction found zero or multiple candidates where one was required.
 
-    Attributes
-    ----------
-    candidates : list
-        The candidate locations found (possibly empty).
+    Payload: ``candidates``, the candidate locations found (empty by default).
     """
 
-    def __init__(self, message, candidates=None):
-        super().__init__(message)
-        self.candidates = list(candidates) if candidates is not None else []
+    candidates = ()
 
 
 class UnresolvedRegionError(ModeCertError):
     """Pole search could not validate a sub-box within the subdivision budget.
 
-    Attributes
-    ----------
-    box : tuple
-        (re_lo, re_hi, im_lo, im_hi) of the unresolved sub-box.
+    Payload: ``box``, (re_lo, re_hi, im_lo, im_hi) of the unresolved sub-box.
     """
-
-    def __init__(self, message, box=None):
-        super().__init__(message)
-        self.box = box
 
 
 class ExceptionalPointError(ModeCertError):
@@ -84,17 +73,11 @@ class AccuracyError(ModeCertError):
 class RegionTooSmallError(ModeCertError):
     """Requested truncation tolerance is unreachable with the poles found.
 
-    Advises enlarging the scan region.
-
-    Attributes
-    ----------
-    errors : list
-        The truncation error of each N-pole sum over the last region.
+    Advises enlarging the scan region.  Payload: ``errors``, the truncation
+    error of each N-pole sum over the last region (empty by default).
     """
 
-    def __init__(self, message, errors=None):
-        super().__init__(message)
-        self.errors = list(errors) if errors is not None else []
+    errors = ()
 
 
 class ConfigurationError(ModeCertError):

@@ -1,8 +1,10 @@
 """Complex pole search, residues and Mittag-Leffler expansions.
 
 Poles of the witness observable (equivalently of the Green's function) are
-located by recursive rectangle subdivision driven by the argument principle
-applied to h = 1/f, and polished by Newton iteration on h.  Winding numbers
+searched for in a scan region [omega_lo, omega_hi] x [-depth, 0]: passive
+poles lie below the real axis, and the witness is analytic across it.  They
+are located by recursive rectangle subdivision driven by the argument
+principle applied to h = 1/f, and polished by Newton iteration on h.  Winding numbers
 alone cannot certify a box: a pole of f and a zero of f in the same box
 cancel in the count.  Every boundary pass therefore also computes the first
 two moments of the singularity distribution (Delves & Lyness, 1967),
@@ -46,7 +48,7 @@ the whole region is searched and nothing is mirrored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -88,7 +90,7 @@ class Pole:
 
 @dataclass(frozen=True)
 class ScanRegion:
-    """Complex search rectangle [omega_lo, omega_hi] x [im_top - depth, im_top].
+    """Complex search rectangle [omega_lo, omega_hi] x [-depth, 0].
 
     The search resolution scales with the region: candidates closer than
     ``_DEDUPE_REL`` times the width are one pole, and the Newton acceptance
@@ -98,7 +100,6 @@ class ScanRegion:
     omega_lo: float
     omega_hi: float
     depth: float
-    im_top: float = 0.0
 
     def __post_init__(self):
         if not self.omega_lo < self.omega_hi:
@@ -112,11 +113,10 @@ class ScanRegion:
 
     @property
     def box(self):
-        return (self.omega_lo, self.omega_hi, self.im_top - self.depth, self.im_top)
+        return (self.omega_lo, self.omega_hi, -self.depth, 0.0)
 
     def to_dict(self) -> dict:
-        return {"omega_lo": self.omega_lo, "omega_hi": self.omega_hi,
-                "depth": self.depth, "im_top": self.im_top}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -535,7 +535,7 @@ def build_expansion(f, region: ScanRegion, previous: PoleExpansion | None = None
     for k, (z, i, _) in enumerate(members):
         dists = [abs(z - w) for j, (w, _, _) in enumerate(members) if j != k]
         d_edges = [z.real - region.omega_lo, region.omega_hi - z.real,
-                   z.imag - (region.im_top - region.depth)]
+                   z.imag + region.depth]
         radii.setdefault(i, min(0.45 * min(dists + [2.0 * min(d_edges)]),
                                 0.25 * region.width))
     residues = {}
@@ -574,8 +574,7 @@ def _searched(region: ScanRegion, mirror: bool) -> ScanRegion:
     if not mirror:
         return region
     lo = max(region.omega_lo, -_STRIP_REL * region.width)
-    return ScanRegion(lo, max(region.omega_hi, -region.omega_lo), region.depth,
-                      im_top=region.im_top)
+    return ScanRegion(lo, max(region.omega_hi, -region.omega_lo), region.depth)
 
 
 def counted_poles(expansion: PoleExpansion, center: float) -> list:

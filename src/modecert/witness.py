@@ -1,9 +1,12 @@
 """The witness observable delta(omega) = Delta - i Gamma / 2.
 
-``levshift_exact`` evaluates the witness from the exact cavity Green's
-function; the closed-form single-mode model supplies the reference behavior
-(reflection line and level shift), and the feature extractors locate the
-probed reflectance minimum omega_min and the zero crossing omega_a0 of Delta.
+``levshift_exact`` evaluates the witness of a problem's own emitter from the
+exact cavity Green's function; the closed-form single-mode model supplies the
+reference behavior (reflection line and level shift), and the feature
+extractors locate the probed reflectance minimum omega_min and the zero
+crossing omega_a0 of Delta.  Sampled curves and minimum scans refine on one
+rule: ``_REFINE``-times denser local grids over two cells either side of each
+extremum or minimum of the uniform base grid.
 
 Normalization: the witness is calibrated once against the analytic free-space
 Green's function so that a homogeneous environment gives exactly
@@ -21,9 +24,10 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 
 from .errors import AmbiguityError
-from .layered import EmitterSpec, WaveProblem, green_function
+from .layered import WaveProblem, green_function
 
 TWO_PI = 2.0 * np.pi
+_REFINE = 10    # local grids around extrema and minima are this many times denser
 
 
 # ---------------------------------------------------------------------------
@@ -93,22 +97,20 @@ def _free_space_wavenumber(problem: WaveProblem, omega):
     return np.sqrt(w * w - problem.k_par ** 2)
 
 
-def levshift_exact(problem: WaveProblem, emitter: EmitterSpec | None = None,
-                   omega_test=None):
-    """Witness observable delta(omega_test) from the exact Green's function.
+def levshift_exact(problem: WaveProblem, omega):
+    """Witness observable delta(omega) of the problem's emitter, from the exact G.
 
     delta(omega) = gamma * k_free(omega) * G(x_a, x_a, omega), where the
     k_free factor is the one-time calibration against the analytic free-space
     G = 1/(2 i k_free): a homogeneous environment returns exactly
-    -i gamma / 2 at every omega_test.  Analytic in omega away from poles, so
+    -i gamma / 2 at every omega.  Analytic in omega away from poles, so
     it doubles as the pole-search evaluator at complex frequencies.
     """
+    emitter = problem.stack.emitter
     if emitter is None:
-        emitter = problem.stack.emitter
-    if emitter is None:
-        raise ValueError("no emitter on the stack and none supplied")
-    g = green_function(problem, emitter.x_a, emitter.x_a, omega_test)
-    return emitter.gamma * _free_space_wavenumber(problem, omega_test) * g
+        raise ValueError("no emitter on the stack")
+    g = green_function(problem, emitter.x_a, emitter.x_a, omega)
+    return emitter.gamma * _free_space_wavenumber(problem, omega) * g
 
 
 def witness_evaluator(problem: WaveProblem):
@@ -124,7 +126,7 @@ def witness_evaluator(problem: WaveProblem):
         if np.any(w == 0):
             w = np.where(w == 0, 1e-30 + 0j, w)
         with np.errstate(all="ignore"):
-            return levshift_exact(problem, omega_test=w)
+            return levshift_exact(problem, w)
 
     return f
 
@@ -174,36 +176,40 @@ class LevelShiftCurve:
         })
 
 
-def _refined_grid(window, n, fn_values, base_omega, refine):
-    """Points refine-times denser around local extrema of |values|, off the base grid."""
-    om = base_omega
-    slope = np.diff(np.abs(fn_values))
-    idx = np.nonzero(slope[:-1] * slope[1:] < 0)[0] + 1
-    h = (window[1] - window[0]) / (n - 1)
-    lo = np.maximum(window[0], om[idx] - 2 * h)
-    hi = np.minimum(window[1], om[idx] + 2 * h)
-    return np.setdiff1d(np.linspace(lo, hi, 4 * refine + 1), om)
+def _local_grid(omega, x):
+    """Two cells of the uniform grid ``omega`` either side of ``x``, ``_REFINE`` times denser.
+
+    ``4 * _REFINE + 1`` points, clipped to the grid's span; an array ``x``
+    gives one such column per point.
+    """
+    h = (omega[-1] - omega[0]) / (len(omega) - 1)
+    return np.linspace(np.maximum(omega[0], x - 2 * h), np.minimum(omega[-1], x + 2 * h),
+                       4 * _REFINE + 1)
 
 
-def levshift_curve(problem: WaveProblem, window, n: int = 2001,
-                   refine: int = 10) -> LevelShiftCurve:
+def _extrema(values) -> np.ndarray:
+    """Indices of interior samples where |values| turns from rising to falling or back."""
+    slope = np.diff(np.abs(values))
+    return np.nonzero(slope[:-1] * slope[1:] < 0)[0] + 1
+
+
+def levshift_curve(problem: WaveProblem, window, n: int = 2001) -> LevelShiftCurve:
     """Sample the exact witness of the problem's emitter, refining around extrema.
 
     The base grid has ``n`` points; detected extrema of Re and Im get a
-    ``refine``-times denser local grid, which is what the root finders need
+    ``_REFINE``-times denser local grid, which is what the root finders need
     to resolve shifts much smaller than the mode width.  Each grid point is
     evaluated once: the second kernel call carries only the added points.
     """
     om = np.linspace(window[0], window[1], n)
-    de = levshift_exact(problem, omega_test=om)
-    if refine > 1:
-        extra = np.union1d(_refined_grid(window, n, de.real, om, refine),
-                           _refined_grid(window, n, de.imag, om, refine))
-        if extra.size:
-            om = np.concatenate([om, extra])
-            de = np.concatenate([de, levshift_exact(problem, omega_test=extra)])
-            order = np.argsort(om)
-            om, de = om[order], de[order]
+    de = levshift_exact(problem, om)
+    extra = np.setdiff1d(_local_grid(om, om[np.union1d(_extrema(de.real),
+                                                        _extrema(de.imag))]), om)
+    if extra.size:
+        om = np.concatenate([om, extra])
+        de = np.concatenate([de, levshift_exact(problem, extra)])
+        order = np.argsort(om)
+        om, de = om[order], de[order]
     return LevelShiftCurve(om, de, "exact-green", tuple(window))
 
 
@@ -251,19 +257,15 @@ def local_minima(values) -> np.ndarray:
     return np.nonzero((v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:]))[0] + 1
 
 
-def find_omega_min_refined(fn, omega, values, refine: int = 10) -> float:
-    """Minimum of a given coarse scan, refined on a refine-times denser local scan.
+def find_omega_min_refined(fn, omega, values) -> float:
+    """Minimum of a given coarse scan, refined on a ``_REFINE``-times denser local scan.
 
     ``values`` (e.g. reflectance) are sampled on the uniform grid ``omega``;
     ``fn`` maps a frequency array to the same values and is called once, on
     the local grid, which spans two coarse cells around the coarse minimum.
     That makes the final parabolic refinement accurate to O(h_fine^3).
     """
-    coarse = find_omega_min(omega, values)
-    h = (omega[-1] - omega[0]) / (len(omega) - 1)
-    lo = max(omega[0], coarse - 2 * h)
-    hi = min(omega[-1], coarse + 2 * h)
-    om2 = np.linspace(lo, hi, 4 * refine + 1)
+    om2 = _local_grid(omega, find_omega_min(omega, values))
     return find_omega_min(om2, np.asarray(fn(om2), dtype=float))
 
 

@@ -56,6 +56,10 @@ def test_parse_unknown_key_rejected():
         cli.parse_scenario(bad)
     with pytest.raises(ConfigurationError, match="/scan"):
         cli.parse_scenario({**MINIMAL_FP, "scan": {"bogus": 3}})
+    # the search rectangle's top edge is the real axis, not a setting
+    region = {"omega_lo": 1.0, "omega_hi": 2.0, "depth": 0.5, "im_top": 0.0}
+    with pytest.raises(ConfigurationError, match="unknown key 'im_top' at /region"):
+        cli.parse_scenario({**MINIMAL_FP, "region": region})
 
 
 def test_parse_version_mismatch():
@@ -298,6 +302,7 @@ def test_run_poles_with_region(tmp_path):
     code = cli.run(scn, command="poles", out_dir=tmp_path / "p2")
     assert code == 0
     exp = json.loads((tmp_path / "p2" / "expansion.json").read_text())
+    assert exp["region"] == {"omega_lo": 0.6 * np.pi, "omega_hi": 1.5 * np.pi, "depth": 0.3}
     assert len(exp["poles"]) == 1
     assert exp["poles"][0]["re"] == pytest.approx(1.0412 * np.pi, rel=1e-3)
     lines = (tmp_path / "p2" / "poles.csv").read_text().splitlines()
@@ -359,6 +364,9 @@ def test_run_classify_xray(tmp_path):
     spec_lines = (tmp_path / "x" / "nuclear_spectrum.csv").read_text().splitlines()
     assert spec_lines[0] == "omega,r_re,r_im,reflectance"
     _assert_float_fields(spec_lines)
+    # spectrum hands an X-ray scenario to classify: the same files, byte for byte
+    assert cli.run(scn, command="spectrum", out_dir=tmp_path / "xs") == 0
+    assert _manifest(tmp_path / "xs") == _manifest(tmp_path / "x")
 
 
 def test_run_classify_xray_echoes_given_window(tmp_path, material_table):
@@ -416,7 +424,7 @@ def test_run_classify_xray_searches_given_region(tmp_path, monkeypatch):
         assert error.startswith("ConfigurationError: region omega_lo = 1.0 ")
         assert "branch point" in error
         echoed = json.loads((tmp_path / command / "scenario.json").read_text())["region"]
-        assert echoed == {**given, "im_top": 0.0}
+        assert echoed == given
     assert regions == []
 
 
@@ -448,6 +456,20 @@ def test_one_certificate_path():
     # witness directly (no window search samples it on grids of its own)
     assert _callers(cli, "classify") == ["_run_classify"]
     assert set(_callers(certify, "levshift_exact")) == {"classify", "nuclear_spectrum"}
+
+
+def test_run_unknown_command(tmp_path):
+    scn = cli.parse_scenario(MINIMAL_FP)
+    assert cli.run(scn, "nope", out_dir=tmp_path / "u") == 1
+    error = (tmp_path / "u" / "error.txt").read_text()
+    assert error == "ConfigurationError: unknown command 'nope'\n"
+
+
+def test_main_offers_the_commands_run_dispatches(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    offered = re.search(r"\{([^}]*)\}", capsys.readouterr().out).group(1)
+    assert offered.split(",") == list(cli.COMMANDS)
 
 
 def test_main_entrypoint(tmp_path):

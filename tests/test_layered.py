@@ -112,7 +112,7 @@ def test_thickness_overflow_error_green_and_witness(layers, x_a):
         with pytest.raises(ThicknessOverflowError):
             ly.green_function(pr, x_a, x_a, omega)
         with pytest.raises(ThicknessOverflowError):
-            wt.levshift_exact(pr, omega_test=omega)
+            wt.levshift_exact(pr, omega)
 
 
 def test_thickness_overflow_guard_sums_the_layers():

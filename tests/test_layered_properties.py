@@ -8,6 +8,8 @@ mirrored stack.  A real index profile at k_par = 0 is also pinned to its
 conjugate symmetry, which is what pairs the mirror poles -p* with p.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,7 +189,10 @@ def test_conjugate_symmetry_real_index(stack, w_re, w_im, u, v):
     x, xp = u * stack.total_thickness, v * stack.total_thickness
     g = ly.green_function(pr, x, xp, z)
     assert abs(ly.green_function(pr, x, xp, -z.conjugate()) - g.conjugate()) <= 1e-10 * abs(g)
-    emitter = ly.EmitterSpec(x_a=x, omega_a=w_re, gamma=1.0)
-    f = wt.levshift_exact(pr, emitter, z)
-    f_mirror = wt.levshift_exact(pr, emitter, -z.conjugate())
-    assert abs(f_mirror + f.conjugate()) <= 1e-10 * abs(f)
+    if 0.0 < x < stack.total_thickness:
+        # the witness of an emitter at x (the G check above covers any x)
+        emitter = ly.EmitterSpec(x_a=x, omega_a=w_re, gamma=1.0)
+        pr = ly.WaveProblem(dataclasses.replace(stack, emitter=emitter))
+        f = wt.levshift_exact(pr, z)
+        f_mirror = wt.levshift_exact(pr, -z.conjugate())
+        assert abs(f_mirror + f.conjugate()) <= 1e-10 * abs(f)

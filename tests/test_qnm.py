@@ -551,7 +551,7 @@ def test_truncation_convergence_sweep_n4():
     region = qnm.ScanRegion(-14.77 * np.pi, 14.81 * np.pi, 1.2 * np.pi)
     exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
     win = (0.92 * np.pi, 1.85 * np.pi)
-    curve = wt.levshift_curve(pr, win, n=1001, refine=1)
+    curve = wt.levshift_curve(pr, win, n=1001)
     rep = qnm.convergence_report(exp, curve, 0.05, 1.386 * np.pi)
     errors = rep.errors
     assert rep.n_star >= 3

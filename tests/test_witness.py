@@ -109,7 +109,7 @@ def test_free_space_normalization():
     pr = ly.WaveProblem(st)
     rng = np.random.default_rng(0)
     om = rng.uniform(0.5, 30.0, 100)
-    d = wt.levshift_exact(pr, omega_test=om)
+    d = wt.levshift_exact(pr, om)
     assert np.max(np.abs(d + 0.5j * gamma)) < 1e-12 * gamma
 
 
@@ -119,7 +119,7 @@ def test_free_space_normalization_grazing():
                        emitter=ly.EmitterSpec(0.5, 10.0, gamma=1.0))
     pr = ly.WaveProblem(st, k_par=3.0)
     om = np.linspace(4.0, 30.0, 50)
-    d = wt.levshift_exact(pr, omega_test=om)
+    d = wt.levshift_exact(pr, om)
     assert np.max(np.abs(d + 0.5j)) < 1e-12
 
 
@@ -129,13 +129,13 @@ def test_levshift_array_k_par_matches_scalar_calls():
     kps = np.array([0.1, 0.2, 0.3])
     scalar = [ly.WaveProblem(stack, k_par=kp) for kp in kps]
     z = 3.0 - 0.1j
-    got = wt.levshift_exact(ly.WaveProblem(stack, k_par=kps), omega_test=z)
-    want = [wt.levshift_exact(pr, omega_test=z) for pr in scalar]
+    got = wt.levshift_exact(ly.WaveProblem(stack, k_par=kps), z)
+    want = [wt.levshift_exact(pr, z) for pr in scalar]
     # scalar calls run on Python complex numbers, array calls on numpy loops
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
     om = np.array([2.5, z])
-    got = wt.levshift_exact(ly.WaveProblem(stack, k_par=kps), omega_test=om[:, None])
-    want = np.array([wt.levshift_exact(pr, omega_test=om) for pr in scalar]).T
+    got = wt.levshift_exact(ly.WaveProblem(stack, k_par=kps), om[:, None])
+    want = np.array([wt.levshift_exact(pr, om) for pr in scalar]).T
     assert got.shape == (2, 3) and np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
@@ -144,8 +144,8 @@ def test_delta_small_at_probed_minimum_n20():
     fn = lambda w: np.abs(ly.reflection(pr, w)) ** 2
     om = np.linspace(0.8 * np.pi, 1.3 * np.pi, 2001)
     wmin = wt.find_omega_min_refined(fn, om, fn(om))
-    curve = wt.levshift_curve(pr, (0.8 * np.pi, 1.3 * np.pi), n=1001, refine=1)
-    d0 = wt.levshift_exact(pr, omega_test=complex(wmin))
+    curve = wt.levshift_curve(pr, (0.8 * np.pi, 1.3 * np.pi), n=1001)
+    d0 = wt.levshift_exact(pr, complex(wmin))
     assert abs(d0.real) < 0.05 * np.max(np.abs(curve.Delta))
 
 
@@ -158,7 +158,7 @@ def test_perfect_mirror_surrogate_suppression():
     dips = [om[i] for i in range(1, len(om) - 1)
             if r2[i] < r2[i - 1] and r2[i] < r2[i + 1] and r2[i] < 0.9]
     mid = 0.5 * (dips[0] + dips[1])
-    d = wt.levshift_exact(pr, omega_test=complex(mid))
+    d = wt.levshift_exact(pr, complex(mid))
     assert -2 * d.imag < 0.1 * pr.stack.emitter.gamma
 
 
@@ -166,7 +166,7 @@ def test_gamma_positive_on_real_axis():
     for n in (4.0, 8.0, 20.0):
         pr = fp_problem(n)
         om = np.linspace(0.3 * np.pi, 4.0 * np.pi, 1500)
-        gam = -2 * wt.levshift_exact(pr, omega_test=om).imag
+        gam = -2 * wt.levshift_exact(pr, om).imag
         assert gam.min() > -1e-10 * gam.max()
 
 
@@ -188,8 +188,9 @@ def test_dispersive_sheet_oracle():
                         (ly.VACUUM, L / 2 - t / 2), (mirror, t_m)), ly.VACUUM)
     prs = ly.WaveProblem(st)
     plain = ly.WaveProblem(ly.build_fabry_perot(L, n_m, gamma=g_rad))
-    em = ly.EmitterSpec(x_a=t_m + L / 2, omega_a=om_res, gamma=g_rad)
-    pred = wt.levshift_exact(plain, em, om_res)
+    # the witness emitter sits at the sheet, with the sheet's radiative width
+    assert plain.stack.emitter.x_a == t_m + L / 2 and plain.stack.emitter.gamma == g_rad
+    pred = wt.levshift_exact(plain, om_res)
     delta, gamma = pred.real, -2 * pred.imag
     half = 30 * (gamma + g_res)
     om = np.linspace(om_res - half, om_res + half, 3001)
@@ -216,7 +217,7 @@ def test_levshift_curve_evaluates_each_point_once(monkeypatch):
     assert np.array_equal(np.sort(points), curve.omega)
     # the merged samples are those of one call on the final grid, bit for bit
     monkeypatch.undo()
-    assert np.array_equal(curve.delta, wt.levshift_exact(pr, omega_test=curve.omega))
+    assert np.array_equal(curve.delta, wt.levshift_exact(pr, curve.omega))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +287,7 @@ def test_find_zero_of_delta_ambiguity():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_scans_match_pointwise_loops(seed):
+def test_scans_match_pointwise_loops(seed, monkeypatch):
     # the array scans keep the index lists of the pointwise loops they
     # replaced, ties and exact zeros included
     rng = np.random.default_rng(seed)
@@ -301,15 +302,19 @@ def test_scans_match_pointwise_loops(seed):
         _zero(lambda w: np.interp(w, om, v) + 0j, (0.0, 1.0), n=v.size)
     assert err.value.candidates == [float(om[i]) for i in crossings]
 
-    a = np.abs(v)
-    extrema = [i for i in range(1, v.size - 1) if (a[i] - a[i - 1]) * (a[i + 1] - a[i]) < 0]
+    # a witness curve refines around the extrema of |Re| and of |Im|
+    v_im = rng.integers(-3, 4, v.size).astype(float)
+    extrema = []
+    for a in (np.abs(v), np.abs(v_im)):
+        extrema += [i for i in range(1, v.size - 1) if (a[i] - a[i - 1]) * (a[i + 1] - a[i]) < 0]
     h = 1.0 / (v.size - 1)
     grid = np.unique(np.concatenate(
-        [om] + [np.linspace(max(0.0, om[i] - 2 * h), min(1.0, om[i] + 2 * h), 9)
-                for i in extrema]))
-    added = wt._refined_grid((0.0, 1.0), v.size, v, om, 2)
-    assert not np.isin(added, om).any()
-    assert np.array_equal(np.union1d(om, added), grid)
+        [om] + [np.linspace(max(0.0, om[i] - 2 * h), min(1.0, om[i] + 2 * h),
+                            4 * wt._REFINE + 1) for i in extrema]))
+    assert np.array_equal(np.union1d(om, wt._local_grid(om, om[extrema])), grid)
+    monkeypatch.setattr(wt, "levshift_exact",
+                        lambda problem, w: np.interp(w, om, v) + 1j * np.interp(w, om, v_im))
+    assert np.array_equal(wt.levshift_curve(None, (0.0, 1.0), n=v.size).omega, grid)
 
 
 def test_single_mode_feature_coincidence():
@@ -348,14 +353,14 @@ def test_kk_fabry_perot_n8():
     # center emitter couples to), interior third compared at 5 percent
     pr = fp_problem(8.0)
     om = np.linspace(0.3 * np.pi, 8.0 * np.pi, 6000)
-    gam = -2 * wt.levshift_exact(pr, omega_test=om).imag
+    gam = -2 * wt.levshift_exact(pr, om).imag
     peaks = [om[i] for i in range(1, len(om) - 1)
              if gam[i] > gam[i - 1] and gam[i] > gam[i + 1] and gam[i] > 0.5]
     fsr = float(np.median(np.diff(peaks)))
     c = peaks[0]
     win = (max(c - 2.5 * fsr, 0.05 * np.pi), c + 2.5 * fsr)
     omk = np.linspace(win[0], win[1], 4001)
-    d = wt.levshift_exact(pr, omega_test=omk)
+    d = wt.levshift_exact(pr, omk)
     rec = wt.kk_reconstruct_delta(omk, -2 * d.imag)
     width = win[1] - win[0]
     inner = (omk > win[0] + width / 3) & (omk < win[1] - width / 3)
