@@ -35,11 +35,11 @@ from scipy.optimize import brentq
 
 from .errors import AmbiguityError, ConfigurationError, ModeCertError, RegionTooSmallError
 from .layered import (
-    GAMMA_NUC_KEV,
     OMEGA_NUC_KEV,
     WaveProblem,
     build_fabry_perot,
     build_xray_cavity,
+    default_material_table_path,
     field_profile,
     load_material_table,
     reflectance_vs_angle,
@@ -448,8 +448,7 @@ def _default_window_region(problem: WaveProblem, window=None):
 # scans
 # ---------------------------------------------------------------------------
 
-def scan_mirror_index(L: float, n_values, thresholds: Thresholds = Thresholds(),
-                      gamma: float = 1.0) -> list:
+def scan_mirror_index(L: float, n_values, thresholds: Thresholds = Thresholds()) -> list:
     """Classify a Fabry-Perot cavity for each mirror index; failures recorded.
 
     Returns a list of (n_mirror, ClassificationReport | ModeCertError); a
@@ -458,7 +457,7 @@ def scan_mirror_index(L: float, n_values, thresholds: Thresholds = Thresholds(),
     rows = []
     for n in n_values:
         try:
-            stack = build_fabry_perot(L, float(n), gamma=gamma)
+            stack = build_fabry_perot(L, float(n))
             report = classify(WaveProblem(stack), thresholds=thresholds)
             rows.append((float(n), report))
         except ModeCertError as exc:
@@ -497,28 +496,28 @@ def scan_table_csv(rows) -> str:
 # X-ray cavity reports
 # ---------------------------------------------------------------------------
 
-def xray_angle_minima(material_table):
+def xray_angle_minima(table: dict):
     """Grazing angles (radians) of the 14.4 keV reflectance minima, 0.03-0.6 deg."""
-    stack = build_xray_cavity(material_table, math.radians(0.1)).stack
+    stack = build_xray_cavity(table, math.radians(0.1)).stack
     th = np.radians(np.linspace(0.03, 0.6, 4001))
     r2 = reflectance_vs_angle(stack, OMEGA_NUC_KEV, th)
     return [parabola_vertex(th, r2, i) for i in local_minima(r2)]
 
 
-def xray_problem(material_table, mode_index: int, gamma: float | None = None) -> WaveProblem:
+def xray_problem(material_table, mode_index: int) -> WaveProblem:
     """The X-ray cavity at its ``mode_index``-th rocking minimum (1-based).
 
-    The angle is fixed at that minimum, so the witness is studied versus
-    energy at fixed ``k_par``; ``gamma`` defaults to the 57Fe natural width.
+    ``material_table`` is a table file, a loaded table or None (the shipped
+    one).  The angle is fixed at that minimum, so the witness is studied
+    versus energy at fixed ``k_par``; the emitter is the 57Fe line.
     """
     table = (material_table if isinstance(material_table, dict)
-             else load_material_table(material_table))
+             else load_material_table(material_table or default_material_table_path()))
     minima = xray_angle_minima(table)
-    if len(minima) < mode_index:
-        raise ConfigurationError(
-            f"only {len(minima)} reflectance minima found, need {mode_index}")
-    return build_xray_cavity(table, minima[mode_index - 1],
-                             gamma=gamma if gamma is not None else GAMMA_NUC_KEV)
+    if mode_index not in range(1, len(minima) + 1):
+        raise ConfigurationError(f"mode_index must be one of the {len(minima)} reflectance "
+                                 f"minima 1..{len(minima)}, not {mode_index!r}")
+    return build_xray_cavity(table, minima[mode_index - 1])
 
 
 def nuclear_spectrum(problem: WaveProblem, halfwidth: float) -> dict:

@@ -33,7 +33,6 @@ from .layered import (
     Material,
     WaveProblem,
     build_fabry_perot,
-    default_material_table_path,
     reflection,
 )
 from .pfm import PfmParams, diagonalize, levshift_matrix, pole_sum
@@ -49,50 +48,46 @@ DEFAULT_SWEEP = [4.0, 5.0, 6.0, 8.0, 12.0, 20.0]
 # scenario schema
 # ---------------------------------------------------------------------------
 
-# the keys of each scenario section with their defaults; None marks a key
-# without one.  /custom_stack and /region stay None when absent, and every
-# /region key is required.
+# the keys of each scenario section with their defaults; None marks an
+# optional key without one, _REQUIRED a key a given section must set.  An
+# absent /region stays None.
+_REQUIRED = object()
 _SECTIONS = {
-    "fabry_perot": {"L": 1.0, "n_mirror": 20.0, "gamma": 1.0},
-    "xray": {"material_table": None, "mode_index": 4, "gamma": None,
-             "spectrum_halfwidth": 40.0},
-    "synthetic_pfm": {"n_modes": 3, "seed": 7, "n_freq": 50, "tol": 1e-11},
+    "fabry_perot": {"L": 1.0, "n_mirror": 20.0},
+    "custom_stack": {"left": None, "layers": _REQUIRED, "right": None,
+                     "emitter": _REQUIRED, "k_par": 0.0},
+    "xray": {"material_table": None, "mode_index": 4, "spectrum_halfwidth": 40.0},
+    "synthetic_pfm": {"n_modes": 3, "seed": 7, "n_freq": 50},
     "scan": {"window": None, "n_mirror_values": DEFAULT_SWEEP, "n_points": 2001},
+    "region": dict.fromkeys((f.name for f in fields(ScanRegion)), _REQUIRED),
     "thresholds": {f.name: f.default for f in fields(Thresholds) if f.name != "window"},
     "output": {"dir": "out"},
-    "region": dict.fromkeys(f.name for f in fields(ScanRegion)),
-    "custom_stack": {"left": None, "layers": None, "right": None, "emitter": None,
-                     "k_par": 0.0},
 }
-_OPTIONAL_SECTIONS = ("custom_stack", "region")
+# the sections a scenario of each kind holds: its own and those its commands read
+_WAVE_KINDS = ("fabry_perot", "custom_stack", "xray")
+_KIND_SECTIONS = {**{kind: (kind, "scan", "region", "thresholds", "output")
+                     for kind in _WAVE_KINDS},
+                  "synthetic_pfm": ("synthetic_pfm", "output")}
 
 
 @dataclass
 class Scenario:
-    """Validated scenario with every default filled in (echoed on serialize)."""
+    """Validated scenario: its kind's sections, every default filled in (echoed on serialize)."""
 
     kind: str
-    fabry_perot: dict
-    xray: dict
-    custom_stack: dict | None
-    synthetic_pfm: dict
-    scan: dict
-    region: dict | None
-    thresholds: dict
-    output: dict
+    sections: dict      # name -> keys, for the names of _KIND_SECTIONS[kind]
 
     def to_dict(self) -> dict:
-        return {"version": SCHEMA_VERSION,
-                **{f.name: getattr(self, f.name) for f in fields(self)}}
+        return {"version": SCHEMA_VERSION, "kind": self.kind, **self.sections}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def make_thresholds(self) -> Thresholds:
-        return Thresholds(**self.thresholds, window=self.scan["window"])
+        return Thresholds(**self.sections["thresholds"], window=self.sections["scan"]["window"])
 
     def make_region(self) -> ScanRegion | None:
-        return None if self.region is None else ScanRegion(**self.region)
+        return None if self.sections["region"] is None else ScanRegion(**self.sections["region"])
 
 
 def _reject_unknown(obj: dict, allowed, path: str):
@@ -105,14 +100,20 @@ def _checked(path: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, its value errors reported at ``path``."""
     try:
         return build(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ConfigurationError(f"missing required key {exc} at {path}") from exc
+    except (TypeError, ValueError, OSError) as exc:
         raise ConfigurationError(f"{exc} at {path}") from exc
 
 
-def _merged(defaults: dict, given: dict, path: str) -> dict:
+def _merged(defaults: dict, given, path: str) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigurationError(f"expected an object at {path}, not {given!r}")
     _reject_unknown(given, defaults, path)
-    out = dict(defaults)
-    out.update(given)
+    out = {**defaults, **given}
+    for key, value in out.items():
+        if value is _REQUIRED:
+            raise ConfigurationError(f"missing required key {key!r} at {path}")
     return out
 
 
@@ -120,10 +121,11 @@ def parse_scenario(source) -> Scenario:
     """Parse and validate a scenario (file path, JSON text, or dict).
 
     A ``Path``, or a ``str`` that does not start with ``{``, is a file path.
-    Unknown keys and invalid thresholds, windows or regions are rejected
-    with their location, an unreadable file or invalid JSON with its path;
-    missing optional sections get explicit defaults so that parse ->
-    serialize -> parse is the identity.
+    A scenario holds the sections of its kind (``_KIND_SECTIONS``); any
+    other key, a section of another kind included, is rejected with its
+    location, and so are invalid thresholds, windows or regions, an
+    unreadable file or invalid JSON with its path.  Missing sections get
+    explicit defaults so that parse -> serialize -> parse is the identity.
     """
     where = ""
     if isinstance(source, Path) or (isinstance(source, str)
@@ -141,38 +143,27 @@ def parse_scenario(source) -> Scenario:
             raise ConfigurationError(f"invalid scenario JSON{where}: {exc}") from exc
     else:
         data = dict(source)
-
-    _reject_unknown(data, {"version"} | {f.name for f in fields(Scenario)}, "")
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"expected an object at /, not {data!r}")
 
     if data.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigurationError(
             f"scenario schema version {data.get('version')} != {SCHEMA_VERSION}")
     kind = data.get("kind")
-    if kind not in ("fabry_perot", "xray", "custom_stack", "synthetic_pfm"):
+    if kind not in _KIND_SECTIONS:
         raise ConfigurationError(f"unknown scenario kind {kind!r} at /kind")
+    names = _KIND_SECTIONS[kind]
+    _reject_unknown(data, {"version", "kind", *names}, "")
 
-    sections = {name: None if name in _OPTIONAL_SECTIONS and data.get(name) is None
-                else _merged(defaults, data.get(name, {}), f"/{name}")
-                for name, defaults in _SECTIONS.items()}
-    _checked("/thresholds", Thresholds, **sections["thresholds"])
-    _checked("/scan/window", Thresholds, window=sections["scan"]["window"])
-
-    region = sections["region"]
-    if region is not None:
-        for k, v in region.items():
-            if v is None:
-                raise ConfigurationError(f"missing required key {k!r} at /region")
-        _checked("/region", ScanRegion, **region)
-
-    custom = sections["custom_stack"]
-    if kind == "custom_stack":
-        if custom is None:
-            raise ConfigurationError("kind custom_stack requires a /custom_stack section")
-        for k in ("layers", "emitter"):
-            if custom[k] is None:
-                raise ConfigurationError(f"missing required key {k!r} at /custom_stack")
-
-    return Scenario(kind=kind, **sections)
+    sections = {name: None if name == "region" and data.get(name) is None
+                else _merged(_SECTIONS[name], data.get(name, {}), f"/{name}")
+                for name in names}
+    if kind in _WAVE_KINDS:
+        _checked("/thresholds", Thresholds, **sections["thresholds"])
+        _checked("/scan/window", Thresholds, window=sections["scan"]["window"])
+        if sections["region"] is not None:
+            _checked("/region", ScanRegion, **sections["region"])
+    return Scenario(kind, sections)
 
 
 def _material_from_dict(d: dict, path: str) -> Material:
@@ -180,29 +171,26 @@ def _material_from_dict(d: dict, path: str) -> Material:
     return Material.constant(m["name"], complex(m["n_re"], m["n_im"]))
 
 
+def _custom_stack_problem(left, layers, right, emitter, k_par) -> WaveProblem:
+    stack = LayerStack(
+        _material_from_dict(left or {}, "/custom_stack/left"),
+        tuple((_material_from_dict(l["material"], f"/custom_stack/layers/{i}/material"),
+               float(l["thickness"]))
+              for i, l in enumerate(layers)),
+        _material_from_dict(right or {}, "/custom_stack/right"),
+        EmitterSpec(x_a=float(emitter["x_a"]), omega_a=float(emitter["omega_a"]),
+                    gamma=float(emitter["gamma"])))
+    return WaveProblem(stack, k_par=float(k_par))
+
+
 def _problem_from_scenario(scn: Scenario) -> WaveProblem:
+    """The wave problem of a wave kind; bad values reported at its section."""
+    own, path = scn.sections[scn.kind], f"/{scn.kind}"
     if scn.kind == "fabry_perot":
-        fp = scn.fabry_perot
-        return WaveProblem(build_fabry_perot(fp["L"], fp["n_mirror"],
-                                             gamma=fp["gamma"]))
-    if scn.kind == "custom_stack":
-        c = scn.custom_stack
-        left = _material_from_dict(c["left"] or {}, "/custom_stack/left")
-        right = _material_from_dict(c["right"] or {}, "/custom_stack/right")
-        layers = tuple(
-            (_material_from_dict(l["material"], f"/custom_stack/layers/{i}/material"),
-             float(l["thickness"]))
-            for i, l in enumerate(c["layers"]))
-        em = c["emitter"]
-        emitter = EmitterSpec(x_a=float(em["x_a"]), omega_a=float(em["omega_a"]),
-                              gamma=float(em["gamma"]))
-        return WaveProblem(LayerStack(left, layers, right, emitter),
-                           k_par=float(c["k_par"]))
+        return WaveProblem(_checked(path, build_fabry_perot, own["L"], own["n_mirror"]))
     if scn.kind == "xray":
-        x = scn.xray
-        return xray_problem(x["material_table"] or default_material_table_path(),
-                            int(x["mode_index"]), gamma=x["gamma"])
-    raise ConfigurationError(f"no wave problem for scenario kind {scn.kind!r}")
+        return _checked(path, xray_problem, own["material_table"], own["mode_index"])
+    return _checked(path, _custom_stack_problem, **own)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +253,7 @@ def _run_classify(scn: Scenario, art: _Artifacts) -> int:
     problem = _problem_from_scenario(scn)
     report = classify(problem, scn.make_region(), scn.make_thresholds())
     if scn.kind == "xray":
-        spectrum = nuclear_spectrum(problem, scn.xray["spectrum_halfwidth"])
+        spectrum = nuclear_spectrum(problem, scn.sections["xray"]["spectrum_halfwidth"])
         art.write("nuclear_spectrum.csv",
                   _spectrum_csv(spectrum["omega"], spectrum["r_total"]), "spectrum")
     else:
@@ -279,17 +267,16 @@ def _run_classify(scn: Scenario, art: _Artifacts) -> int:
 
 
 def _run_sweep(scn: Scenario, art: _Artifacts) -> int:
-    fp = scn.fabry_perot
-    rows = scan_mirror_index(fp["L"], scn.scan["n_mirror_values"],
-                             thresholds=scn.make_thresholds(), gamma=fp["gamma"])
+    length, values = scn.sections["fabry_perot"]["L"], scn.sections["scan"]["n_mirror_values"]
+    _problem_from_scenario(scn)     # a bad /fabry_perot is named before any row
+    for i, n in enumerate(values):
+        _checked(f"/scan/n_mirror_values/{i}", build_fabry_perot, length, n)
+    rows = scan_mirror_index(length, values, thresholds=scn.make_thresholds())
     art.write("sweep.csv", scan_table_csv(rows), "scan")
-    failures = 0
     for n, res in rows:
-        if isinstance(res, Exception):
-            failures += 1
-            continue
-        art.write(f"report_n{n:g}.json", res.to_json() + "\n", "report")
-    return 2 if failures else 0
+        if not isinstance(res, Exception):
+            art.write(f"report_n{n:g}.json", res.to_json() + "\n", "report")
+    return 2 if any(isinstance(res, Exception) for _, res in rows) else 0
 
 
 def _run_poles(scn: Scenario, art: _Artifacts) -> int:
@@ -314,48 +301,58 @@ def _run_spectrum(scn: Scenario, art: _Artifacts) -> int:
     if scn.kind == "xray":
         return _run_classify(scn, art)
     problem = _problem_from_scenario(scn)
-    window = scn.scan["window"]
+    window, n_points = scn.sections["scan"]["window"], scn.sections["scan"]["n_points"]
     if window is None:
         omega_a = problem.stack.emitter.omega_a
         window = (0.25 * omega_a, 3.25 * omega_a)
-    om = np.linspace(window[0], window[1], scn.scan["n_points"])
+    om = np.linspace(window[0], window[1], n_points)
     art.write("reflectance.csv", _spectrum_csv(om, reflection(problem, om)), "curve")
-    curve = levshift_curve(problem, window, n=scn.scan["n_points"])
+    curve = levshift_curve(problem, window, n=n_points)
     art.write("levelshift.csv", _curve_csv(curve), "curve")
     return 0
 
 
-def _run_pfm_check(scn: Scenario, art: _Artifacts) -> int:
-    cfg = scn.synthetic_pfm
-    rng = np.random.default_rng(cfg["seed"])
-    n = int(cfg["n_modes"])
+_PFM_TOL = 1e-11   # bound on pfm-check's matrix-vs-pole-sum relative error
+
+
+def _pfm_model(n_modes, seed, n_freq):
+    """The random model of ``pfm-check`` and its test frequencies."""
+    n, n_freq = int(n_modes), int(n_freq)
+    if min(n, n_freq) < 1:
+        raise ValueError(f"n_modes and n_freq must be >= 1, not {n} and {n_freq}")
+    rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n))
     model = PfmParams(omega_matrix=0.5 * (a + a.T) + 10.0 * np.eye(n),
                       kappa=rng.uniform(0.1, 1.0, n),
                       g=rng.normal(size=n) + 1j * rng.normal(size=n))
+    return model, rng.uniform(5.0, 15.0, n_freq)
+
+
+def _run_pfm_check(scn: Scenario, art: _Artifacts) -> int:
+    model, oms = _checked("/synthetic_pfm", _pfm_model, **scn.sections["synthetic_pfm"])
     poles = diagonalize(model)
-    oms = rng.uniform(5.0, 15.0, int(cfg["n_freq"]))
     direct = levshift_matrix(model, oms)
-    summed = pole_sum(poles, oms)
-    err = float(np.max(np.abs(direct - summed) / np.maximum(1.0, np.abs(direct))))
-    ok = err < float(cfg["tol"])
+    err = float(np.max(np.abs(direct - pole_sum(poles, oms)) / np.maximum(1.0, np.abs(direct))))
+    ok = err < _PFM_TOL
     art.write("pfm_model.json", model.to_json() + "\n", "model")
     art.write("pfm_check.json", json.dumps({
-        "n_modes": n, "n_freq": int(cfg["n_freq"]),
-        "max_relative_error": err, "tolerance": float(cfg["tol"]),
-        "passed": bool(ok),
+        "n_modes": len(poles), "n_freq": len(oms),
+        "max_relative_error": err, "tolerance": _PFM_TOL,
+        "passed": ok,
         "poles": [p.to_dict() for p in poles],
     }, indent=2, sort_keys=True) + "\n", "report")
     return 0 if ok else 2
 
 
-# command name -> (runner writing its artifacts and returning the exit code, help)
+# command name -> (runner writing its artifacts and returning the exit code,
+# the scenario kinds it runs on, help)
 COMMANDS = {
-    "classify": (_run_classify, "run the decision tree on one scenario"),
-    "sweep": (_run_sweep, "classify across the mirror-index list"),
-    "poles": (_run_poles, "pole/residue table over the scenario region"),
-    "spectrum": (_run_spectrum, "reflectance and level-shift curves"),
-    "pfm-check": (_run_pfm_check, "matrix-vs-diagonalized consistency check"),
+    "classify": (_run_classify, _WAVE_KINDS, "run the decision tree on one scenario"),
+    "sweep": (_run_sweep, ("fabry_perot",), "classify across the mirror-index list"),
+    "poles": (_run_poles, _WAVE_KINDS, "pole/residue table over the scenario region"),
+    "spectrum": (_run_spectrum, _WAVE_KINDS, "reflectance and level-shift curves"),
+    "pfm-check": (_run_pfm_check, ("synthetic_pfm",),
+                  "matrix-vs-diagonalized consistency check"),
 }
 
 
@@ -365,13 +362,17 @@ def run(scenario: Scenario, command: str = "classify", out_dir=None) -> int:
     Writes all artifacts plus ``manifest.json`` (path, sha256, role per file)
     into ``out_dir``, or into the scenario's ``output.dir`` when it is None.
     """
-    out = out_dir or scenario.output["dir"]
+    out = out_dir or scenario.sections["output"]["dir"]
     art = _Artifacts(Path(out))
     art.write("scenario.json", scenario.to_json() + "\n", "config")
     try:
         if command not in COMMANDS:
             raise ConfigurationError(f"unknown command {command!r}")
-        code = COMMANDS[command][0](scenario, art)
+        runner, kinds, _ = COMMANDS[command]
+        if scenario.kind not in kinds:
+            raise ConfigurationError(f"{command} runs on kind {' or '.join(kinds)}, "
+                                     f"not {scenario.kind!r}")
+        code = runner(scenario, art)
     except ModeCertError as exc:
         art.write("error.txt", f"{type(exc).__name__}: {exc}\n", "error")
         art.finish()
@@ -388,7 +389,7 @@ def main(argv=None) -> int:
                         help="scenario JSON file")
     parser.add_argument("--out", type=str, default=None, help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, doc) in COMMANDS.items():
+    for name, (_, _, doc) in COMMANDS.items():
         sub.add_parser(name, help=doc)
     args = parser.parse_args(argv)
 

@@ -514,16 +514,15 @@ def default_material_table_path() -> Path:
     return Path(__file__).parent / "data" / "xray_materials.json"
 
 
-def build_xray_cavity(material_table, theta: float,
-                      gamma: float = GAMMA_NUC_KEV) -> WaveProblem:
+def build_xray_cavity(table: dict, theta: float) -> WaveProblem:
     """Grazing-incidence thin-film X-ray cavity probed at angle theta (radians).
 
+    ``table`` is a loaded material table (:func:`load_material_table`).
     Thicknesses are converted from nm to internal 1/keV lengths; the parallel
-    wavevector is fixed at k_par = omega_nuc cos(theta).  The emitter sits at
-    the center of the Fe-57 layer, whose index is the electronic Fe index.
+    wavevector is fixed at k_par = omega_nuc cos(theta).  The emitter, the
+    57Fe line, sits at the center of the Fe-57 layer, whose index is the
+    electronic Fe index.
     """
-    table = (material_table if isinstance(material_table, dict)
-             else load_material_table(material_table))
     for key in ("Pt", "C", "Fe", "Si"):
         if key not in table:
             raise ConfigurationError(f"material table: missing entry for {key!r}")
@@ -538,7 +537,7 @@ def build_xray_cavity(material_table, theta: float,
         layers.append((table["Fe" if key == "Fe57" else key], d))
         x_cursor += d
 
-    emitter = EmitterSpec(x_a=x_fe57, omega_a=OMEGA_NUC_KEV, gamma=gamma)
+    emitter = EmitterSpec(x_a=x_fe57, omega_a=OMEGA_NUC_KEV, gamma=GAMMA_NUC_KEV)
     stack = LayerStack(left=VACUUM, layers=tuple(layers), right=table["Si"],
                        emitter=emitter)
     return WaveProblem(stack=stack, k_par=OMEGA_NUC_KEV * math.cos(theta))

@@ -482,8 +482,12 @@ def test_xray_sign_inversion(material_table):
 
 
 def test_xray_too_few_minima(material_table):
-    with pytest.raises(ConfigurationError):
-        cf.xray_problem(material_table, 40)
+    # mode_index counts the 11 minima from 1; 0 and -1 must not index from
+    # the end, and 2.5 must not be truncated to 2
+    for mode_index in (40, 0, -1, 2.5):
+        with pytest.raises(ConfigurationError, match=r"one of the 11 reflectance minima 1\.\.11, "
+                                                     f"not {mode_index}$"):
+            cf.xray_problem(material_table, mode_index)
 
 
 def test_single_layer_guide_off_resonant(material_table):

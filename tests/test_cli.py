@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modecert import certify, cli, layered as ly
+from modecert import certify, cli, layered as ly, witness
 from modecert.errors import ConfigurationError
 from modecert.qnm import ScanRegion
 
@@ -19,6 +19,22 @@ ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL_FP = {"version": 1, "kind": "fabry_perot",
               "fabry_perot": {"L": 1.0, "n_mirror": 20.0}}
+_MIRROR = {"name": "m", "n_re": 12.0}
+MINIMAL_CUSTOM = {"version": 1, "kind": "custom_stack", "custom_stack": {
+    "layers": [{"material": _MIRROR, "thickness": 0.01},
+               {"material": {"name": "vac"}, "thickness": 1.0},
+               {"material": _MIRROR, "thickness": 0.01}],
+    "emitter": {"x_a": 0.51, "omega_a": np.pi, "gamma": 1.0}}}
+MINIMAL = {"fabry_perot": MINIMAL_FP, "custom_stack": MINIMAL_CUSTOM,
+           "xray": {"version": 1, "kind": "xray"},
+           "synthetic_pfm": {"version": 1, "kind": "synthetic_pfm"}}
+# the sections a scenario of each kind holds, and how many keys they set
+WAVE_SECTIONS = ("scan", "region", "thresholds", "output")
+KIND_SECTIONS = {"fabry_perot": ("fabry_perot",) + WAVE_SECTIONS,
+                 "custom_stack": ("custom_stack",) + WAVE_SECTIONS,
+                 "xray": ("xray",) + WAVE_SECTIONS,
+                 "synthetic_pfm": ("synthetic_pfm", "output")}
+SECTION_KEYS = {"fabry_perot": 12, "custom_stack": 15, "xray": 13, "synthetic_pfm": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +45,10 @@ def test_parse_minimal_defaults_echoed():
     scn = cli.parse_scenario(MINIMAL_FP)
     d = scn.to_dict()
     assert d["kind"] == "fabry_perot"
-    assert d["fabry_perot"] == {"L": 1.0, "n_mirror": 20.0, "gamma": 1.0}
+    assert d["fabry_perot"] == {"L": 1.0, "n_mirror": 20.0}
+    assert d["region"] is None
+    # a null /region is an absent one
+    assert cli.parse_scenario({**MINIMAL_FP, "region": None}).to_dict() == d
     assert d["thresholds"]["residue_phase_tol"] == 0.05
     assert d["scan"]["n_mirror_values"] == cli.DEFAULT_SWEEP
     assert d["output"]["dir"] == "out"
@@ -60,6 +79,29 @@ def test_parse_unknown_key_rejected():
     region = {"omega_lo": 1.0, "omega_hi": 2.0, "depth": 0.5, "im_top": 0.0}
     with pytest.raises(ConfigurationError, match="unknown key 'im_top' at /region"):
         cli.parse_scenario({**MINIMAL_FP, "region": region})
+
+
+@pytest.mark.parametrize("kind", list(MINIMAL))
+def test_parse_kind_holds_only_its_sections(kind):
+    region = {"omega_lo": 1.0, "omega_hi": 2.0, "depth": 0.5}
+    given = {**MINIMAL[kind], **({"region": region} if "region" in KIND_SECTIONS[kind] else {})}
+    echo = cli.parse_scenario(given).to_dict()
+    assert set(echo) == {"version", "kind", *KIND_SECTIONS[kind]}
+    assert sum(len(echo[name]) for name in KIND_SECTIONS[kind]) == SECTION_KEYS[kind]
+    # a section of another kind is an unknown key like any other
+    for other in {name for names in KIND_SECTIONS.values() for name in names} - set(echo):
+        with pytest.raises(ConfigurationError, match=f"unknown key '{other}' at /$"):
+            cli.parse_scenario({**MINIMAL[kind], other: {}})
+
+
+def test_parse_custom_stack_requires_layers_and_emitter():
+    for key in ("layers", "emitter"):
+        section = {k: v for k, v in MINIMAL_CUSTOM["custom_stack"].items() if k != key}
+        with pytest.raises(ConfigurationError,
+                           match=f"missing required key '{key}' at /custom_stack"):
+            cli.parse_scenario({**MINIMAL_CUSTOM, "custom_stack": section})
+    with pytest.raises(ConfigurationError, match="missing required key 'layers'"):
+        cli.parse_scenario({"version": 1, "kind": "custom_stack"})
 
 
 def test_parse_version_mismatch():
@@ -494,6 +536,9 @@ def test_main_bad_scenario(tmp_path, capsys):
     ({"scan": {"window": [1.0, 2.0, 3.0]}}, "/scan/window"),
     ({"region": {"omega_lo": 5.0, "omega_hi": 1.0, "depth": 1.0}}, "/region"),
     ({"thresholds": {"shift_tol": -0.02}}, "/thresholds"),
+    ({"scan": None}, "expected an object at /scan"),
+    ({"scan": 3}, "expected an object at /scan"),
+    ({"scan": ["window"]}, "expected an object at /scan"),
 ])
 def test_main_bad_values_named(tmp_path, capsys, section, path):
     scenario = tmp_path / "bad.json"
@@ -503,6 +548,92 @@ def test_main_bad_values_named(tmp_path, capsys, section, path):
     assert code == 1
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+_NO_THICKNESS = {**MINIMAL_CUSTOM["custom_stack"],
+                 "layers": [{"material": _MIRROR}] + MINIMAL_CUSTOM["custom_stack"]["layers"][1:]}
+
+
+@pytest.mark.parametrize("scenario,command,path", [
+    ({**MINIMAL_FP, "fabry_perot": {"L": -1.0}}, "classify", "/fabry_perot"),
+    ({**MINIMAL_FP, "fabry_perot": {"L": "abc"}}, "classify", "/fabry_perot"),
+    ({**MINIMAL_FP, "fabry_perot": {"L": -1.0}}, "sweep", "/fabry_perot"),
+    ({**MINIMAL_CUSTOM, "custom_stack": _NO_THICKNESS}, "classify", "/custom_stack"),
+    ({**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"n_modes": 0}}, "pfm-check",
+     "/synthetic_pfm"),
+    ({**MINIMAL["xray"], "xray": {"material_table": "missing.json"}}, "classify", "/xray"),
+    ({**MINIMAL_FP, "scan": {"n_mirror_values": [4.0, 0.5]}}, "sweep",
+     "/scan/n_mirror_values/1"),
+])
+def test_main_bad_section_values_named(tmp_path, scenario, command, path):
+    # values a section's builder rejects end the run with a ConfigurationError
+    # naming where they are, in error.txt and the manifest, before any search
+    path_file = tmp_path / "bad.json"
+    path_file.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", str(path_file), "--out", str(out), command]) == 1
+    error = (out / "error.txt").read_text()
+    assert error.startswith("ConfigurationError: ") and path in error
+    assert {e["path"] for e in _manifest(out)} == {"scenario.json", "error.txt"}
+
+
+def test_run_poles_through_zero_frequency(tmp_path, monkeypatch):
+    # the root box of a region symmetric about omega = 0 samples omega = 0
+    # exactly on its top edge, a removable point of the witness that the
+    # pole-search evaluator nudges off; unnudged, the kernel raises DomainError
+    nudged = []
+    exact = witness.levshift_exact
+
+    def spy(problem, omega):
+        nudged.append(np.any(np.asarray(omega) == 1e-30))
+        return exact(problem, omega)
+
+    monkeypatch.setattr(witness, "levshift_exact", spy)
+    lossy = {"name": "m", "n_re": 8.0, "n_im": 0.5}
+    section = {**MINIMAL_CUSTOM["custom_stack"],
+               "layers": [{"material": lossy, "thickness": 0.01},
+                          {"material": {"name": "vac"}, "thickness": 1.0},
+                          {"material": lossy, "thickness": 0.01}]}
+    scn = cli.parse_scenario({**MINIMAL_CUSTOM, "custom_stack": section,
+                              "region": {"omega_lo": -10.0, "omega_hi": 10.0, "depth": 3.0}})
+    assert cli.run(scn, command="poles", out_dir=tmp_path / "z") == 0
+    assert any(nudged)
+    assert json.loads((tmp_path / "z" / "expansion.json").read_text())["poles"]
+
+
+# exit code of every command on a minimal scenario of each kind: a command
+# runs on its own kinds only, and poles needs a /region, which only the
+# xray scenario lacks
+COMMAND_EXIT_CODES = {
+    "fabry_perot": {"classify": 0, "sweep": 0, "poles": 0, "spectrum": 0, "pfm-check": 1},
+    "custom_stack": {"classify": 0, "sweep": 1, "poles": 0, "spectrum": 0, "pfm-check": 1},
+    "xray": {"classify": 0, "sweep": 1, "poles": 1, "spectrum": 0, "pfm-check": 1},
+    "synthetic_pfm": {"classify": 1, "sweep": 1, "poles": 1, "spectrum": 1, "pfm-check": 0},
+}
+
+
+def test_every_command_on_every_kind(tmp_path, capsys):
+    # every (kind, command) pair exits 0, or 1 with a ConfigurationError;
+    # never with an uncaught exception
+    cheap = {"scan": {"n_mirror_values": [20.0], "n_points": 301},
+             "region": {"omega_lo": 1.9, "omega_hi": 4.7, "depth": 1.0}}
+    scenarios = {"fabry_perot": {**MINIMAL_FP, **cheap},
+                 "custom_stack": {**MINIMAL_CUSTOM, **cheap},
+                 "xray": MINIMAL["xray"],
+                 "synthetic_pfm": {**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"n_freq": 50}}}
+    codes = {}
+    for kind, scenario in scenarios.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(scenario))
+        codes[kind] = {}
+        for command in cli.COMMANDS:
+            out = tmp_path / kind / command
+            codes[kind][command] = cli.main(["--scenario", str(path), "--out", str(out),
+                                             command])
+            if codes[kind][command] == 1:
+                assert (out / "error.txt").read_text().startswith("ConfigurationError: ")
+    assert codes == COMMAND_EXIT_CODES
+    assert "error:" not in capsys.readouterr().err
 
 
 def test_main_missing_scenario_file(tmp_path, capsys):
@@ -528,6 +659,9 @@ def test_parse_scenario_reads_path_and_names_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigurationError, match=re.escape(str(bad))):
+        cli.parse_scenario(str(bad))
+    bad.write_text("[1]")
+    with pytest.raises(ConfigurationError, match="expected an object at /, not"):
         cli.parse_scenario(str(bad))
 
 
