@@ -37,7 +37,6 @@ from .errors import AmbiguityError, ConfigurationError, ModeCertError, RegionToo
 from .layered import (
     OMEGA_NUC_KEV,
     WaveProblem,
-    build_fabry_perot,
     build_xray_cavity,
     default_material_table_path,
     field_profile,
@@ -448,20 +447,18 @@ def _default_window_region(problem: WaveProblem, window=None):
 # scans
 # ---------------------------------------------------------------------------
 
-def scan_mirror_index(L: float, n_values, thresholds: Thresholds = Thresholds()) -> list:
-    """Classify a Fabry-Perot cavity for each mirror index; failures recorded.
+def classify_rows(problems, thresholds: Thresholds = Thresholds()) -> list:
+    """Classify each ``(value, problem)`` pair; failures recorded.
 
-    Returns a list of (n_mirror, ClassificationReport | ModeCertError); a
+    Returns a list of (value, ClassificationReport | ModeCertError); a
     failing row never suppresses the others.
     """
     rows = []
-    for n in n_values:
+    for value, problem in problems:
         try:
-            stack = build_fabry_perot(L, float(n))
-            report = classify(WaveProblem(stack), thresholds=thresholds)
-            rows.append((float(n), report))
+            rows.append((value, classify(problem, thresholds=thresholds)))
         except ModeCertError as exc:
-            rows.append((float(n), exc))
+            rows.append((value, exc))
     return rows
 
 

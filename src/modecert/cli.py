@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -21,8 +22,8 @@ from .certify import (
     Thresholds,
     check_region,
     classify,
+    classify_rows,
     nuclear_spectrum,
-    scan_mirror_index,
     scan_table_csv,
     xray_problem,
 )
@@ -63,11 +64,25 @@ _SECTIONS = {
     "thresholds": {f.name: f.default for f in fields(Thresholds) if f.name != "window"},
     "output": {"dir": "out"},
 }
-# the sections a scenario of each kind holds: its own and those its commands read
-_WAVE_KINDS = ("fabry_perot", "custom_stack", "xray")
-_KIND_SECTIONS = {**{kind: (kind, "scan", "region", "thresholds", "output")
-                     for kind in _WAVE_KINDS},
+# the sections a scenario of each kind holds, its own and those its commands
+# read; a (name, keys) pair holds only those keys of the section
+_WAVE_SECTIONS = ("region", "thresholds", "output")
+_KIND_SECTIONS = {"fabry_perot": ("fabry_perot", "scan", *_WAVE_SECTIONS),
+                  "custom_stack": ("custom_stack", ("scan", ("window", "n_points")),
+                                   *_WAVE_SECTIONS),
+                  "xray": ("xray", ("scan", ("window",)), *_WAVE_SECTIONS),
                   "synthetic_pfm": ("synthetic_pfm", "output")}
+_WAVE_KINDS = ("fabry_perot", "custom_stack", "xray")
+# values no builder checks before a command reads them: (section, key) ->
+# (test, what the value must be); a bool is an int below 2
+_VALUE_CHECKS = {
+    ("scan", "n_points"): (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
+    ("scan", "n_mirror_values"): (lambda v: isinstance(v, list), "a list"),
+    ("xray", "spectrum_halfwidth"): (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf,
+        "a finite number > 0"),
+    ("output", "dir"): (lambda v: isinstance(v, str), "a string"),
+}
 
 
 @dataclass
@@ -123,9 +138,10 @@ def parse_scenario(source) -> Scenario:
     A ``Path``, or a ``str`` that does not start with ``{``, is a file path.
     A scenario holds the sections of its kind (``_KIND_SECTIONS``); any
     other key, a section of another kind included, is rejected with its
-    location, and so are invalid thresholds, windows or regions, an
-    unreadable file or invalid JSON with its path.  Missing sections get
-    explicit defaults so that parse -> serialize -> parse is the identity.
+    location, and so are invalid thresholds, windows, regions and the values
+    of ``_VALUE_CHECKS``; an unreadable file or invalid JSON with its path.
+    Missing sections get explicit defaults so that parse -> serialize ->
+    parse is the identity.
     """
     where = ""
     if isinstance(source, Path) or (isinstance(source, str)
@@ -152,17 +168,23 @@ def parse_scenario(source) -> Scenario:
     kind = data.get("kind")
     if kind not in _KIND_SECTIONS:
         raise ConfigurationError(f"unknown scenario kind {kind!r} at /kind")
-    names = _KIND_SECTIONS[kind]
-    _reject_unknown(data, {"version", "kind", *names}, "")
+    held = dict((entry, _SECTIONS[entry]) if isinstance(entry, str) else entry
+                for entry in _KIND_SECTIONS[kind])
+    _reject_unknown(data, {"version", "kind", *held}, "")
 
     sections = {name: None if name == "region" and data.get(name) is None
-                else _merged(_SECTIONS[name], data.get(name, {}), f"/{name}")
-                for name in names}
+                else _merged({key: _SECTIONS[name][key] for key in keys},
+                             data.get(name, {}), f"/{name}")
+                for name, keys in held.items()}
     if kind in _WAVE_KINDS:
         _checked("/thresholds", Thresholds, **sections["thresholds"])
         _checked("/scan/window", Thresholds, window=sections["scan"]["window"])
         if sections["region"] is not None:
             _checked("/region", ScanRegion, **sections["region"])
+    for (name, key), (ok, what) in _VALUE_CHECKS.items():
+        if key in sections.get(name, ()) and not ok(sections[name][key]):
+            raise ConfigurationError(f"expected {what} at /{name}/{key}, "
+                                     f"not {sections[name][key]!r}")
     return Scenario(kind, sections)
 
 
@@ -269,9 +291,10 @@ def _run_classify(scn: Scenario, art: _Artifacts) -> int:
 def _run_sweep(scn: Scenario, art: _Artifacts) -> int:
     length, values = scn.sections["fabry_perot"]["L"], scn.sections["scan"]["n_mirror_values"]
     _problem_from_scenario(scn)     # a bad /fabry_perot is named before any row
-    for i, n in enumerate(values):
-        _checked(f"/scan/n_mirror_values/{i}", build_fabry_perot, length, n)
-    rows = scan_mirror_index(length, values, thresholds=scn.make_thresholds())
+    stacks = [_checked(f"/scan/n_mirror_values/{i}", build_fabry_perot, length, n)
+              for i, n in enumerate(values)]
+    rows = classify_rows([(float(n), WaveProblem(stack)) for n, stack in zip(values, stacks)],
+                         scn.make_thresholds())
     art.write("sweep.csv", scan_table_csv(rows), "scan")
     for n, res in rows:
         if not isinstance(res, Exception):
@@ -298,8 +321,6 @@ def _run_poles(scn: Scenario, art: _Artifacts) -> int:
 
 
 def _run_spectrum(scn: Scenario, art: _Artifacts) -> int:
-    if scn.kind == "xray":
-        return _run_classify(scn, art)
     problem = _problem_from_scenario(scn)
     window, n_points = scn.sections["scan"]["window"], scn.sections["scan"]["n_points"]
     if window is None:
@@ -350,7 +371,8 @@ COMMANDS = {
     "classify": (_run_classify, _WAVE_KINDS, "run the decision tree on one scenario"),
     "sweep": (_run_sweep, ("fabry_perot",), "classify across the mirror-index list"),
     "poles": (_run_poles, _WAVE_KINDS, "pole/residue table over the scenario region"),
-    "spectrum": (_run_spectrum, _WAVE_KINDS, "reflectance and level-shift curves"),
+    "spectrum": (_run_spectrum, ("fabry_perot", "custom_stack"),
+                 "reflectance and level-shift curves"),
     "pfm-check": (_run_pfm_check, ("synthetic_pfm",),
                   "matrix-vs-diagonalized consistency check"),
 }

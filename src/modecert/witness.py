@@ -159,10 +159,6 @@ class LevelShiftCurve:
     def Delta(self) -> np.ndarray:
         return self.delta.real
 
-    @property
-    def Gamma(self) -> np.ndarray:
-        return -2.0 * self.delta.imag
-
     def __len__(self):
         return self.omega.size
 

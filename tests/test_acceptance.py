@@ -36,7 +36,7 @@ def _fail_line(number, name):
 def _sweep_rows():
     if "rows" not in _sweep_cache:
         t0 = time.time()
-        _sweep_cache["rows"] = cf.scan_mirror_index(1.0, SWEEP_VALUES)
+        _sweep_cache["rows"] = cf.classify_rows([(n, fp_problem(n)) for n in SWEEP_VALUES])
         _sweep_cache["elapsed"] = time.time() - t0
     return _sweep_cache["rows"], _sweep_cache["elapsed"]
 

@@ -361,8 +361,8 @@ def test_text_marks_decisions_near_threshold():
 # mirror-index scan
 # ---------------------------------------------------------------------------
 
-def test_scan_mirror_index_rows():
-    rows = cf.scan_mirror_index(1.0, [20.0, 1.0, 4.0])
+def test_classify_rows():
+    rows = cf.classify_rows([(n, fp_problem(n)) for n in (20.0, 1.0, 4.0)])
     status = {n: res for n, res in rows}
     assert isinstance(status[20.0], cf.ClassificationReport)
     assert status[20.0].single_mode

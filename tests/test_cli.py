@@ -34,7 +34,7 @@ KIND_SECTIONS = {"fabry_perot": ("fabry_perot",) + WAVE_SECTIONS,
                  "custom_stack": ("custom_stack",) + WAVE_SECTIONS,
                  "xray": ("xray",) + WAVE_SECTIONS,
                  "synthetic_pfm": ("synthetic_pfm", "output")}
-SECTION_KEYS = {"fabry_perot": 12, "custom_stack": 15, "xray": 13, "synthetic_pfm": 4}
+SECTION_KEYS = {"fabry_perot": 12, "custom_stack": 14, "xray": 11, "synthetic_pfm": 4}
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +92,15 @@ def test_parse_kind_holds_only_its_sections(kind):
     for other in {name for names in KIND_SECTIONS.values() for name in names} - set(echo):
         with pytest.raises(ConfigurationError, match=f"unknown key '{other}' at /$"):
             cli.parse_scenario({**MINIMAL[kind], other: {}})
+
+
+@pytest.mark.parametrize("kind,key", [("custom_stack", "n_mirror_values"),
+                                      ("xray", "n_mirror_values"), ("xray", "n_points")])
+def test_parse_kind_holds_only_the_scan_keys_it_reads(kind, key):
+    # sweep (fabry_perot only) reads n_mirror_values, spectrum (not on xray)
+    # n_points; a kind holds only the scan keys its commands read
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}' at /scan$"):
+        cli.parse_scenario({**MINIMAL[kind], "scan": {key: "junk"}})
 
 
 def test_parse_custom_stack_requires_layers_and_emitter():
@@ -329,6 +338,31 @@ def test_run_sweep_partial_failure_isolation(tmp_path):
     assert (tmp_path / "s" / "report_n20.json").exists()
 
 
+def test_run_sweep_builds_each_row_once(tmp_path, monkeypatch):
+    # one stack names a bad /fabry_perot, then one per row, which classify
+    # certifies as built: no stack is built a second time
+    calls, built, problems = [], [], []
+    build, classify = cli.build_fabry_perot, certify.classify
+
+    def build_spy(*args, **kwargs):
+        calls.append(args)
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    def classify_spy(problem, *args, **kwargs):
+        problems.append(problem)
+        return classify(problem, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_fabry_perot", build_spy)
+    monkeypatch.setattr(certify, "classify", classify_spy)
+    values = [20.0, 1.0, 12.0]
+    scn = cli.parse_scenario({**MINIMAL_FP, "scan": {"n_mirror_values": values}})
+    assert cli.run(scn, command="sweep", out_dir=tmp_path / "b") == 2
+    assert calls == [(1.0, 20.0)] + [(1.0, n) for n in values]
+    assert len(problems) == len(values)
+    assert all(p.stack is stack for p, stack in zip(problems, built[1:]))
+
+
 def test_run_poles_requires_region(tmp_path):
     scn = cli.parse_scenario(MINIMAL_FP)
     code = cli.run(scn, command="poles", out_dir=tmp_path / "p")
@@ -406,9 +440,11 @@ def test_run_classify_xray(tmp_path):
     spec_lines = (tmp_path / "x" / "nuclear_spectrum.csv").read_text().splitlines()
     assert spec_lines[0] == "omega,r_re,r_im,reflectance"
     _assert_float_fields(spec_lines)
-    # spectrum hands an X-ray scenario to classify: the same files, byte for byte
-    assert cli.run(scn, command="spectrum", out_dir=tmp_path / "xs") == 0
-    assert _manifest(tmp_path / "xs") == _manifest(tmp_path / "x")
+    # spectrum is not a second name for classify: it refuses an X-ray scenario
+    assert cli.run(scn, command="spectrum", out_dir=tmp_path / "xs") == 1
+    error = (tmp_path / "xs" / "error.txt").read_text()
+    assert error == ("ConfigurationError: spectrum runs on kind fabry_perot or "
+                     "custom_stack, not 'xray'\n")
 
 
 def test_run_classify_xray_echoes_given_window(tmp_path, material_table):
@@ -539,6 +575,12 @@ def test_main_bad_scenario(tmp_path, capsys):
     ({"scan": None}, "expected an object at /scan"),
     ({"scan": 3}, "expected an object at /scan"),
     ({"scan": ["window"]}, "expected an object at /scan"),
+    ({"scan": {"n_points": "abc"}}, "expected an integer >= 2 at /scan/n_points"),
+    ({"scan": {"n_points": 1}}, "expected an integer >= 2 at /scan/n_points"),
+    ({"scan": {"n_points": 301.0}}, "expected an integer >= 2 at /scan/n_points"),
+    ({"scan": {"n_points": True}}, "expected an integer >= 2 at /scan/n_points"),
+    ({"scan": {"n_mirror_values": 5}}, "expected a list at /scan/n_mirror_values"),
+    ({"output": {"dir": 5}}, "expected a string at /output/dir"),
 ])
 def test_main_bad_values_named(tmp_path, capsys, section, path):
     scenario = tmp_path / "bad.json"
@@ -547,6 +589,19 @@ def test_main_bad_values_named(tmp_path, capsys, section, path):
     code = cli.main(["--scenario", str(scenario), "--out", str(out), "classify"])
     assert code == 1
     assert path in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("halfwidth", ["abc", -3.0, 0.0, float("nan"), float("inf"), True])
+def test_main_bad_xray_halfwidth_named(tmp_path, capsys, halfwidth):
+    # refused before the run writes anything, not after a whole classify
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({**MINIMAL["xray"],
+                                    "xray": {"spectrum_halfwidth": halfwidth}}))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", str(scenario), "--out", str(out), "classify"]) == 1
+    err = capsys.readouterr().err
+    assert "expected a finite number > 0 at /xray/spectrum_halfwidth" in err
     assert not out.exists()
 
 
@@ -607,7 +662,7 @@ def test_run_poles_through_zero_frequency(tmp_path, monkeypatch):
 COMMAND_EXIT_CODES = {
     "fabry_perot": {"classify": 0, "sweep": 0, "poles": 0, "spectrum": 0, "pfm-check": 1},
     "custom_stack": {"classify": 0, "sweep": 1, "poles": 0, "spectrum": 0, "pfm-check": 1},
-    "xray": {"classify": 0, "sweep": 1, "poles": 1, "spectrum": 0, "pfm-check": 1},
+    "xray": {"classify": 0, "sweep": 1, "poles": 1, "spectrum": 1, "pfm-check": 1},
     "synthetic_pfm": {"classify": 1, "sweep": 1, "poles": 1, "spectrum": 1, "pfm-check": 0},
 }
 
@@ -615,10 +670,11 @@ COMMAND_EXIT_CODES = {
 def test_every_command_on_every_kind(tmp_path, capsys):
     # every (kind, command) pair exits 0, or 1 with a ConfigurationError;
     # never with an uncaught exception
-    cheap = {"scan": {"n_mirror_values": [20.0], "n_points": 301},
-             "region": {"omega_lo": 1.9, "omega_hi": 4.7, "depth": 1.0}}
-    scenarios = {"fabry_perot": {**MINIMAL_FP, **cheap},
-                 "custom_stack": {**MINIMAL_CUSTOM, **cheap},
+    region = {"omega_lo": 1.9, "omega_hi": 4.7, "depth": 1.0}
+    scenarios = {"fabry_perot": {**MINIMAL_FP, "region": region,
+                                 "scan": {"n_mirror_values": [20.0], "n_points": 301}},
+                 "custom_stack": {**MINIMAL_CUSTOM, "region": region,
+                                  "scan": {"n_points": 301}},
                  "xray": MINIMAL["xray"],
                  "synthetic_pfm": {**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"n_freq": 50}}}
     codes = {}
