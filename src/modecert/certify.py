@@ -6,7 +6,7 @@ A classification measures, for the probed cavity mode,
 * the witness pole expansion (main pole, residue phase, truncation order N*),
 * omega_a0, the zero crossing of the Lamb shift Delta(omega_a),
 
-and sets the flags
+and its :class:`ClassificationReport` derives the flags from them
 
 * multi_pole_mm       iff N* > 1 at the convergence tolerance,
 * complex_residue_mm  iff |arg r_main| exceeds the residue phase tolerance,
@@ -94,21 +94,34 @@ class Thresholds:
                 "window": list(self.window) if self.window else None}
 
 
+# the report's names, each written once: flags() and to_dict() read them and
+# the sweep table's columns are built from them; shift <s> is attribute <s>_shift
+_FLAGS = ("single_mode", "off_resonant_mm", "complex_residue_mm", "multi_pole_mm")
+_SWEEP_METRICS = ("omega_min", "omega_a_zero", "re_main_pole", "kappa_main",
+                  "main_residue_phase", "n_star")
+_METRICS = _SWEEP_METRICS + ("constant_term_magnitude", "delta_at_min", "gamma_at_min",
+                             "gamma_unit", "n_poles_region")
+_SHIFTS = ("off_resonant", "complex_residue", "multi_pole")
+_SWEEP_COLUMNS = _FLAGS + _SWEEP_METRICS + tuple(f"{s}_shift" for s in _SHIFTS)
+
+
 @dataclass
 class ClassificationReport:
     """Decision-tree outcome with the quantitative shift decomposition.
 
-    The three shifts satisfy off_resonant + complex_residue + multi_pole =
-    omega_a0_full - omega_min up to the root-finder tolerances
-    (``closure_residual`` records the actual mismatch).  ``curve`` holds the
-    witness samples the certificate was checked on and ``reflectance`` the
-    ``(omega, r)`` window scan that located omega_min; neither is serialised.
+    The flags are not arguments: each follows from the report's own metrics
+    and thresholds (see the module docstring).  The three shifts satisfy
+    off_resonant + complex_residue + multi_pole = omega_a0_full - omega_min
+    up to the root-finder tolerances (``closure_residual`` records the actual
+    mismatch).  ``curve`` holds the witness samples the certificate was
+    checked on and ``reflectance`` the ``(omega, r)`` window scan that
+    located omega_min; neither is serialised.
     """
 
-    single_mode: bool
-    off_resonant_mm: bool
-    complex_residue_mm: bool
-    multi_pole_mm: bool
+    single_mode: bool = field(init=False)
+    off_resonant_mm: bool = field(init=False)
+    complex_residue_mm: bool = field(init=False)
+    multi_pole_mm: bool = field(init=False)
     omega_min: float
     omega_a_zero: float
     re_main_pole: float
@@ -130,37 +143,27 @@ class ClassificationReport:
     curve: LevelShiftCurve | None = field(default=None, repr=False, compare=False)
     reflectance: tuple | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        th = self.thresholds
+        self.multi_pole_mm = bool(self.n_star > 1)
+        self.complex_residue_mm = bool(abs(self.main_residue_phase) > th.residue_phase_tol)
+        self.off_resonant_mm = bool(abs(self.off_resonant_shift)
+                                    > th.shift_tol * self.kappa_main)
+        self.single_mode = not (self.multi_pole_mm or self.complex_residue_mm
+                                or self.off_resonant_mm)
+
     def flags(self) -> dict:
-        return {"single_mode": self.single_mode,
-                "off_resonant_mm": self.off_resonant_mm,
-                "complex_residue_mm": self.complex_residue_mm,
-                "multi_pole_mm": self.multi_pole_mm}
+        return {k: getattr(self, k) for k in _FLAGS}
 
     def to_dict(self) -> dict:
         return {
             "schema_version": 1,
             "flags": self.flags(),
-            "metrics": {
-                "omega_min": self.omega_min,
-                "omega_a_zero": self.omega_a_zero,
-                "re_main_pole": self.re_main_pole,
-                "kappa_main": self.kappa_main,
-                "main_residue_re": self.main_residue.real,
-                "main_residue_im": self.main_residue.imag,
-                "main_residue_phase": self.main_residue_phase,
-                "n_star": self.n_star,
-                "constant_term_magnitude": self.constant_term_magnitude,
-                "delta_at_min": self.delta_at_min,
-                "gamma_at_min": self.gamma_at_min,
-                "gamma_unit": self.gamma_unit,
-                "n_poles_region": self.n_poles_region,
-            },
-            "shifts": {
-                "off_resonant": self.off_resonant_shift,
-                "complex_residue": self.complex_residue_shift,
-                "multi_pole": self.multi_pole_shift,
-                "closure_residual": self.closure_residual,
-            },
+            "metrics": {**{k: getattr(self, k) for k in _METRICS},
+                        "main_residue_re": self.main_residue.real,
+                        "main_residue_im": self.main_residue.imag},
+            "shifts": {**{s: getattr(self, f"{s}_shift") for s in _SHIFTS},
+                       "closure_residual": self.closure_residual},
             "convergence_errors": list(self.convergence_errors),
             "thresholds": self.thresholds.to_dict(),
         }
@@ -219,26 +222,20 @@ def single_pole_zero(residue: complex, omega_pole: complex) -> float:
     return float(omega_pole.real - (b / a) * (kappa / 2.0))
 
 
-def shift_decomposition(main_residue: complex, main_pole: complex,
-                        omega_min: float, omega_a_zero: float) -> dict:
+def shift_decomposition(z_sp: float, re_main_pole: float,
+                        omega_min: float, omega_a_zero: float) -> tuple:
     """Split omega_a_zero - omega_min into the three multi-mode shifts.
 
+    Returns (off_resonant, complex_residue, multi_pole, closure_residual):
     off_resonant = Re omega_pole - omega_min (empty-cavity displacement),
-    complex_residue = single-pole zero minus Re omega_pole (closed form
-    -(Im r / Re r) kappa/2), multi_pole = full zero minus single-pole zero.
-    The three sum to omega_a_zero - omega_min exactly by construction.
+    complex_residue = the single-pole zero ``z_sp`` (:func:`single_pole_zero`)
+    minus Re omega_pole, multi_pole = full zero minus single-pole zero.  The
+    three sum to omega_a_zero - omega_min exactly by construction; the
+    closure residual is the floating-point mismatch.
     """
-    z_sp = single_pole_zero(main_residue, main_pole)
-    shifts = {
-        "off_resonant": float(main_pole.real - omega_min),
-        "complex_residue": float(z_sp - main_pole.real),
-        "multi_pole": float(omega_a_zero - z_sp),
-    }
-    total = sum(shifts.values())
-    return {
-        **shifts,
-        "closure_residual": float(abs(total - (omega_a_zero - omega_min))),
-    }
+    shifts = (float(re_main_pole - omega_min), float(z_sp - re_main_pole),
+              float(omega_a_zero - z_sp))
+    return (*shifts, float(abs(sum(shifts) - (omega_a_zero - omega_min))))
 
 
 # ---------------------------------------------------------------------------
@@ -319,19 +316,11 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         raise AmbiguityError(
             f"single-pole zero mismatch: closed form {z_sp}, numeric {z_sp_num}")
 
-    shifts = shift_decomposition(main.residue, main.omega_pole, omega_min, omega_a0)
-
-    multi_pole_mm = bool(conv.n_star > 1)
-    complex_residue_mm = bool(abs(phase) > thresholds.residue_phase_tol)
-    off_resonant_mm = bool(abs(shifts["off_resonant"]) > thresholds.shift_tol * kappa_main)
-    single = not (multi_pole_mm or complex_residue_mm or off_resonant_mm)
+    off_shift, complex_shift, multi_shift, closure = shift_decomposition(
+        z_sp, main.omega_pole.real, omega_min, omega_a0)
 
     delta_min = levshift_exact(problem, omega_min)
     return ClassificationReport(
-        single_mode=single,
-        off_resonant_mm=off_resonant_mm,
-        complex_residue_mm=complex_residue_mm,
-        multi_pole_mm=multi_pole_mm,
         omega_min=float(omega_min),
         omega_a_zero=float(omega_a0),
         re_main_pole=float(main.omega_pole.real),
@@ -340,10 +329,10 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         main_residue_phase=phase,
         n_star=int(conv.n_star),
         constant_term_magnitude=float(abs(conv.offset)),
-        off_resonant_shift=shifts["off_resonant"],
-        complex_residue_shift=shifts["complex_residue"],
-        multi_pole_shift=shifts["multi_pole"],
-        closure_residual=shifts["closure_residual"],
+        off_resonant_shift=off_shift,
+        complex_residue_shift=complex_shift,
+        multi_pole_shift=multi_shift,
+        closure_residual=closure,
         delta_at_min=float(np.real(delta_min)),
         gamma_at_min=float(-2.0 * np.imag(delta_min)),
         gamma_unit=float(emitter.gamma),
@@ -469,22 +458,17 @@ def scan_table_csv(rows) -> str:
     (``error:<Type>: <message>``, quoted by the CSV writer when needed) and
     leaves the other fields empty.
     """
-    header = ["n_mirror", "status", "single_mode", "off_resonant_mm",
-              "complex_residue_mm", "multi_pole_mm", "omega_min", "omega_a_zero",
-              "re_main_pole", "kappa_main", "main_residue_phase", "n_star",
-              "off_resonant_shift", "complex_residue_shift", "multi_pole_shift"]
+    header = ["n_mirror", "status", *_SWEEP_COLUMNS]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for n, res in rows:
         if isinstance(res, Exception):
-            fields = [f"error:{type(res).__name__}: {res}"] + [""] * (len(header) - 2)
+            fields = [f"error:{type(res).__name__}: {res}"] + [""] * len(_SWEEP_COLUMNS)
         else:
-            f = res.flags()
-            fields = (["ok"] + [str(int(f[k])) for k in header[2:6]]
-                      + [repr(getattr(res, k)) for k in header[6:11]]
-                      + [str(res.n_star)]
-                      + [repr(getattr(res, k)) for k in header[12:]])
+            # a flag as 0/1, every other column (n_star an int) by repr
+            fields = ["ok"] + [str(int(getattr(res, k))) if k in _FLAGS
+                               else repr(getattr(res, k)) for k in _SWEEP_COLUMNS]
         writer.writerow([repr(n)] + fields)
     return buf.getvalue()
 

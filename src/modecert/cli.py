@@ -77,11 +77,12 @@ _WAVE_KINDS = ("fabry_perot", "custom_stack", "xray")
 # (test, what the value must be); a bool is an int below 2
 _VALUE_CHECKS = {
     ("scan", "n_points"): (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
-    ("scan", "n_mirror_values"): (lambda v: isinstance(v, list), "a list"),
+    ("scan", "n_mirror_values"): (lambda v: isinstance(v, list) and len(v) > 0,
+                                  "a non-empty list"),
     ("xray", "spectrum_halfwidth"): (
         lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf,
         "a finite number > 0"),
-    ("output", "dir"): (lambda v: isinstance(v, str), "a string"),
+    ("output", "dir"): (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
 }
 
 
@@ -293,12 +294,19 @@ def _run_sweep(scn: Scenario, art: _Artifacts) -> int:
     _problem_from_scenario(scn)     # a bad /fabry_perot is named before any row
     stacks = [_checked(f"/scan/n_mirror_values/{i}", build_fabry_perot, length, n)
               for i, n in enumerate(values)]
+    # one report file per row; rows may not share one (4 and 4.0 would)
+    names = [f"report_n{float(n):g}.json" for n in values]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigurationError(
+                f"/scan/n_mirror_values/{i} = {values[i]!r} would overwrite {name} of "
+                f"/scan/n_mirror_values/{names.index(name)}")
     rows = classify_rows([(float(n), WaveProblem(stack)) for n, stack in zip(values, stacks)],
                          scn.make_thresholds())
     art.write("sweep.csv", scan_table_csv(rows), "scan")
-    for n, res in rows:
+    for name, (_, res) in zip(names, rows):
         if not isinstance(res, Exception):
-            art.write(f"report_n{n:g}.json", res.to_json() + "\n", "report")
+            art.write(name, res.to_json() + "\n", "report")
     return 2 if any(isinstance(res, Exception) for _, res in rows) else 0
 
 

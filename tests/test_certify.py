@@ -105,6 +105,38 @@ def test_classify_n4_multi_mode():
                                   "multi_pole_mm")) >= 2
 
 
+FLAGS = ("single_mode", "off_resonant_mm", "complex_residue_mm", "multi_pole_mm")
+
+
+@pytest.mark.parametrize("flag", FLAGS)
+def test_report_takes_no_flag_argument(flag):
+    # the flags follow from the metrics and thresholds; none can be passed in
+    rep = classified(4.0)
+    given = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
+             if f.name not in FLAGS}
+    assert cf.ClassificationReport(**given) == rep
+    with pytest.raises(TypeError, match=flag):
+        cf.ClassificationReport(**given, **{flag: not getattr(rep, flag)})
+
+
+def test_report_flags_follow_each_threshold():
+    # the single-mode n = 20 report with one measured value pushed past its
+    # threshold sets that flag alone and clears single_mode
+    rep = classified(20.0)
+    th = rep.thresholds
+    given = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
+             if f.name not in FLAGS}
+    assert rep.flags() == {"single_mode": True, "off_resonant_mm": False,
+                           "complex_residue_mm": False, "multi_pole_mm": False}
+    for flag, past in (("multi_pole_mm", {"n_star": 2}),
+                       ("complex_residue_mm",
+                        {"main_residue_phase": -1.01 * th.residue_phase_tol}),
+                       ("off_resonant_mm",
+                        {"off_resonant_shift": -1.01 * th.shift_tol * rep.kappa_main})):
+        flags = cf.ClassificationReport(**{**given, **past}).flags()
+        assert flags == {k: k == flag for k in FLAGS}, flag
+
+
 def test_closure_identity():
     for n in (4.0, 8.0, 20.0):
         rep = classified(n)

@@ -363,6 +363,86 @@ def test_run_sweep_builds_each_row_once(tmp_path, monkeypatch):
     assert all(p.stack is stack for p, stack in zip(problems, built[1:]))
 
 
+@pytest.mark.parametrize("values,name", [([20.0, 20.0000001], "report_n20.json"),
+                                         ([4, 4.0], "report_n4.json")])
+def test_run_sweep_refuses_values_sharing_a_report(tmp_path, monkeypatch, values, name):
+    # two rows would write one report file: refused before any row is certified
+    certified = []
+    monkeypatch.setattr(certify, "classify", lambda *args, **kwargs: certified.append(args))
+    scn = cli.parse_scenario({**MINIMAL_FP, "scan": {"n_mirror_values": values}})
+    out = tmp_path / "s"
+    assert cli.run(scn, command="sweep", out_dir=out) == 1
+    error = (out / "error.txt").read_text()
+    assert error.startswith("ConfigurationError: /scan/n_mirror_values/1 = ")
+    assert f"would overwrite {name} of /scan/n_mirror_values/0" in error
+    assert certified == []
+    assert [e["path"] for e in _manifest(out)] == ["error.txt", "scenario.json"]
+
+
+def _derived_flags(report: dict) -> dict:
+    """The decision tree redone on a report.json's metrics, shifts and thresholds."""
+    metrics, th = report["metrics"], report["thresholds"]
+    mm = {"off_resonant_mm": abs(report["shifts"]["off_resonant"])
+          > th["shift_tol"] * metrics["kappa_main"],
+          "complex_residue_mm": abs(metrics["main_residue_phase"]) > th["residue_phase_tol"],
+          "multi_pole_mm": metrics["n_star"] > 1}
+    return {"single_mode": not any(mm.values()), **mm}
+
+
+@pytest.fixture(scope="module")
+def certified_reports(tmp_path_factory):
+    """report.json of the shipped sweep, lossy 8+0.5i and X-ray minimum 4; sweep.csv rows.
+
+    The sweep gets a failing n = 1 row, which writes no report.
+    """
+    out = tmp_path_factory.mktemp("certified")
+    sweep = json.loads((ROOT / "scenarios" / "mirror_sweep.json").read_text())
+    sweep["scan"]["n_mirror_values"].append(1)
+    assert cli.run(cli.parse_scenario(sweep), "sweep", out / "sweep") == 2
+    lossy = {**MINIMAL_CUSTOM, "custom_stack": {**MINIMAL_CUSTOM["custom_stack"], "layers": [
+        {"material": {"n_re": 8.0, "n_im": 0.5}, "thickness": 0.01},
+        {"material": {}, "thickness": 1.0},
+        {"material": {"n_re": 8.0, "n_im": 0.5}, "thickness": 0.01}]}}
+    assert cli.run(cli.parse_scenario(lossy), "classify", out / "lossy") == 0
+    assert cli.run(cli.parse_scenario(ROOT / "scenarios" / "xray_mode4.json"), "classify",
+                   out / "xray") == 0
+    reports = {p.relative_to(out).as_posix(): json.loads(p.read_text())
+               for p in sorted(out.glob("*/report*.json"))}
+    rows = list(csv.DictReader(io.StringIO((out / "sweep" / "sweep.csv").read_text())))
+    return reports, rows
+
+
+def test_report_flags_follow_from_its_metrics(certified_reports):
+    reports, _ = certified_reports
+    assert sorted(reports) == sorted(["lossy/report.json", "xray/report.json"] + [
+        f"sweep/report_n{n}.json" for n in (4, 5, 6, 8, 12, 20)])
+    for name, report in reports.items():
+        assert report["flags"] == _derived_flags(report), name
+    # the shipped sweep alone sets and clears every flag
+    sweep = [r["flags"] for name, r in reports.items() if name.startswith("sweep/")]
+    for flag in sweep[0]:
+        assert {f[flag] for f in sweep} == {True, False}, flag
+
+
+def test_sweep_rows_equal_their_reports(certified_reports):
+    # flags as 0/1, every other column the repr of the report's value
+    reports, rows = certified_reports
+    assert list(rows[0]) == [
+        "n_mirror", "status", "single_mode", "off_resonant_mm", "complex_residue_mm",
+        "multi_pole_mm", "omega_min", "omega_a_zero", "re_main_pole", "kappa_main",
+        "main_residue_phase", "n_star", "off_resonant_shift", "complex_residue_shift",
+        "multi_pole_shift"]
+    assert [r["status"] for r in rows[:-1]] == ["ok"] * 6
+    assert rows[-1]["status"].startswith("error:AmbiguityError: ")
+    for row in rows[:-1]:
+        report = reports[f"sweep/report_n{float(row.pop('n_mirror')):g}.json"]
+        del row["status"]
+        values = {**report["flags"], **report["metrics"],
+                  **{f"{k}_shift": v for k, v in report["shifts"].items()}}
+        assert row == {k: str(int(values[k])) if isinstance(values[k], bool)
+                       else repr(values[k]) for k in row}
+
+
 def test_run_poles_requires_region(tmp_path):
     scn = cli.parse_scenario(MINIMAL_FP)
     code = cli.run(scn, command="poles", out_dir=tmp_path / "p")
@@ -579,8 +659,8 @@ def test_main_bad_scenario(tmp_path, capsys):
     ({"scan": {"n_points": 1}}, "expected an integer >= 2 at /scan/n_points"),
     ({"scan": {"n_points": 301.0}}, "expected an integer >= 2 at /scan/n_points"),
     ({"scan": {"n_points": True}}, "expected an integer >= 2 at /scan/n_points"),
-    ({"scan": {"n_mirror_values": 5}}, "expected a list at /scan/n_mirror_values"),
-    ({"output": {"dir": 5}}, "expected a string at /output/dir"),
+    ({"scan": {"n_mirror_values": 5}}, "expected a non-empty list at /scan/n_mirror_values"),
+    ({"output": {"dir": 5}}, "expected a non-empty string at /output/dir"),
 ])
 def test_main_bad_values_named(tmp_path, capsys, section, path):
     scenario = tmp_path / "bad.json"
@@ -603,6 +683,30 @@ def test_main_bad_xray_halfwidth_named(tmp_path, capsys, halfwidth):
     err = capsys.readouterr().err
     assert "expected a finite number > 0 at /xray/spectrum_halfwidth" in err
     assert not out.exists()
+
+
+def test_main_refuses_an_empty_sweep(tmp_path, capsys):
+    # a sweep of no rows would certify nothing and still print ok
+    scenario = tmp_path / "empty.json"
+    scenario.write_text(json.dumps({**MINIMAL_FP, "scan": {"n_mirror_values": []}}))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", str(scenario), "--out", str(out), "sweep"]) == 1
+    err = capsys.readouterr().err
+    assert "expected a non-empty list at /scan/n_mirror_values, not []" in err
+    assert not out.exists()
+
+
+def test_main_refuses_an_empty_output_dir(tmp_path, capsys, monkeypatch):
+    # "" would be the working directory, where every run overwrites the last
+    scenario = tmp_path / "in" / "pfm.json"
+    scenario.parent.mkdir()
+    scenario.write_text(json.dumps({**MINIMAL["synthetic_pfm"], "output": {"dir": ""}}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert cli.main(["--scenario", str(scenario), "pfm-check"]) == 1
+    assert "expected a non-empty string at /output/dir, not ''" in capsys.readouterr().err
+    assert list(work.iterdir()) == [] and list(scenario.parent.iterdir()) == [scenario]
 
 
 _NO_THICKNESS = {**MINIMAL_CUSTOM["custom_stack"],
@@ -740,6 +844,8 @@ def test_shipped_scenario_runs(tmp_path, scenario, command):
     code = cli.main(["--scenario", str(ROOT / scenario), "--out", str(out), command])
     assert code == 0
     entries = _manifest(out)
-    assert {e["path"] for e in entries} == {p.name for p in out.iterdir()} - {"manifest.json"}
+    # each written file listed once
+    assert sorted(e["path"] for e in entries) == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
     for e in entries:
         assert hashlib.sha256((out / e["path"]).read_bytes()).hexdigest() == e["sha256"]
