@@ -1,12 +1,14 @@
 """The decision tree: certify and classify multi-mode behavior.
 
-A classification measures, for the probed cavity mode,
+:func:`classify` only measures, for the probed cavity mode,
 
 * omega_min, the empty-cavity reflectance minimum (off-resonant feature),
-* the witness pole expansion (main pole, residue phase, truncation order N*),
+* the witness pole expansion (the main pole nearest omega_min, N*),
 * omega_a0, the zero crossing of the Lamb shift Delta(omega_a),
 
-and its :class:`ClassificationReport` derives the flags from them
+and its :class:`ClassificationReport` derives from the main pole, omega_min,
+omega_a0 and the thresholds the main-pole metrics, the shift decomposition
+and the flags
 
 * multi_pole_mm       iff N* > 1 at the convergence tolerance,
 * complex_residue_mm  iff |arg r_main| exceeds the residue phase tolerance,
@@ -14,12 +16,9 @@ and its :class:`ClassificationReport` derives the flags from them
                       tolerance in units of the main pole width,
 * single_mode         iff none of the above.
 
-The quantitative shift decomposition splits omega_a0 - omega_min into
-off-resonant, complex-residue and multi-pole contributions that close
-exactly by construction.
-
-:func:`classify` is the one certificate path at every ``k_par``; an X-ray
-cavity is a plain wave problem (:func:`xray_problem`).
+The decomposition's single-pole zero is a closed form, which the tests check
+against a numeric root.  :func:`classify` is the one certificate path at
+every ``k_par``; an X-ray cavity is a plain wave problem (:func:`xray_problem`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AmbiguityError, ConfigurationError, ModeCertError, RegionTooSmallError
 from .layered import (
@@ -45,6 +43,7 @@ from .layered import (
     reflection,
 )
 from .qnm import (
+    Pole,
     ScanRegion,
     build_expansion,
     convergence_report,
@@ -109,42 +108,60 @@ _SWEEP_COLUMNS = _FLAGS + _SWEEP_METRICS + tuple(f"{s}_shift" for s in _SHIFTS)
 class ClassificationReport:
     """Decision-tree outcome with the quantitative shift decomposition.
 
-    The flags are not arguments: each follows from the report's own metrics
-    and thresholds (see the module docstring).  The three shifts satisfy
-    off_resonant + complex_residue + multi_pole = omega_a0_full - omega_min
-    up to the root-finder tolerances (``closure_residual`` records the actual
-    mismatch).  ``curve`` holds the witness samples the certificate was
+    Built from what :func:`classify` measures: omega_min, omega_a0, the main
+    pole with its residue, N* and the witness ``levshift_at_min`` at
+    omega_min.  The main-pole metrics, flags and shifts are derived and
+    cannot be passed in.  The shifts split omega_a0 - omega_min into
+    off_resonant = Re omega_main - omega_min (empty-cavity displacement),
+    complex_residue = z_sp - Re omega_main, with z_sp the single-pole zero
+    (:func:`single_pole_zero`), and multi_pole = omega_a0 - z_sp; they close
+    by construction and ``closure_residual`` records the floating-point
+    mismatch.  ``curve`` holds the witness samples the certificate was
     checked on and ``reflectance`` the ``(omega, r)`` window scan that
     located omega_min; neither is serialised.
     """
 
-    single_mode: bool = field(init=False)
-    off_resonant_mm: bool = field(init=False)
-    complex_residue_mm: bool = field(init=False)
-    multi_pole_mm: bool = field(init=False)
     omega_min: float
     omega_a_zero: float
-    re_main_pole: float
-    kappa_main: float
-    main_residue: complex
-    main_residue_phase: float
+    main_pole: Pole
     n_star: int
     constant_term_magnitude: float
-    off_resonant_shift: float
-    complex_residue_shift: float
-    multi_pole_shift: float
-    closure_residual: float
-    delta_at_min: float
-    gamma_at_min: float
+    levshift_at_min: complex
     gamma_unit: float
     thresholds: Thresholds
     n_poles_region: int
     convergence_errors: list = field(default_factory=list)
     curve: LevelShiftCurve | None = field(default=None, repr=False, compare=False)
     reflectance: tuple | None = field(default=None, repr=False, compare=False)
+    # derived in __post_init__
+    single_mode: bool = field(init=False)
+    off_resonant_mm: bool = field(init=False)
+    complex_residue_mm: bool = field(init=False)
+    multi_pole_mm: bool = field(init=False)
+    re_main_pole: float = field(init=False)
+    kappa_main: float = field(init=False)
+    main_residue: complex = field(init=False)
+    main_residue_phase: float = field(init=False)
+    off_resonant_shift: float = field(init=False)
+    complex_residue_shift: float = field(init=False)
+    multi_pole_shift: float = field(init=False)
+    closure_residual: float = field(init=False)
+    delta_at_min: float = field(init=False)
+    gamma_at_min: float = field(init=False)
 
     def __post_init__(self):
-        th = self.thresholds
+        pole, th = self.main_pole, self.thresholds
+        self.re_main_pole = float(pole.omega_pole.real)
+        self.kappa_main = float(-2.0 * pole.omega_pole.imag)
+        self.main_residue = complex(pole.residue)
+        self.main_residue_phase = float(np.angle(pole.residue))
+        z_sp = single_pole_zero(pole.residue, pole.omega_pole)
+        shifts = (float(self.re_main_pole - self.omega_min), float(z_sp - self.re_main_pole),
+                  float(self.omega_a_zero - z_sp))
+        self.off_resonant_shift, self.complex_residue_shift, self.multi_pole_shift = shifts
+        self.closure_residual = float(abs(sum(shifts) - (self.omega_a_zero - self.omega_min)))
+        self.delta_at_min = float(np.real(self.levshift_at_min))
+        self.gamma_at_min = float(-2.0 * np.imag(self.levshift_at_min))
         self.multi_pole_mm = bool(self.n_star > 1)
         self.complex_residue_mm = bool(abs(self.main_residue_phase) > th.residue_phase_tol)
         self.off_resonant_mm = bool(abs(self.off_resonant_shift)
@@ -222,22 +239,6 @@ def single_pole_zero(residue: complex, omega_pole: complex) -> float:
     return float(omega_pole.real - (b / a) * (kappa / 2.0))
 
 
-def shift_decomposition(z_sp: float, re_main_pole: float,
-                        omega_min: float, omega_a_zero: float) -> tuple:
-    """Split omega_a_zero - omega_min into the three multi-mode shifts.
-
-    Returns (off_resonant, complex_residue, multi_pole, closure_residual):
-    off_resonant = Re omega_pole - omega_min (empty-cavity displacement),
-    complex_residue = the single-pole zero ``z_sp`` (:func:`single_pole_zero`)
-    minus Re omega_pole, multi_pole = full zero minus single-pole zero.  The
-    three sum to omega_a_zero - omega_min exactly by construction; the
-    closure residual is the floating-point mismatch.
-    """
-    shifts = (float(re_main_pole - omega_min), float(z_sp - re_main_pole),
-              float(omega_a_zero - z_sp))
-    return (*shifts, float(abs(sum(shifts) - (omega_a_zero - omega_min))))
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -302,39 +303,15 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
                 raise
             region = _grow(region, pinned=problem.k_par != 0)
 
-    main = counted_poles(expansion, omega_min)[0]   # the pole nearest omega_min
-    kappa_main = -2.0 * main.omega_pole.imag
-    phase = float(np.angle(main.residue))
-
     # zero of the full Delta, bracketed on the curve, polished on the exact witness
     omega_a0 = find_zero_of_delta(curve, lambda w: levshift_exact(problem, w))
-
-    # single-pole zero: closed form, cross-checked by a numeric root
-    z_sp = single_pole_zero(main.residue, main.omega_pole)
-    z_sp_num = _single_pole_zero_numeric(main.residue, main.omega_pole, window)
-    if z_sp_num is not None and abs(z_sp_num - z_sp) > 1e-6 * (window[1] - window[0]):
-        raise AmbiguityError(
-            f"single-pole zero mismatch: closed form {z_sp}, numeric {z_sp_num}")
-
-    off_shift, complex_shift, multi_shift, closure = shift_decomposition(
-        z_sp, main.omega_pole.real, omega_min, omega_a0)
-
-    delta_min = levshift_exact(problem, omega_min)
     return ClassificationReport(
         omega_min=float(omega_min),
         omega_a_zero=float(omega_a0),
-        re_main_pole=float(main.omega_pole.real),
-        kappa_main=float(kappa_main),
-        main_residue=complex(main.residue),
-        main_residue_phase=phase,
+        main_pole=counted_poles(expansion, omega_min)[0],   # the pole nearest omega_min
         n_star=int(conv.n_star),
         constant_term_magnitude=float(abs(conv.offset)),
-        off_resonant_shift=off_shift,
-        complex_residue_shift=complex_shift,
-        multi_pole_shift=multi_shift,
-        closure_residual=closure,
-        delta_at_min=float(np.real(delta_min)),
-        gamma_at_min=float(-2.0 * np.imag(delta_min)),
+        levshift_at_min=complex(levshift_exact(problem, omega_min)),
         gamma_unit=float(emitter.gamma),
         thresholds=thresholds,
         n_poles_region=len(expansion.poles),
@@ -355,17 +332,6 @@ def _grow(region: ScanRegion, pinned: bool = False) -> ScanRegion:
         hi = region.omega_hi + 1.001 * region.width
         depth = 1.6 * region.depth
     return ScanRegion(lo, hi, depth)
-
-
-def _single_pole_zero_numeric(residue, omega_pole, window):
-    fn = lambda w: (residue / (w - omega_pole)).real
-    span = 20.0 * abs(omega_pole.imag) + (window[1] - window[0])
-    om = np.linspace(omega_pole.real - span, omega_pole.real + span, 4001)
-    try:
-        a, b = zero_bracket(om, fn(om))
-    except AmbiguityError:
-        return None
-    return a if a == b else float(brentq(fn, a, b, xtol=1e-12 * span))
 
 
 def _one_zero_window(curve: LevelShiftCurve, candidates) -> tuple:

@@ -331,13 +331,13 @@ def _march(ks, ds, keep=(), stop=0):
     over whatever shape the wavenumbers have (omega, k_par or both).  Returns
     (right, kept): the amplitudes at the right edge of medium ``stop`` (the
     inner boundary of a cladding), and for each medium index in ``keep`` (none
-    below ``stop``) its amplitudes referenced to the medium's right and left
-    edge, ((A, B)_right, (A, B)_left); the claddings use their inner boundary
-    for both.  P_stop is applied only when ``stop`` is kept.
+    below ``stop``) its amplitudes (A, B) referenced to the medium's left
+    edge; the claddings use their inner boundary.  P_stop is applied only
+    when ``stop`` is kept.
     """
     n_lay = len(ds)
     right = (1.0, 0.0)
-    kept = {n_lay + 1: (right, right)} if n_lay + 1 in keep else {}
+    kept = {n_lay + 1: right} if n_lay + 1 in keep else {}
     for j in range(n_lay, stop - 1, -1):
         inv = 0.5 / ks[j]
         p, m_ = (ks[j] + ks[j + 1]) * inv, (ks[j] - ks[j + 1]) * inv
@@ -347,7 +347,7 @@ def _march(ks, ds, keep=(), stop=0):
             ph = np.exp(-1j * ks[j] * ds[j - 1])
             a, b = a * ph, b / ph                   # shift reference to left edge
         if j in keep:
-            kept[j] = (right, (a, b))
+            kept[j] = (a, b)
     return right, kept
 
 
@@ -413,7 +413,7 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
     (bl, al), _ = _march(ks[::-1], ds[::-1], stop=len(ks) - 1 - j_lo)
 
     # Wronskian in the layer of x_<; constant across layers analytically
-    ar, br = er[j_lo][1]
+    ar, br = er[j_lo]
     two_ik = 2j * ks[j_lo]
     u, v = bl * ar, al * br
     w = two_ik * (u - v)
@@ -425,7 +425,7 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
     with np.errstate(divide="ignore", invalid="ignore"):
         ph_lo = np.exp(1j * ks[j_lo] * (x_lo - ref_lo))
         ph_hi = ph_lo if x_hi == x_lo else np.exp(1j * ks[j_hi] * (x_hi - ref_hi))
-        g = _eval_amp((al, bl), ph_lo) * _eval_amp(er[j_hi][1], ph_hi) / w
+        g = _eval_amp((al, bl), ph_lo) * _eval_amp(er[j_hi], ph_hi) / w
     return np.where(bad, complex(np.inf, 0.0), g) if np.any(bad) else g
 
 
@@ -439,7 +439,7 @@ def field_profile(problem: WaveProblem, omega, xs):
     xs_flat = [float(x) for x in np.atleast_1d(xs)]
     where = [_locate(problem.stack, x) for x in xs_flat]
     (a0, _), er = _march(ks, problem.stack._thicknesses, keep={j for j, _ in where})
-    out = [_eval_amp(er[j][1], np.exp(1j * ks[j] * (x - ref))) / a0
+    out = [_eval_amp(er[j], np.exp(1j * ks[j] * (x - ref))) / a0
            for x, (j, ref) in zip(xs_flat, where)]
     return np.array(out, dtype=complex).reshape(np.shape(xs))
 
@@ -455,10 +455,10 @@ def build_fabry_perot(L: float, n_mirror: float, gamma: float = 1.0) -> LayerSta
     probe emitter at the cavity center x_a = L/100 + L/2, tuned to the
     fundamental omega_a = pi/L.
     """
-    if L <= 0:
-        raise ValueError("cavity length L must be > 0")
-    if n_mirror < 1:
-        raise ValueError("n_mirror must be >= 1")
+    if not 0 < L < math.inf:
+        raise ValueError(f"cavity length L must be finite and > 0, not {L!r}")
+    if not 1 <= n_mirror < math.inf:
+        raise ValueError(f"n_mirror must be finite and >= 1, not {n_mirror!r}")
     t = L / 100.0
     mirror = Material.constant(f"mirror(n={n_mirror:g})", complex(n_mirror))
     emitter = EmitterSpec(x_a=t + L / 2.0, omega_a=math.pi / L, gamma=gamma)

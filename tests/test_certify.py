@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from modecert import certify as cf, layered as ly, qnm, witness as wt
 from modecert.errors import AmbiguityError, ConfigurationError
@@ -45,7 +46,19 @@ def test_classify_synthetic_single_mode():
     assert abs(np.angle(p.residue)) < 1e-8
 
 
-def test_single_pole_zero_closed_form_vs_numeric():
+def single_pole_zero_numeric(residue, omega_pole, window):
+    """Root of Re[r / (omega - omega_pole)] by brentq on a bracketing grid sample."""
+    fn = lambda w: (residue / (w - omega_pole)).real
+    span = 20.0 * abs(omega_pole.imag) + (window[1] - window[0])
+    om = np.linspace(omega_pole.real - span, omega_pole.real + span, 4001)
+    try:
+        a, b = wt.zero_bracket(om, fn(om))
+    except AmbiguityError:
+        return None
+    return a if a == b else float(brentq(fn, a, b, xtol=1e-12 * span))
+
+
+def test_single_pole_zero_closed_form_vs_numeric(material_table):
     rng = np.random.default_rng(31)
     for _ in range(25):
         omega_pole = complex(rng.uniform(5, 15), -rng.uniform(0.05, 0.5))
@@ -56,13 +69,23 @@ def test_single_pole_zero_closed_form_vs_numeric():
         # closed form: Omega - tan(phi) kappa / 2
         assert z == pytest.approx(omega_pole.real - np.tan(phi) * kappa / 2,
                                   rel=1e-12)
-        num = cf._single_pole_zero_numeric(residue, omega_pole,
-                                           (omega_pole.real - 1, omega_pole.real + 1))
+        num = single_pole_zero_numeric(residue, omega_pole,
+                                       (omega_pole.real - 1, omega_pole.real + 1))
         assert num is not None
         assert abs(num - z) < 1e-8 * kappa
     # the zero of 1 / (w + i) is the middle sample of its 4001-point grid:
-    # that sample is the root, not a cross-check skipped for want of a sign change
-    assert cf._single_pole_zero_numeric(1.0 + 0j, -1j, (-6.0, 6.0)) == 0.0
+    # that sample is the root, not a check skipped for want of a sign change
+    assert single_pole_zero_numeric(1.0 + 0j, -1j, (-6.0, 6.0)) == 0.0
+    # the main poles of certified reports, to the window-relative tolerance
+    reports = [classified(n) for n in (4.0, 5.0, 6.0, 8.0, 12.0, 20.0)]
+    reports += [cf.classify(lossy_problem(8.0 + 0.5j)),
+                cf.classify(cf.xray_problem(material_table, 4))]
+    for rep in reports:
+        pole, window = rep.main_pole, rep.thresholds.window
+        num = single_pole_zero_numeric(pole.residue, pole.omega_pole, window)
+        assert num is not None
+        assert abs(num - cf.single_pole_zero(pole.residue, pole.omega_pole)) \
+            <= 1e-6 * (window[1] - window[0])
 
 
 def test_single_pole_zero_imaginary_residue_rejected():
@@ -108,32 +131,42 @@ def test_classify_n4_multi_mode():
 FLAGS = ("single_mode", "off_resonant_mm", "complex_residue_mm", "multi_pole_mm")
 
 
-@pytest.mark.parametrize("flag", FLAGS)
-def test_report_takes_no_flag_argument(flag):
-    # the flags follow from the metrics and thresholds; none can be passed in
+DERIVED = FLAGS + ("re_main_pole", "kappa_main", "main_residue", "main_residue_phase",
+                   "off_resonant_shift", "complex_residue_shift", "multi_pole_shift",
+                   "closure_residual", "delta_at_min", "gamma_at_min")
+
+
+def init_fields(rep) -> dict:
+    return {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.init}
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_report_takes_no_derived_value(name):
+    # the main-pole metrics, shifts and flags follow from the measured inputs
+    # and thresholds; none can be passed in, not even its own value
     rep = classified(4.0)
-    given = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
-             if f.name not in FLAGS}
-    assert cf.ClassificationReport(**given) == rep
-    with pytest.raises(TypeError, match=flag):
-        cf.ClassificationReport(**given, **{flag: not getattr(rep, flag)})
+    assert {f.name for f in dataclasses.fields(rep) if not f.init} == set(DERIVED)
+    given = {k: v for k, v in init_fields(rep).items() if k != name}
+    assert cf.ClassificationReport(**init_fields(rep)) == rep
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        cf.ClassificationReport(**{**given, name: getattr(rep, name)})
 
 
 def test_report_flags_follow_each_threshold():
-    # the single-mode n = 20 report with one measured value pushed past its
+    # the single-mode n = 20 report with one measured input pushed past its
     # threshold sets that flag alone and clears single_mode
     rep = classified(20.0)
-    th = rep.thresholds
-    given = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)
-             if f.name not in FLAGS}
+    th, pole = rep.thresholds, rep.main_pole
     assert rep.flags() == {"single_mode": True, "off_resonant_mm": False,
                            "complex_residue_mm": False, "multi_pole_mm": False}
+    rotated = qnm.Pole(pole.omega_pole,
+                       abs(pole.residue) * np.exp(1.01j * th.residue_phase_tol))
     for flag, past in (("multi_pole_mm", {"n_star": 2}),
-                       ("complex_residue_mm",
-                        {"main_residue_phase": -1.01 * th.residue_phase_tol}),
+                       ("complex_residue_mm", {"main_pole": rotated}),
                        ("off_resonant_mm",
-                        {"off_resonant_shift": -1.01 * th.shift_tol * rep.kappa_main})):
-        flags = cf.ClassificationReport(**{**given, **past}).flags()
+                        {"omega_min": rep.re_main_pole
+                         - 1.01 * th.shift_tol * rep.kappa_main})):
+        flags = cf.ClassificationReport(**{**init_fields(rep), **past}).flags()
         assert flags == {k: k == flag for k in FLAGS}, flag
 
 

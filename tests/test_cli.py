@@ -736,6 +736,26 @@ def test_main_bad_section_values_named(tmp_path, scenario, command, path):
     assert {e["path"] for e in _manifest(out)} == {"scenario.json", "error.txt"}
 
 
+@pytest.mark.parametrize("scenario,command,message", [
+    ({**MINIMAL_FP, "scan": {"n_mirror_values": [1e400, 20.0]}}, "sweep",
+     "n_mirror must be finite and >= 1, not inf at /scan/n_mirror_values/0"),
+    ({**MINIMAL_FP, "fabry_perot": {"L": 1.0, "n_mirror": float("nan")}}, "classify",
+     "n_mirror must be finite and >= 1, not nan at /fabry_perot"),
+    ({**MINIMAL_FP, "fabry_perot": {"L": 1e400, "n_mirror": 20.0}}, "classify",
+     "cavity length L must be finite and > 0, not inf at /fabry_perot"),
+], ids=["sweep-inf-n_mirror", "nan-n_mirror", "inf-L"])
+def test_main_refuses_non_finite_fabry_perot_values(tmp_path, scenario, command, message):
+    # the JSON reader takes 1e400 or Infinity as inf and NaN as nan; each is
+    # named where it stands, not met later as a search failure or as a bad
+    # emitter frequency
+    path_file = tmp_path / "bad.json"
+    path_file.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", str(path_file), "--out", str(out), command]) == 1
+    assert (out / "error.txt").read_text() == f"ConfigurationError: {message}\n"
+    assert {e["path"] for e in _manifest(out)} == {"scenario.json", "error.txt"}
+
+
 def test_run_poles_through_zero_frequency(tmp_path, monkeypatch):
     # the root box of a region symmetric about omega = 0 samples omega = 0
     # exactly on its top edge, a removable point of the witness that the
