@@ -47,7 +47,7 @@ from .qnm import (
     ScanRegion,
     build_expansion,
     convergence_report,
-    counted_poles,
+    counted_modes,
 )
 from .witness import (
     LevelShiftCurve,
@@ -249,7 +249,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
              thresholds: Thresholds = Thresholds()) -> ClassificationReport:
     """Run the decision tree on the emitter of one cavity problem.
 
-    The probed emitter is ``problem.stack.emitter``.  The witness curve is
+    The probed emitter is ``problem.emitter``.  The witness curve is
     sampled on the widest candidate window of :func:`_default_window_region`
     (a given ``thresholds.window`` is the only one); the widest candidate
     whose samples bracket one Delta zero is certified, sampled again if
@@ -267,9 +267,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     curve its certificate was checked on and the reflectance scan of its
     window.
     """
-    emitter = problem.stack.emitter
-    if emitter is None:
-        raise ValueError("no emitter on the stack")
+    emitter = problem.emitter
     check_region(problem, region)
 
     candidates = [thresholds.window]
@@ -308,7 +306,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     return ClassificationReport(
         omega_min=float(omega_min),
         omega_a_zero=float(omega_a0),
-        main_pole=counted_poles(expansion, omega_min)[0],   # the pole nearest omega_min
+        main_pole=counted_modes(expansion, omega_min)[0][0],   # the head nearest omega_min
         n_star=int(conv.n_star),
         constant_term_magnitude=float(abs(conv.offset)),
         levshift_at_min=complex(levshift_exact(problem, omega_min)),
@@ -361,7 +359,7 @@ def _default_window_region(problem: WaveProblem, window=None):
     0.28, ... (> 0.08) of the gaps to the neighbouring dips, since strongly
     dispersing neighbour modes add Delta zeros to wider ones.
     """
-    scale = problem.stack.emitter.omega_a
+    scale = problem.emitter.omega_a
     if problem.k_par != 0:
         span, e = _light_line_span(problem)
         region = ScanRegion(*span, depth=1.2 * e)
@@ -473,7 +471,7 @@ def nuclear_spectrum(problem: WaveProblem, halfwidth: float) -> dict:
     801 points within ``halfwidth`` times the larger of the free and cavity
     widths of omega_a; the local field is calibrated against free space.
     """
-    emitter = problem.stack.emitter
+    emitter = problem.emitter
     omega_a = emitter.omega_a
     gamma_eff = -2.0 * levshift_exact(problem, omega_a).imag
     half = halfwidth * max(gamma_eff, emitter.gamma)
@@ -492,7 +490,7 @@ def _light_line_span(problem: WaveProblem):
     The span right of the branch point omega_bp: the default region's real
     extent and the X-ray energy-scan range.
     """
-    omega_a = problem.stack.emitter.omega_a
+    omega_a = problem.emitter.omega_a
     omega_bp = _branch_point(problem)
     e = omega_a - omega_bp
     if not e > 0:
@@ -512,6 +510,6 @@ def check_region(problem: WaveProblem, region: ScanRegion | None) -> None:
 
 def _branch_point(problem: WaveProblem) -> float:
     """Largest cladding light-line frequency Re(c k_par / n) at the emitter frequency."""
-    omega_a = problem.stack.emitter.omega_a
+    omega_a = problem.emitter.omega_a
     return float(max((problem.k_par / cladding.index(omega_a)).real
                      for cladding in (problem.stack.left, problem.stack.right)))

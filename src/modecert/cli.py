@@ -332,7 +332,7 @@ def _run_spectrum(scn: Scenario, art: _Artifacts) -> int:
     problem = _problem_from_scenario(scn)
     window, n_points = scn.sections["scan"]["window"], scn.sections["scan"]["n_points"]
     if window is None:
-        omega_a = problem.stack.emitter.omega_a
+        omega_a = problem.emitter.omega_a
         window = (0.25 * omega_a, 3.25 * omega_a)
     om = np.linspace(window[0], window[1], n_points)
     art.write("reflectance.csv", _spectrum_csv(om, reflection(problem, om)), "curve")

@@ -41,7 +41,7 @@ import bisect
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +211,13 @@ class WaveProblem:
 
     stack: LayerStack
     k_par: float = 0.0
+
+    @property
+    def emitter(self) -> EmitterSpec:
+        """The probe emitter of the stack; a stack without one has no witness."""
+        if self.stack.emitter is None:
+            raise ConfigurationError("no emitter on the stack")
+        return self.stack.emitter
 
     @property
     def conjugate_symmetric(self) -> bool:
@@ -448,12 +455,12 @@ def field_profile(problem: WaveProblem, omega, xs):
 # scenario builders
 # ---------------------------------------------------------------------------
 
-def build_fabry_perot(L: float, n_mirror: float, gamma: float = 1.0) -> LayerStack:
+def build_fabry_perot(L: float, n_mirror: float) -> LayerStack:
     """Symmetric Fabry-Perot-like cavity with thin high-index mirrors.
 
     Geometry: vacuum claddings, mirror(L/100) | vacuum(L) | mirror(L/100),
-    probe emitter at the cavity center x_a = L/100 + L/2, tuned to the
-    fundamental omega_a = pi/L.
+    probe emitter of unit width gamma at the cavity center x_a = L/100 + L/2,
+    tuned to the fundamental omega_a = pi/L.
     """
     if not 0 < L < math.inf:
         raise ValueError(f"cavity length L must be finite and > 0, not {L!r}")
@@ -461,7 +468,7 @@ def build_fabry_perot(L: float, n_mirror: float, gamma: float = 1.0) -> LayerSta
         raise ValueError(f"n_mirror must be finite and >= 1, not {n_mirror!r}")
     t = L / 100.0
     mirror = Material.constant(f"mirror(n={n_mirror:g})", complex(n_mirror))
-    emitter = EmitterSpec(x_a=t + L / 2.0, omega_a=math.pi / L, gamma=gamma)
+    emitter = EmitterSpec(x_a=t + L / 2.0, omega_a=math.pi / L, gamma=1.0)
     return LayerStack(
         left=VACUUM,
         layers=((mirror, t), (VACUUM, L), (mirror, t)),

@@ -43,12 +43,14 @@ r* for every pole p with residue r.  Its expansion searches only the part
 of the region right of a thin strip about the imaginary axis, extended to
 the mirror image of the left edge, and rings only the poles found there;
 every pole found right of the strip gains its mirror.  Without the symmetry
-the whole region is searched and nothing is mirrored.
+the whole region is searched and nothing is mirrored.  An expansion pairs
+its poles into modes once (a pole and its mirror partner, or a pole alone),
+and every N-mode truncated sum is a row of one cumulative sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -126,16 +128,28 @@ class PoleExpansion:
     ``candidates`` are the poles the search returned, before the residue
     floor; a search over a larger region starts from them.  A mirrored
     expansion searched only part of its region (:func:`_searched`).
+
+    ``modes`` pairs the poles once, heads in (Re, Im) order.  The partner
+    of p is the nearest other pole within ``10 * _DEDUPE_REL`` widths of
+    -p*; p heads a mode, its partner following, when Re p >= 0 or it has
+    no partner (a lossy stack with a complex index has no mirror symmetry).
     """
 
     poles: tuple
     region: ScanRegion
     candidates: tuple = ()
+    modes: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "poles",
-                           tuple(sorted(self.poles, key=lambda p: (p.omega_pole.real,
-                                                                   p.omega_pole.imag))))
+        poles = tuple(sorted(self.poles, key=lambda p: (p.omega_pole.real, p.omega_pole.imag)))
+        z = np.array([p.omega_pole for p in poles], dtype=complex)
+        # gap[i, j] = |p_j - (-p_i*)|, the distance of p_j from the mirror of p_i
+        gap = np.abs(z + z[:, None].conj()) + np.diag(np.full(z.size, np.inf))
+        tol = 10.0 * _DEDUPE_REL * self.region.width
+        partner = [(poles[row.argmin()],) if row.min() < tol else () for row in gap]
+        object.__setattr__(self, "poles", poles)
+        object.__setattr__(self, "modes", tuple((p,) + q for p, q in zip(poles, partner)
+                                                if p.omega_pole.real >= 0 or not q))
 
     def to_dict(self) -> dict:
         return {
@@ -153,7 +167,7 @@ class ConvergenceReport:
     """
 
     n_star: int
-    errors: list          # errors[k] is the sup-norm error of the (k+1)-pole sum
+    errors: list          # errors[k] is the sup-norm error of the (k+1)-mode sum
     offset: complex
 
 
@@ -577,74 +591,39 @@ def _searched(region: ScanRegion, mirror: bool) -> ScanRegion:
     return ScanRegion(lo, max(region.omega_hi, -region.omega_lo), region.depth)
 
 
-def counted_poles(expansion: PoleExpansion, center: float) -> list:
-    """Truncation-order pole list: every pole but mirror partners, by distance.
-
-    A pole -p* whose twin p (Re p >= 0) is also in the expansion does not
-    raise the count; it is summed together with its twin in
-    :func:`evaluate_truncated`.  Unpaired poles count at any frequency: a
-    lossy stack with a complex index has no mirror symmetry.
-    """
-    counted = [p for p in expansion.poles
-               if p.omega_pole.real >= 0 or _mirror_partner(expansion, p) is None]
-    return sorted(counted, key=lambda p: (abs(p.omega_pole.real - center), -abs(p.residue)))
-
-
-def _mirror_partner(expansion: PoleExpansion, pole: Pole):
-    """The conjugate-mirror pole -omega*, when the scan region contains it."""
-    target = -np.conj(pole.omega_pole)
-    tol = 10.0 * _DEDUPE_REL * expansion.region.width
-    near = [q for q in expansion.poles
-            if q is not pole and abs(q.omega_pole - target) < tol]
-    return min(near, key=lambda q: abs(q.omega_pole - target), default=None)
-
-
-def evaluate_truncated(expansion: PoleExpansion, n: int, omega, anchor):
-    """Mittag-Leffler sum of the N modes nearest the anchor, exact at the anchor.
-
-    With ``anchor = (c, f(c))`` the sum is
-    f(c) + sum_n r_n [1/(omega - p_n) - 1/(c - p_n)], so it needs no estimate
-    of the constant the bare pole sum misses.  A "mode" is a counted pole
-    together with its mirror partner (see :func:`counted_poles`).
-    """
-    c, fc = anchor
-    counted = counted_poles(expansion, c)
-    if not 1 <= n <= len(counted):
-        raise ValueError(f"n must be in [1, {len(counted)}]")
-    om = np.asarray(omega, dtype=complex)
-    modes = [q for p in counted[:n] for q in (p, _mirror_partner(expansion, p))
-             if q is not None]
-    return sum((q.residue * (1.0 / (om - q.omega_pole) - 1.0 / (c - q.omega_pole))
-                for q in modes), complex(fc))
+def counted_modes(expansion: PoleExpansion, center: float) -> list:
+    """Truncation order: modes by distance of the head from ``center``, larger residue first."""
+    return sorted(expansion.modes,
+                  key=lambda m: (abs(m[0].omega_pole.real - center), -abs(m[0].residue)))
 
 
 def convergence_report(expansion: PoleExpansion, exact_curve, tol: float,
                        center: float) -> ConvergenceReport:
     """Smallest N whose anchored sum meets the sup-norm tolerance on the curve.
 
-    The anchor is the curve sample nearest ``center``.  The error of an
-    N-pole sum is sup |truncated - exact| / sup |exact| over the curve's
-    samples.  Raises RegionTooSmallError, carrying the error table, when
-    even the full expansion misses the tolerance, which means the scan
-    region does not contain enough poles.
+    With anchor c, the curve sample nearest ``center``, the N-mode sum is
+    f(c) + sum r_n [1/(omega - p_n) - 1/(c - p_n)] over the poles of the
+    first N :func:`counted_modes`: exact at c, with no estimate of the
+    constant the bare pole sum misses.  Its error is sup |sum - exact| /
+    sup |exact| over the curve's samples.  Raises RegionTooSmallError,
+    carrying the error table, when even the full expansion misses the
+    tolerance, which means the scan region does not contain enough poles.
     """
     om, exact = exact_curve.omega, exact_curve.delta
     i = int(np.argmin(np.abs(om - center)))
-    anchor = (float(om[i]), complex(exact[i]))
-    scale = float(np.max(np.abs(exact)))
-    n_max = len(counted_poles(expansion, anchor[0]))
-    errors = []
-    n_star = None
-    for n in range(1, n_max + 1):
-        approx = evaluate_truncated(expansion, n, om, anchor)
-        err = float(np.max(np.abs(approx - exact))) / scale
-        errors.append(err)
-        if n_star is None and err < tol:
-            n_star = n
+    c, fc = float(om[i]), complex(exact[i])
+    modes = counted_modes(expansion, c)
+    terms = [np.full(om.shape, fc)] + [
+        q.residue * (1.0 / (om - q.omega_pole) - 1.0 / (c - q.omega_pole))
+        for mode in modes for q in mode]
+    # np.cumsum adds in order, so row k is f(c) plus the first k terms
+    sums = np.cumsum(terms, axis=0)[np.cumsum([len(m) for m in modes], dtype=int)]
+    errors = (np.max(np.abs(sums - exact), axis=1) / float(np.max(np.abs(exact)))).tolist()
+    n_star = next((n for n, err in enumerate(errors, 1) if err < tol), None)
     if n_star is None:
         raise RegionTooSmallError(
-            f"tolerance {tol:g} unreachable with {n_max} counted poles "
+            f"tolerance {tol:g} unreachable with {len(modes)} counted poles "
             f"(best {min(errors) if errors else np.inf:.3g}); enlarge the scan region",
             errors=errors)
-    offset = anchor[1] - sum(p.residue / (anchor[0] - p.omega_pole) for p in expansion.poles)
+    offset = fc - sum(p.residue / (c - p.omega_pole) for p in expansion.poles)
     return ConvergenceReport(n_star=n_star, errors=errors, offset=complex(offset))

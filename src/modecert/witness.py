@@ -106,9 +106,7 @@ def levshift_exact(problem: WaveProblem, omega):
     -i gamma / 2 at every omega.  Analytic in omega away from poles, so
     it doubles as the pole-search evaluator at complex frequencies.
     """
-    emitter = problem.stack.emitter
-    if emitter is None:
-        raise ValueError("no emitter on the stack")
+    emitter = problem.emitter
     g = green_function(problem, emitter.x_a, emitter.x_a, omega)
     return emitter.gamma * _free_space_wavenumber(problem, omega) * g
 

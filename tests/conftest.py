@@ -9,9 +9,9 @@ from modecert import layered as ly
 
 
 @functools.lru_cache(maxsize=None)
-def fp_problem(n_mirror: float, gamma: float = 1.0) -> ly.WaveProblem:
+def fp_problem(n_mirror: float) -> ly.WaveProblem:
     """Cached Fabry-Perot problem (L = 1, frequencies in units of pi)."""
-    return ly.WaveProblem(ly.build_fabry_perot(1.0, n_mirror, gamma=gamma))
+    return ly.WaveProblem(ly.build_fabry_perot(1.0, n_mirror))
 
 
 @functools.lru_cache(maxsize=None)

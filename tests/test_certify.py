@@ -399,9 +399,21 @@ def test_lossy_unpaired_negative_poles_counted():
     exp = qnm.build_expansion(wt.witness_evaluator(problem), region)
     negative = [p for p in exp.poles if p.omega_pole.real < 0]
     assert len(negative) == 3
-    assert all(qnm._mirror_partner(exp, p) is None for p in exp.poles)
-    counted = qnm.counted_poles(exp, 0.5 * sum(window))
-    assert {p.omega_pole for p in counted} == {p.omega_pole for p in exp.poles}
+    assert all(len(mode) == 1 for mode in exp.modes)
+    counted = qnm.counted_modes(exp, 0.5 * sum(window))
+    assert {head.omega_pole for head, in counted} == {p.omega_pole for p in exp.poles}
+
+
+def test_problem_without_emitter_is_a_failed_row():
+    # a stack without an emitter has no witness: a typed error, recorded as
+    # its own row after the certified one
+    bare = ly.WaveProblem(ly.LayerStack(ly.VACUUM, ((ly.VACUUM, 1.0),), ly.VACUUM))
+    with pytest.raises(ConfigurationError, match="no emitter"):
+        wt.levshift_exact(bare, 1.0)
+    (n4, rep), (n0, err) = cf.classify_rows([(4.0, fp_problem(4.0)), (0.0, bare)])
+    assert (n4, n0) == (4.0, 0.0)
+    assert rep.to_json() == classified(4.0).to_json()
+    assert isinstance(err, ConfigurationError) and str(err) == "no emitter on the stack"
 
 
 def test_emitter_below_the_light_line_rejected():

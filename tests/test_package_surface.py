@@ -1,4 +1,4 @@
-"""The package surface: no definition that nothing uses."""
+"""The package surface: no definition or import that nothing uses."""
 
 import ast
 from pathlib import Path
@@ -51,6 +51,23 @@ def test_every_public_definition_is_used():
     assert [name for name in _unused(private=False)
             if name.split(".")[1] not in modecert.__all__
             and name not in {"cli.main"} | TEST_REFERENCES] == []
+
+
+def test_every_import_is_used():
+    # each name a module imports is used in that module; the package's
+    # __init__ uses a name by re-exporting it in __all__
+    unused = []
+    for module, tree in _package()[0].items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if module == "__init__":
+            used |= set(modecert.__all__)
+        unused += [f"{module}.{alias.asname or alias.name.split('.')[0]}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
 
 
 def test_every_private_definition_is_used():

@@ -14,9 +14,12 @@ from modecert.errors import (
     RegionTooSmallError,
 )
 
-from conftest import fp_problem, rational_instance
+from conftest import fp_problem, lossy_problem, rational_instance
 
 REGION = qnm.ScanRegion(0.0, 10.0, 2.0)
+# grown through previous with the left edge moving further out than the right one
+MIRROR_REGIONS = (qnm.ScanRegion(-4.0, 4.2, 2.0), qnm.ScanRegion(-7.0, 6.5, 2.0),
+                  qnm.ScanRegion(-10.0, 9.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +368,7 @@ def test_mirrored_search_matches_full_search():
     # lie outside the region, so their sources lie right of it.  The strip
     # widens with the region: the pair just outside the first strip is
     # mirrored at first and found directly once the region has grown
-    regions = [qnm.ScanRegion(-4.0, 4.2, 2.0), qnm.ScanRegion(-7.0, 6.5, 2.0),
-               qnm.ScanRegion(-10.0, 9.0, 2.0)]
+    regions = MIRROR_REGIONS
     strip = qnm._STRIP_REL * regions[0].width
     assert 1.5 * strip < qnm._STRIP_REL * regions[1].width
     rng = np.random.default_rng(2024)
@@ -391,6 +393,39 @@ def test_mirrored_search_matches_full_search():
         # one pair straddles the imaginary axis inside the strip: both found
         inner = [p for p in half.poles if 0.1 * strip < abs(p.omega_pole.real) < strip]
         assert len(inner) == 2
+
+
+def test_mirrored_fabry_perot_modes_are_mirror_pairs():
+    # each pole lies in one mode, and a two-pole mode of a mirrored
+    # expansion is a pole p with its mirror -p*, carrying the residue r*
+    pr = fp_problem(4.0)
+    region = qnm.ScanRegion(-3.71 * np.pi, 3.73 * np.pi, 1.2 * np.pi)
+    exp = qnm.build_expansion(wt.witness_evaluator(pr), region, mirror=True)
+    members = sorted((q for mode in exp.modes for q in mode),
+                     key=lambda p: (p.omega_pole.real, p.omega_pole.imag))
+    assert members == list(exp.poles)
+    pairs = [mode for mode in exp.modes if len(mode) == 2]
+    assert len(pairs) >= 2
+    for p, q in pairs:
+        assert p.omega_pole.real >= 0
+        assert q.omega_pole == -p.omega_pole.conjugate()
+        assert q.residue == p.residue.conjugate()
+
+
+def test_mirrored_modes_match_full_search():
+    # the half and the full search of a mirror instance count the same
+    # modes, and the pair straddling the axis inside the strip is one mode
+    strip = qnm._STRIP_REL * MIRROR_REGIONS[0].width
+    f, _, _ = _mirror_instance(np.random.default_rng(2024), strip)
+    half = None
+    for region in MIRROR_REGIONS:
+        half = qnm.build_expansion(f, region, previous=half, mirror=True)
+        full = qnm.build_expansion(f, region)
+        assert len(half.modes) == len(full.modes)
+        for exp in (half, full):
+            inner = [mode for mode in exp.modes
+                     if any(0.1 * strip < abs(q.omega_pole.real) < strip for q in mode)]
+            assert [len(mode) for mode in inner] == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -525,23 +560,89 @@ def test_expansion_fabry_perot_multi_mode():
     assert abs(np.angle(main.residue)) > 0.05
 
 
-def test_evaluate_truncated_exact_on_rational():
+def _sup_errors(exp, f, om, center):
+    """Absolute sup-norm error of each N-mode sum of ``exp`` against ``f`` on ``om``.
+
+    An infinite tolerance accepts every N; the relative errors of the table
+    are scaled back by sup |f|.
+    """
+    curve = wt.LevelShiftCurve(om, f(om), "synthetic", (om[0], om[-1]))
+    rep = qnm.convergence_report(exp, curve, np.inf, center)
+    return np.array(rep.errors) * float(np.max(np.abs(f(om))))
+
+
+def test_full_expansion_exact_on_rational():
     rng = np.random.default_rng(9)
     f, zs, rs = rational_instance(rng, max_poles=4)
     exp = qnm.build_expansion(f, REGION)
-    om = np.linspace(0.5, 9.5, 101)
-    full = qnm.evaluate_truncated(exp, len(qnm.counted_poles(exp, 5.0)), om,
-                                  (5.0, f(5.0)))
-    assert np.max(np.abs(full - f(om))) < 1e-10
+    errors = _sup_errors(exp, f, np.linspace(0.5, 9.5, 101), 5.0)
+    assert len(errors) == len(zs)
+    assert errors[-1] < 1e-10
 
 
-def test_evaluate_truncated_single_mode_exact():
+def test_single_mode_sum_exact():
     f = lambda z: 0.04 / (z - (10 - 0.2j))
     region = qnm.ScanRegion(8.0, 12.0, 1.0)
     exp = qnm.build_expansion(f, region)
-    om = np.linspace(8.5, 11.5, 64)
-    got = qnm.evaluate_truncated(exp, 1, om, (10.0, f(10.0)))
-    assert np.max(np.abs(got - f(om))) < 1e-12
+    errors = _sup_errors(exp, f, np.linspace(8.5, 11.5, 64), 10.0)
+    assert len(errors) == 1
+    assert errors[0] < 1e-12
+
+
+def truncation_errors_oracle(expansion, curve, center):
+    """The error table summed afresh for each N, the partner of each pole searched per use.
+
+    A pole counts when Re p >= 0 or when it has no partner, the nearest
+    other pole within 10 dedupe radii of -p*; the counted poles are ordered
+    by distance from the anchor c, larger residue first, and the N-mode sum
+    f(c) + sum r [1/(omega - p) - 1/(c - p)] runs over the first N counted
+    poles and their partners.
+    """
+    om, exact = curve.omega, curve.delta
+    i = int(np.argmin(np.abs(om - center)))
+    c, fc = float(om[i]), complex(exact[i])
+    tol = 10.0 * qnm._DEDUPE_REL * expansion.region.width
+
+    def partner(pole):
+        target = -np.conj(pole.omega_pole)
+        near = [q for q in expansion.poles
+                if q is not pole and abs(q.omega_pole - target) < tol]
+        return min(near, key=lambda q: abs(q.omega_pole - target), default=None)
+
+    counted = sorted((p for p in expansion.poles
+                      if p.omega_pole.real >= 0 or partner(p) is None),
+                     key=lambda p: (abs(p.omega_pole.real - c), -abs(p.residue)))
+    om_c = np.asarray(om, dtype=complex)
+    scale = float(np.max(np.abs(exact)))
+    errors = []
+    for n in range(1, len(counted) + 1):
+        poles = [q for p in counted[:n] for q in (p, partner(p)) if q is not None]
+        approx = sum((q.residue * (1.0 / (om_c - q.omega_pole) - 1.0 / (c - q.omega_pole))
+                      for q in poles), complex(fc))
+        errors.append(float(np.max(np.abs(approx - exact))) / scale)
+    return errors
+
+
+@pytest.mark.parametrize("case", ["fp4", "lossy3+1i", "xray6"])
+def test_error_table_matches_per_n_oracle(monkeypatch, material_table, case):
+    # the one cumulative sum gives every N-mode error bit for bit as the
+    # oracle's sum per N: n = 4 on its default region, lossy 3+1i on its last
+    # grown region, X-ray minimum 6
+    problem = {"fp4": lambda: fp_problem(4.0), "lossy3+1i": lambda: lossy_problem(3.0 + 1.0j),
+               "xray6": lambda: cf.xray_problem(material_table, 6)}[case]()
+    build, built = qnm.build_expansion, []
+    monkeypatch.setattr(cf, "build_expansion",
+                        lambda *args, **kwargs: built.append(build(*args, **kwargs)) or built[-1])
+    rep = cf.classify(problem)
+    if case == "fp4":
+        assert built[-1].region == cf._default_window_region(problem)[1]
+    if case == "lossy3+1i":
+        assert len(built) > 1
+    oracle = truncation_errors_oracle(built[-1], rep.curve, rep.omega_min)
+    conv = qnm.convergence_report(built[-1], rep.curve, rep.thresholds.convergence_tol,
+                                  rep.omega_min)
+    assert conv.errors == rep.convergence_errors == oracle
+    assert conv.n_star == rep.n_star
 
 
 def test_truncation_convergence_sweep_n4():

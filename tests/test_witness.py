@@ -1,5 +1,7 @@
 """Witness observable: single-mode closed forms, exact witness, feature extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,7 +189,9 @@ def test_dispersive_sheet_oracle():
                        ((mirror, t_m), (ly.VACUUM, L / 2 - t / 2), (sheet, t),
                         (ly.VACUUM, L / 2 - t / 2), (mirror, t_m)), ly.VACUUM)
     prs = ly.WaveProblem(st)
-    plain = ly.WaveProblem(ly.build_fabry_perot(L, n_m, gamma=g_rad))
+    fp = ly.build_fabry_perot(L, n_m)
+    plain = ly.WaveProblem(dataclasses.replace(
+        fp, emitter=dataclasses.replace(fp.emitter, gamma=g_rad)))
     # the witness emitter sits at the sheet, with the sheet's radiative width
     assert plain.stack.emitter.x_a == t_m + L / 2 and plain.stack.emitter.gamma == g_rad
     pred = wt.levshift_exact(plain, om_res)
