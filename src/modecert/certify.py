@@ -3,12 +3,12 @@
 :func:`classify` only measures, for the probed cavity mode,
 
 * omega_min, the empty-cavity reflectance minimum (off-resonant feature),
-* the witness pole expansion (the main pole nearest omega_min, N*),
+* the witness pole expansion (the main pole nearest omega_min, N-mode errors),
 * omega_a0, the zero crossing of the Lamb shift Delta(omega_a),
 
-and its :class:`ClassificationReport` derives from the main pole, omega_min,
-omega_a0 and the thresholds the main-pole metrics, the shift decomposition
-and the flags
+and its :class:`ClassificationReport` derives from the main pole, the error
+table, omega_min, omega_a0 and the thresholds N*, the main-pole metrics, the
+shift decomposition and the flags
 
 * multi_pole_mm       iff N* > 1 at the convergence tolerance,
 * complex_residue_mm  iff |arg r_main| exceeds the residue phase tolerance,
@@ -42,13 +42,7 @@ from .layered import (
     reflectance_vs_angle,
     reflection,
 )
-from .qnm import (
-    Pole,
-    ScanRegion,
-    build_expansion,
-    convergence_report,
-    counted_modes,
-)
+from .qnm import Pole, ScanRegion, build_expansion, convergence_report
 from .witness import (
     LevelShiftCurve,
     find_omega_min_refined,
@@ -78,8 +72,9 @@ class Thresholds:
     window: tuple | None = None         # frequency interval; None: classify picks one
 
     def __post_init__(self):
-        if min(self.residue_phase_tol, self.convergence_tol, self.shift_tol) <= 0:
-            raise ValueError("all tolerances must be > 0")
+        if not all(0 < tol < math.inf for tol in
+                   (self.residue_phase_tol, self.convergence_tol, self.shift_tol)):
+            raise ValueError("all tolerances must be finite numbers > 0")
         if self.window is not None:
             window = tuple(float(w) for w in self.window)
             if len(window) != 2 or not -math.inf < window[0] < window[1] < math.inf:
@@ -109,9 +104,11 @@ class ClassificationReport:
     """Decision-tree outcome with the quantitative shift decomposition.
 
     Built from what :func:`classify` measures: omega_min, omega_a0, the main
-    pole with its residue, N* and the witness ``levshift_at_min`` at
-    omega_min.  The main-pole metrics, flags and shifts are derived and
-    cannot be passed in.  The shifts split omega_a0 - omega_min into
+    pole with its residue, the error of each N-mode sum and the witness
+    ``levshift_at_min`` at omega_min.  N* (:func:`_n_star`), the main-pole
+    metrics, flags and shifts are derived and cannot be passed in; an error
+    table that never meets the convergence tolerance raises
+    RegionTooSmallError.  The shifts split omega_a0 - omega_min into
     off_resonant = Re omega_main - omega_min (empty-cavity displacement),
     complex_residue = z_sp - Re omega_main, with z_sp the single-pole zero
     (:func:`single_pole_zero`), and multi_pole = omega_a0 - z_sp; they close
@@ -124,16 +121,16 @@ class ClassificationReport:
     omega_min: float
     omega_a_zero: float
     main_pole: Pole
-    n_star: int
     constant_term_magnitude: float
     levshift_at_min: complex
     gamma_unit: float
     thresholds: Thresholds
     n_poles_region: int
-    convergence_errors: list = field(default_factory=list)
+    convergence_errors: list
     curve: LevelShiftCurve | None = field(default=None, repr=False, compare=False)
     reflectance: tuple | None = field(default=None, repr=False, compare=False)
     # derived in __post_init__
+    n_star: int = field(init=False)
     single_mode: bool = field(init=False)
     off_resonant_mm: bool = field(init=False)
     complex_residue_mm: bool = field(init=False)
@@ -151,6 +148,10 @@ class ClassificationReport:
 
     def __post_init__(self):
         pole, th = self.main_pole, self.thresholds
+        self.n_star = _n_star(self.convergence_errors, th.convergence_tol)
+        if self.n_star is None:
+            raise _region_too_small(self.convergence_errors, th.convergence_tol,
+                                    self.n_poles_region)
         self.re_main_pole = float(pole.omega_pole.real)
         self.kappa_main = float(-2.0 * pole.omega_pole.imag)
         self.main_residue = complex(pole.residue)
@@ -245,6 +246,20 @@ def single_pole_zero(residue: complex, omega_pole: complex) -> float:
 
 _MAX_REGION_GROWTH = 4   # region growths before RegionTooSmallError stands
 
+
+def _n_star(errors, tol: float) -> int | None:
+    """Smallest N whose N-mode sum meets the tolerance, None when no N does."""
+    return next((n for n, err in enumerate(errors, 1) if err < tol), None)
+
+
+def _region_too_small(errors, tol: float, n_poles: int) -> RegionTooSmallError:
+    """The error of an error table that never meets ``tol``; the table is its payload."""
+    return RegionTooSmallError(
+        f"tolerance {tol:g} unreachable with {len(errors)} modes of {n_poles} poles "
+        f"(best {min(errors, default=math.inf):.3g}); enlarge the scan region",
+        errors=errors)
+
+
 def classify(problem: WaveProblem, region: ScanRegion | None = None,
              thresholds: Thresholds = Thresholds()) -> ClassificationReport:
     """Run the decision tree on the emitter of one cavity problem.
@@ -257,10 +272,11 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     the default region of the same function is searched (symmetric at
     ``k_par = 0``, right of the cladding light-line branch points
     otherwise); a given ``region`` is searched as it is.  The region is
-    doubled, up to ``_MAX_REGION_GROWTH`` times, when the truncation
-    tolerance is unreachable with the poles found (slowly decaying mode
-    ladders need wide regions); each growth searches only the area it adds
-    and keeps the poles already found.  A conjugate-symmetric problem
+    doubled, up to ``_MAX_REGION_GROWTH`` times, while no N-mode sum meets
+    the truncation tolerance (slowly decaying mode ladders need wide
+    regions), and after the last one RegionTooSmallError carries the error
+    table; each growth searches only the area it adds and keeps the poles
+    already found.  A conjugate-symmetric problem
     (:attr:`WaveProblem.conjugate_symmetric`) searches only the right part
     of the region and mirrors its poles.  At ``k_par != 0`` growth keeps the
     left edge, clear of the branch points.  The report carries the witness
@@ -286,28 +302,25 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
 
     f = witness_evaluator(problem)
     expansion = None
-    conv = None
     for attempt in range(_MAX_REGION_GROWTH + 1):
         expansion = build_expansion(f, region, previous=expansion,
                                     mirror=problem.conjugate_symmetric)
         if not expansion.poles:
             raise AmbiguityError("no poles found in the scan region")
-        try:
-            conv = convergence_report(expansion, curve, thresholds.convergence_tol,
-                                      omega_min)
+        conv = convergence_report(expansion, curve, omega_min)
+        if _n_star(conv.errors, thresholds.convergence_tol) is not None:
             break
-        except RegionTooSmallError:
-            if attempt == _MAX_REGION_GROWTH:
-                raise
-            region = _grow(region, pinned=problem.k_par != 0)
+        if attempt == _MAX_REGION_GROWTH:
+            raise _region_too_small(conv.errors, thresholds.convergence_tol,
+                                    len(expansion.poles))
+        region = _grow(region, pinned=problem.k_par != 0)
 
     # zero of the full Delta, bracketed on the curve, polished on the exact witness
     omega_a0 = find_zero_of_delta(curve, lambda w: levshift_exact(problem, w))
     return ClassificationReport(
         omega_min=float(omega_min),
         omega_a_zero=float(omega_a0),
-        main_pole=counted_modes(expansion, omega_min)[0][0],   # the head nearest omega_min
-        n_star=int(conv.n_star),
+        main_pole=conv.modes[0][0],   # first in truncation order: the head nearest c
         constant_term_magnitude=float(abs(conv.offset)),
         levshift_at_min=complex(levshift_exact(problem, omega_min)),
         gamma_unit=float(emitter.gamma),

@@ -79,6 +79,8 @@ _VALUE_CHECKS = {
     ("scan", "n_points"): (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
     ("scan", "n_mirror_values"): (lambda v: isinstance(v, list) and len(v) > 0,
                                   "a non-empty list"),
+    ("xray", "material_table"): (lambda v: v is None or (isinstance(v, str) and v != ""),
+                                 "null or a non-empty string"),
     ("xray", "spectrum_halfwidth"): (
         lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf,
         "a finite number > 0"),

@@ -73,8 +73,10 @@ class AccuracyError(ModeCertError):
 class RegionTooSmallError(ModeCertError):
     """Requested truncation tolerance is unreachable with the poles found.
 
-    Advises enlarging the scan region.  Payload: ``errors``, the truncation
-    error of each N-pole sum over the last region (empty by default).
+    Raised by ``certify.classify`` after its last region growth, and by a
+    ``ClassificationReport`` given such an error table.  Advises enlarging
+    the scan region.  Payload: ``errors``, the truncation error of each
+    N-mode sum over the last region (empty by default).
     """
 
     errors = ()

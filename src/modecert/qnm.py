@@ -54,12 +54,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AccuracyError,
-    ExceptionalPointError,
-    RegionTooSmallError,
-    UnresolvedRegionError,
-)
+from .errors import AccuracyError, ExceptionalPointError, UnresolvedRegionError
 
 TWO_PI = 2.0 * np.pi
 
@@ -160,13 +155,13 @@ class PoleExpansion:
 
 @dataclass
 class ConvergenceReport:
-    """Smallest sufficient truncation, the error-versus-N table and the offset.
+    """The modes in truncation order, the error-versus-N table and the offset.
 
     ``offset`` is f(c) - sum over all poles of r/(c - p) at the anchor c:
     the constant the bare pole sum misses, which the anchored sums carry.
     """
 
-    n_star: int
+    modes: list           # by distance of the head from c, larger residue first
     errors: list          # errors[k] is the sup-norm error of the (k+1)-mode sum
     offset: complex
 
@@ -591,39 +586,28 @@ def _searched(region: ScanRegion, mirror: bool) -> ScanRegion:
     return ScanRegion(lo, max(region.omega_hi, -region.omega_lo), region.depth)
 
 
-def counted_modes(expansion: PoleExpansion, center: float) -> list:
-    """Truncation order: modes by distance of the head from ``center``, larger residue first."""
-    return sorted(expansion.modes,
-                  key=lambda m: (abs(m[0].omega_pole.real - center), -abs(m[0].residue)))
-
-
-def convergence_report(expansion: PoleExpansion, exact_curve, tol: float,
+def convergence_report(expansion: PoleExpansion, exact_curve,
                        center: float) -> ConvergenceReport:
-    """Smallest N whose anchored sum meets the sup-norm tolerance on the curve.
+    """The error of every anchored N-mode sum on the curve, N = 1 .. all modes.
 
-    With anchor c, the curve sample nearest ``center``, the N-mode sum is
-    f(c) + sum r_n [1/(omega - p_n) - 1/(c - p_n)] over the poles of the
-    first N :func:`counted_modes`: exact at c, with no estimate of the
-    constant the bare pole sum misses.  Its error is sup |sum - exact| /
-    sup |exact| over the curve's samples.  Raises RegionTooSmallError,
-    carrying the error table, when even the full expansion misses the
-    tolerance, which means the scan region does not contain enough poles.
+    The anchor c is the curve sample nearest ``center``.  The modes are
+    ordered by the distance of their head from c, larger residue first, and
+    the N-mode sum f(c) + sum r_n [1/(omega - p_n) - 1/(c - p_n)] runs over
+    the poles of the first N: exact at c, with no estimate of the constant
+    the bare pole sum misses.  Its error is sup |sum - exact| / sup |exact|
+    over the curve's samples.  Only measures: which N suffices is the
+    caller's decision.
     """
     om, exact = exact_curve.omega, exact_curve.delta
     i = int(np.argmin(np.abs(om - center)))
     c, fc = float(om[i]), complex(exact[i])
-    modes = counted_modes(expansion, c)
+    modes = sorted(expansion.modes,
+                   key=lambda m: (abs(m[0].omega_pole.real - c), -abs(m[0].residue)))
     terms = [np.full(om.shape, fc)] + [
         q.residue * (1.0 / (om - q.omega_pole) - 1.0 / (c - q.omega_pole))
         for mode in modes for q in mode]
     # np.cumsum adds in order, so row k is f(c) plus the first k terms
     sums = np.cumsum(terms, axis=0)[np.cumsum([len(m) for m in modes], dtype=int)]
     errors = (np.max(np.abs(sums - exact), axis=1) / float(np.max(np.abs(exact)))).tolist()
-    n_star = next((n for n, err in enumerate(errors, 1) if err < tol), None)
-    if n_star is None:
-        raise RegionTooSmallError(
-            f"tolerance {tol:g} unreachable with {len(modes)} counted poles "
-            f"(best {min(errors) if errors else np.inf:.3g}); enlarge the scan region",
-            errors=errors)
     offset = fc - sum(p.residue / (c - p.omega_pole) for p in expansion.poles)
-    return ConvergenceReport(n_star=n_star, errors=errors, offset=complex(offset))
+    return ConvergenceReport(modes=modes, errors=errors, offset=complex(offset))

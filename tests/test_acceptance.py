@@ -201,9 +201,9 @@ def test_criterion_7_expansion_exactness():
         assert len(exp.poles) >= 9
         window = (0.55 * np.pi, 1.45 * np.pi)
         curve = wt.levshift_curve(pr, window, n=801)
-        # anchored at the curve sample nearest the probed mode; an infinite
-        # tolerance accepts every N, and the last entry is the full sum
-        rep = qnm.convergence_report(exp, curve, np.inf, 1.386 * np.pi)
+        # anchored at the curve sample nearest the probed mode; the last
+        # entry of the error table is the full sum
+        rep = qnm.convergence_report(exp, curve, 1.386 * np.pi)
         sup_err = rep.errors[-1]
         # the constant the bare pole sum misses at the anchor
         const_rel = abs(rep.offset) / float(np.max(np.abs(curve.delta)))

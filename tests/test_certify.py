@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import brentq
 
 from modecert import certify as cf, layered as ly, qnm, witness as wt
-from modecert.errors import AmbiguityError, ConfigurationError
+from modecert.errors import AmbiguityError, ConfigurationError, RegionTooSmallError
 
 from conftest import bragg_problem, fp_problem, lossy_problem
 
@@ -131,7 +131,7 @@ def test_classify_n4_multi_mode():
 FLAGS = ("single_mode", "off_resonant_mm", "complex_residue_mm", "multi_pole_mm")
 
 
-DERIVED = FLAGS + ("re_main_pole", "kappa_main", "main_residue", "main_residue_phase",
+DERIVED = FLAGS + ("n_star", "re_main_pole", "kappa_main", "main_residue", "main_residue_phase",
                    "off_resonant_shift", "complex_residue_shift", "multi_pole_shift",
                    "closure_residual", "delta_at_min", "gamma_at_min")
 
@@ -142,8 +142,8 @@ def init_fields(rep) -> dict:
 
 @pytest.mark.parametrize("name", DERIVED)
 def test_report_takes_no_derived_value(name):
-    # the main-pole metrics, shifts and flags follow from the measured inputs
-    # and thresholds; none can be passed in, not even its own value
+    # N*, the main-pole metrics, shifts and flags follow from the measured
+    # inputs and thresholds; none can be passed in, not even its own value
     rep = classified(4.0)
     assert {f.name for f in dataclasses.fields(rep) if not f.init} == set(DERIVED)
     given = {k: v for k, v in init_fields(rep).items() if k != name}
@@ -161,13 +161,35 @@ def test_report_flags_follow_each_threshold():
                            "complex_residue_mm": False, "multi_pole_mm": False}
     rotated = qnm.Pole(pole.omega_pole,
                        abs(pole.residue) * np.exp(1.01j * th.residue_phase_tol))
-    for flag, past in (("multi_pole_mm", {"n_star": 2}),
+    errors = rep.convergence_errors
+    assert len(errors) >= 2 and errors[1] < th.convergence_tol
+    for flag, past in (("multi_pole_mm",
+                        {"convergence_errors": [1.01 * th.convergence_tol] + errors[1:]}),
                        ("complex_residue_mm", {"main_pole": rotated}),
                        ("off_resonant_mm",
                         {"omega_min": rep.re_main_pole
                          - 1.01 * th.shift_tol * rep.kappa_main})):
         flags = cf.ClassificationReport(**{**init_fields(rep), **past}).flags()
         assert flags == {k: k == flag for k in FLAGS}, flag
+
+
+def test_report_refuses_an_unmet_error_table():
+    # an error table no N-mode sum of which meets the tolerance has no N*:
+    # the report is refused with the table as payload
+    rep = classified(20.0)
+    unmet = [1.01 * rep.thresholds.convergence_tol] * len(rep.convergence_errors)
+    with pytest.raises(RegionTooSmallError, match=f"unreachable with {len(unmet)} modes of "
+                                                  f"{rep.n_poles_region} poles") as info:
+        cf.ClassificationReport(**{**init_fields(rep), "convergence_errors": unmet})
+    assert info.value.errors == unmet
+
+
+@pytest.mark.parametrize("name", ["residue_phase_tol", "convergence_tol", "shift_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.05])
+def test_thresholds_refuse_a_tolerance_not_finite_and_positive(name, value):
+    # NaN passed the old check min(...) <= 0 and then cleared the flag it set
+    with pytest.raises(ValueError, match="finite numbers > 0"):
+        cf.Thresholds(**{name: value})
 
 
 def test_closure_identity():
@@ -269,6 +291,22 @@ def test_growth_path_independent(monkeypatch):
     main_d = complex(direct.re_main_pole, -0.5 * direct.kappa_main)
     assert abs(main_g - main_d) < 1e-10 * abs(main_d)
     assert abs(grown.main_residue - direct.main_residue) < 1e-10 * abs(direct.main_residue)
+
+
+def test_region_too_small_after_the_last_growth(monkeypatch):
+    # a tolerance no region of n = 4 meets: classify grows the default region
+    # _MAX_REGION_GROWTH times and then raises with the last table, one error
+    # per mode, naming its modes and its poles
+    built = _expansion_spy(monkeypatch)
+    with pytest.raises(RegionTooSmallError) as info:
+        cf.classify(fp_problem(4.0), thresholds=cf.Thresholds(convergence_tol=1e-6))
+    assert len(built) == cf._MAX_REGION_GROWTH + 1 == 5
+    last = built[-1]
+    assert len(info.value.errors) == len(last.modes) == 33
+    assert min(info.value.errors) >= 1e-6
+    assert str(info.value).startswith(
+        f"tolerance 1e-06 unreachable with 33 modes of {len(last.poles)} poles")
+    assert len(last.poles) == 65
 
 
 def test_growth_length_scaling():
@@ -395,13 +433,12 @@ def test_lossy_unpaired_negative_poles_counted():
     # a complex mirror index breaks f(-z*) = -f(z)*: the poles left of
     # omega = 0 have no mirror partner, so each counts as a mode of its own
     problem = lossy_problem(8.0 + 0.5j)
-    (window,), region = cf._default_window_region(problem)
+    _, region = cf._default_window_region(problem)
     exp = qnm.build_expansion(wt.witness_evaluator(problem), region)
     negative = [p for p in exp.poles if p.omega_pole.real < 0]
     assert len(negative) == 3
     assert all(len(mode) == 1 for mode in exp.modes)
-    counted = qnm.counted_modes(exp, 0.5 * sum(window))
-    assert {head.omega_pole for head, in counted} == {p.omega_pole for p in exp.poles}
+    assert {head.omega_pole for head, in exp.modes} == {p.omega_pole for p in exp.poles}
 
 
 def test_problem_without_emitter_is_a_failed_row():

@@ -661,6 +661,9 @@ def test_main_bad_scenario(tmp_path, capsys):
     ({"scan": {"n_points": True}}, "expected an integer >= 2 at /scan/n_points"),
     ({"scan": {"n_mirror_values": 5}}, "expected a non-empty list at /scan/n_mirror_values"),
     ({"output": {"dir": 5}}, "expected a non-empty string at /output/dir"),
+    ({"thresholds": {"shift_tol": float("nan"), "residue_phase_tol": float("nan")}},
+     "/thresholds"),
+    ({"thresholds": {"convergence_tol": float("inf")}}, "/thresholds"),
 ])
 def test_main_bad_values_named(tmp_path, capsys, section, path):
     scenario = tmp_path / "bad.json"
@@ -682,6 +685,18 @@ def test_main_bad_xray_halfwidth_named(tmp_path, capsys, halfwidth):
     assert cli.main(["--scenario", str(scenario), "--out", str(out), "classify"]) == 1
     err = capsys.readouterr().err
     assert "expected a finite number > 0 at /xray/spectrum_halfwidth" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("table", ["", {"Pt": {"delta": 1e-5, "beta": 1e-6}}, 5])
+def test_main_bad_xray_material_table_named(tmp_path, capsys, table):
+    # "" ran the shipped table, an inline table was taken for a loaded one
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps({**MINIMAL["xray"], "xray": {"material_table": table}}))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", str(scenario), "--out", str(out), "classify"]) == 1
+    err = capsys.readouterr().err
+    assert f"expected null or a non-empty string at /xray/material_table, not {table!r}" in err
     assert not out.exists()
 
 

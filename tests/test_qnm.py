@@ -1,18 +1,15 @@
 """Pole search, residues and expansions against constructed oracles."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modecert import certify as cf, layered as ly, qnm, witness as wt
-from modecert.errors import (
-    AccuracyError,
-    BranchPointError,
-    ExceptionalPointError,
-    RegionTooSmallError,
-)
+from modecert.errors import AccuracyError, BranchPointError, ExceptionalPointError
 
 from conftest import fp_problem, lossy_problem, rational_instance
 
@@ -563,11 +560,10 @@ def test_expansion_fabry_perot_multi_mode():
 def _sup_errors(exp, f, om, center):
     """Absolute sup-norm error of each N-mode sum of ``exp`` against ``f`` on ``om``.
 
-    An infinite tolerance accepts every N; the relative errors of the table
-    are scaled back by sup |f|.
+    The relative errors of the table are scaled back by sup |f|.
     """
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", (om[0], om[-1]))
-    rep = qnm.convergence_report(exp, curve, np.inf, center)
+    rep = qnm.convergence_report(exp, curve, center)
     return np.array(rep.errors) * float(np.max(np.abs(f(om))))
 
 
@@ -627,7 +623,7 @@ def truncation_errors_oracle(expansion, curve, center):
 def test_error_table_matches_per_n_oracle(monkeypatch, material_table, case):
     # the one cumulative sum gives every N-mode error bit for bit as the
     # oracle's sum per N: n = 4 on its default region, lossy 3+1i on its last
-    # grown region, X-ray minimum 6
+    # grown region, X-ray minimum 6; the report's main pole heads the first mode
     problem = {"fp4": lambda: fp_problem(4.0), "lossy3+1i": lambda: lossy_problem(3.0 + 1.0j),
                "xray6": lambda: cf.xray_problem(material_table, 6)}[case]()
     build, built = qnm.build_expansion, []
@@ -639,10 +635,9 @@ def test_error_table_matches_per_n_oracle(monkeypatch, material_table, case):
     if case == "lossy3+1i":
         assert len(built) > 1
     oracle = truncation_errors_oracle(built[-1], rep.curve, rep.omega_min)
-    conv = qnm.convergence_report(built[-1], rep.curve, rep.thresholds.convergence_tol,
-                                  rep.omega_min)
+    conv = qnm.convergence_report(built[-1], rep.curve, rep.omega_min)
     assert conv.errors == rep.convergence_errors == oracle
-    assert conv.n_star == rep.n_star
+    assert conv.modes[0][0] == rep.main_pole
 
 
 def test_truncation_convergence_sweep_n4():
@@ -653,10 +648,9 @@ def test_truncation_convergence_sweep_n4():
     exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
     win = (0.92 * np.pi, 1.85 * np.pi)
     curve = wt.levshift_curve(pr, win, n=1001)
-    rep = qnm.convergence_report(exp, curve, 0.05, 1.386 * np.pi)
-    errors = rep.errors
-    assert rep.n_star >= 3
-    assert min(errors[:2]) > 0.05 and errors[rep.n_star - 1] < 0.05
+    errors = qnm.convergence_report(exp, curve, 1.386 * np.pi).errors
+    # N* >= 3: the first two sums miss the tolerance, a later one meets it
+    assert min(errors[:2]) > 0.05 and min(errors) < 0.05
 
 
 def test_convergence_report_two_lorentzians():
@@ -666,8 +660,10 @@ def test_convergence_report_two_lorentzians():
     win = (2.0, 4.0)
     om = np.linspace(*win, 801)
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", win)
-    assert qnm.convergence_report(exp, curve, 0.10, 3.0).n_star == 1
-    assert qnm.convergence_report(exp, curve, 0.001, 3.0).n_star == 2
+    errors = qnm.convergence_report(exp, curve, 3.0).errors
+    # N* is 1 at tolerance 0.1 and 2 at 0.001
+    assert len(errors) == 2
+    assert 0.001 <= errors[0] < 0.10 and errors[1] < 0.001
 
 
 def test_convergence_single_mode_tight():
@@ -676,7 +672,7 @@ def test_convergence_single_mode_tight():
     exp = qnm.build_expansion(f, region)
     om = np.linspace(9.0, 11.0, 801)
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", (9.0, 11.0))
-    assert qnm.convergence_report(exp, curve, 1e-6, 10.0).n_star == 1
+    assert qnm.convergence_report(exp, curve, 10.0).errors[0] < 1e-6
 
 
 def test_region_too_small_error():
@@ -686,11 +682,23 @@ def test_region_too_small_error():
     win = (8.0, 9.9)
     om = np.linspace(*win, 801)
     curve = wt.LevelShiftCurve(om, f(om), "synthetic", win)
-    with pytest.raises(RegionTooSmallError) as info:
-        qnm.convergence_report(exp, curve, 1e-4, 9.0)
-    # the payload is the error table of the region: one entry per counted pole
-    assert len(info.value.errors) == 1
-    assert info.value.errors[0] > 1e-4
+    # the truncation pass only measures: one error per mode, all of them
+    # above 1e-4, is a table no tolerance of 1e-4 is met by, not an error
+    rep = qnm.convergence_report(exp, curve, 9.0)
+    assert [mode[0].omega_pole for mode in rep.modes] == [pytest.approx(z1)]
+    assert len(rep.errors) == 1
+    assert rep.errors[0] > 1e-4
+
+
+def test_truncation_pass_takes_no_tolerance():
+    # which N suffices is the certificate's decision: the pass measures the
+    # error of every N-mode sum about an anchor and raises nothing of its own
+    assert list(inspect.signature(qnm.convergence_report).parameters) == [
+        "expansion", "exact_curve", "center"]
+    assert [f.name for f in dataclasses.fields(qnm.ConvergenceReport)] == [
+        "modes", "errors", "offset"]
+    assert "RegionTooSmallError" not in Path(qnm.__file__).read_text(encoding="utf-8")
+    assert not hasattr(qnm, "counted_modes")
 
 
 def test_expansion_serialization():
