@@ -28,6 +28,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from .witness import (
     levshift_exact,
     local_minima,
     parabola_vertex,
-    witness_evaluator,
     zero_bracket,
 )
 
@@ -300,10 +300,11 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     omega_min = find_omega_min_refined(lambda w: np.abs(reflection(problem, w)) ** 2,
                                        om, np.abs(r) ** 2)
 
-    f = witness_evaluator(problem)
+    # the one witness evaluator: pole search, Delta-zero polish, delta(omega_min)
+    exact = partial(levshift_exact, problem)
     expansion = None
     for attempt in range(_MAX_REGION_GROWTH + 1):
-        expansion = build_expansion(f, region, previous=expansion,
+        expansion = build_expansion(exact, region, previous=expansion,
                                     mirror=problem.conjugate_symmetric)
         if not expansion.poles:
             raise AmbiguityError("no poles found in the scan region")
@@ -316,13 +317,13 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         region = _grow(region, pinned=problem.k_par != 0)
 
     # zero of the full Delta, bracketed on the curve, polished on the exact witness
-    omega_a0 = find_zero_of_delta(curve, lambda w: levshift_exact(problem, w))
+    omega_a0 = find_zero_of_delta(curve, exact)
     return ClassificationReport(
         omega_min=float(omega_min),
         omega_a_zero=float(omega_a0),
         main_pole=conv.modes[0][0],   # first in truncation order: the head nearest c
         constant_term_magnitude=float(abs(conv.offset)),
-        levshift_at_min=complex(levshift_exact(problem, omega_min)),
+        levshift_at_min=complex(exact(omega_min)),
         gamma_unit=float(emitter.gamma),
         thresholds=thresholds,
         n_poles_region=len(expansion.poles),
@@ -478,11 +479,12 @@ def xray_problem(material_table, mode_index: int) -> WaveProblem:
     return build_xray_cavity(table, minima[mode_index - 1])
 
 
-def nuclear_spectrum(problem: WaveProblem, halfwidth: float) -> dict:
+def nuclear_spectrum(problem: WaveProblem, halfwidth: float) -> tuple:
     """Weak-coupling emitter line on the exact cavity reflection background.
 
-    801 points within ``halfwidth`` times the larger of the free and cavity
-    widths of omega_a; the local field is calibrated against free space.
+    Returns ``(omega, r_total)`` on 801 points within ``halfwidth`` times the
+    larger of the free and cavity widths of omega_a; the local field is
+    calibrated against free space.
     """
     emitter = problem.emitter
     omega_a = emitter.omega_a
@@ -492,9 +494,7 @@ def nuclear_spectrum(problem: WaveProblem, halfwidth: float) -> dict:
     r_cav = reflection(problem, om)
     psi = field_profile(problem, omega_a, np.array([emitter.x_a]))[0]
     dl = levshift_exact(problem, om)
-    r_tot = r_cav - 0.5j * emitter.gamma * psi * psi / (om - omega_a - dl)
-    return {"omega": om, "r_total": r_tot, "r_cav": r_cav,
-            "reflectance": np.abs(r_tot) ** 2}
+    return om, r_cav - 0.5j * emitter.gamma * psi * psi / (om - omega_a - dl)
 
 
 def _light_line_span(problem: WaveProblem):

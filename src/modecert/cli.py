@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .layered import (
 )
 from .pfm import PfmParams, diagonalize, levshift_matrix, pole_sum
 from .qnm import ScanRegion, build_expansion
-from .witness import LevelShiftCurve, levshift_curve, witness_evaluator
+from .witness import LevelShiftCurve, levshift_curve, levshift_exact
 
 SCHEMA_VERSION = 1
 
@@ -74,16 +75,19 @@ _KIND_SECTIONS = {"fabry_perot": ("fabry_perot", "scan", *_WAVE_SECTIONS),
                   "synthetic_pfm": ("synthetic_pfm", "output")}
 _WAVE_KINDS = ("fabry_perot", "custom_stack", "xray")
 # values no builder checks before a command reads them: (section, key) ->
-# (test, what the value must be); a bool is an int below 2
+# (test, what the value must be); no key takes a boolean (_booleans)
 _VALUE_CHECKS = {
+    ("scan", "window"): (lambda v: v is None or (isinstance(v, list) and all(
+        isinstance(w, (int, float)) for w in v)), "null or a list of numbers"),
     ("scan", "n_points"): (lambda v: isinstance(v, int) and v >= 2, "an integer >= 2"),
     ("scan", "n_mirror_values"): (lambda v: isinstance(v, list) and len(v) > 0,
                                   "a non-empty list"),
     ("xray", "material_table"): (lambda v: v is None or (isinstance(v, str) and v != ""),
                                  "null or a non-empty string"),
-    ("xray", "spectrum_halfwidth"): (
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf,
-        "a finite number > 0"),
+    ("xray", "spectrum_halfwidth"): (lambda v: isinstance(v, (int, float)) and 0 < v < math.inf,
+                                     "a finite number > 0"),
+    ("synthetic_pfm", "n_modes"): (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
+    ("synthetic_pfm", "n_freq"): (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     ("output", "dir"): (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
 }
 
@@ -124,6 +128,15 @@ def _checked(path: str, build, *args, **kwargs):
         raise ConfigurationError(f"{exc} at {path}") from exc
 
 
+def _booleans(value, path: str = ""):
+    """(path, value) of every boolean in a JSON value, depth first."""
+    if isinstance(value, bool):
+        yield path, value
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _booleans(item, f"{path}/{key}")
+
+
 def _merged(defaults: dict, given, path: str) -> dict:
     if not isinstance(given, dict):
         raise ConfigurationError(f"expected an object at {path}, not {given!r}")
@@ -141,8 +154,9 @@ def parse_scenario(source) -> Scenario:
     A ``Path``, or a ``str`` that does not start with ``{``, is a file path.
     A scenario holds the sections of its kind (``_KIND_SECTIONS``); any
     other key, a section of another kind included, is rejected with its
-    location, and so are invalid thresholds, windows, regions and the values
-    of ``_VALUE_CHECKS``; an unreadable file or invalid JSON with its path.
+    location, and so are invalid thresholds, windows, regions, the values
+    of ``_VALUE_CHECKS`` and a boolean anywhere (no key takes one); an
+    unreadable file or invalid JSON with its path.
     Missing sections get explicit defaults so that parse -> serialize ->
     parse is the identity.
     """
@@ -188,6 +202,8 @@ def parse_scenario(source) -> Scenario:
         if key in sections.get(name, ()) and not ok(sections[name][key]):
             raise ConfigurationError(f"expected {what} at /{name}/{key}, "
                                      f"not {sections[name][key]!r}")
+    for path, value in _booleans(data):
+        raise ConfigurationError(f"expected a non-boolean value at {path}, not {value!r}")
     return Scenario(kind, sections)
 
 
@@ -278,9 +294,8 @@ def _run_classify(scn: Scenario, art: _Artifacts) -> int:
     problem = _problem_from_scenario(scn)
     report = classify(problem, scn.make_region(), scn.make_thresholds())
     if scn.kind == "xray":
-        spectrum = nuclear_spectrum(problem, scn.sections["xray"]["spectrum_halfwidth"])
-        art.write("nuclear_spectrum.csv",
-                  _spectrum_csv(spectrum["omega"], spectrum["r_total"]), "spectrum")
+        art.write("nuclear_spectrum.csv", _spectrum_csv(
+            *nuclear_spectrum(problem, scn.sections["xray"]["spectrum_halfwidth"])), "spectrum")
     else:
         # the samples the certificate was checked on
         art.write("levelshift.csv", _curve_csv(report.curve), "curve")
@@ -318,7 +333,7 @@ def _run_poles(scn: Scenario, art: _Artifacts) -> int:
     if region is None:
         raise ConfigurationError("poles command requires an explicit /region")
     check_region(problem, region)
-    expansion = build_expansion(witness_evaluator(problem), region,
+    expansion = build_expansion(partial(levshift_exact, problem), region,
                                 mirror=problem.conjugate_symmetric)
     art.write("poles.csv", _float_table(
         "re,im,res_re,res_im,residual",
@@ -348,14 +363,11 @@ _PFM_TOL = 1e-11   # bound on pfm-check's matrix-vs-pole-sum relative error
 
 def _pfm_model(n_modes, seed, n_freq):
     """The random model of ``pfm-check`` and its test frequencies."""
-    n, n_freq = int(n_modes), int(n_freq)
-    if min(n, n_freq) < 1:
-        raise ValueError(f"n_modes and n_freq must be >= 1, not {n} and {n_freq}")
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n))
-    model = PfmParams(omega_matrix=0.5 * (a + a.T) + 10.0 * np.eye(n),
-                      kappa=rng.uniform(0.1, 1.0, n),
-                      g=rng.normal(size=n) + 1j * rng.normal(size=n))
+    a = rng.normal(size=(n_modes, n_modes))
+    model = PfmParams(omega_matrix=0.5 * (a + a.T) + 10.0 * np.eye(n_modes),
+                      kappa=rng.uniform(0.1, 1.0, n_modes),
+                      g=rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes))
     return model, rng.uniform(5.0, 15.0, n_freq)
 
 

@@ -511,8 +511,8 @@ def build_expansion(f, region: ScanRegion, previous: PoleExpansion | None = None
     """Pole expansion of an evaluator ``f`` over a scan region.
 
     ``f`` maps complex arrays to complex arrays, as :func:`find_poles`
-    requires; :func:`modecert.witness.witness_evaluator` gives the witness
-    of a problem.
+    requires; the witness of a problem is
+    ``functools.partial(modecert.witness.levshift_exact, problem)``.
     Locates the poles of ``f`` and computes residues by contour integration
     with radii that keep clear of neighboring poles and of the region's side
     and bottom edges (the witness is analytic across the real axis, so

@@ -1,12 +1,14 @@
 """The witness observable delta(omega) = Delta - i Gamma / 2.
 
-``levshift_exact`` evaluates the witness of a problem's own emitter from the
-exact cavity Green's function; the closed-form single-mode model supplies the
-reference behavior (reflection line and level shift), and the feature
-extractors locate the probed reflectance minimum omega_min and the zero
-crossing omega_a0 of Delta.  Sampled curves and minimum scans refine on one
-rule: ``_REFINE``-times denser local grids over two cells either side of each
-extremum or minimum of the uniform base grid.
+``levshift_exact``, the one witness function, evaluates the witness of a
+problem's own emitter from the exact cavity Green's function: the sampled
+curves call it, and bound to its problem it is the pole-search evaluator (inf
+on a pole; an exact omega = 0, a removable point, is moved to 1e-30).  The
+closed-form single-mode model supplies the reference behavior (reflection line
+and level shift), and the feature extractors locate the probed reflectance
+minimum omega_min and the zero crossing omega_a0 of Delta.  Sampled curves and
+minimum scans refine on one rule: ``_REFINE``-times denser local grids over two
+cells either side of each extremum or minimum of the uniform base grid.
 
 Normalization: the witness is calibrated once against the analytic free-space
 Green's function so that a homogeneous environment gives exactly
@@ -89,44 +91,27 @@ def single_mode_atom_reflection(p: SingleModeParams, omega):
 # exact witness from the Green's function
 # ---------------------------------------------------------------------------
 
-def _free_space_wavenumber(problem: WaveProblem, omega):
-    """Vacuum longitudinal wavenumber at the problem's parallel wavevector."""
-    w = np.asarray(omega, dtype=complex) if np.ndim(omega) else complex(omega)
-    if not np.any(problem.k_par):
-        return w
-    return np.sqrt(w * w - problem.k_par ** 2)
-
-
 def levshift_exact(problem: WaveProblem, omega):
     """Witness observable delta(omega) of the problem's emitter, from the exact G.
 
     delta(omega) = gamma * k_free(omega) * G(x_a, x_a, omega), where the
     k_free factor is the one-time calibration against the analytic free-space
     G = 1/(2 i k_free): a homogeneous environment returns exactly
-    -i gamma / 2 at every omega.  Analytic in omega away from poles, so
-    it doubles as the pole-search evaluator at complex frequencies.
+    -i gamma / 2 at every omega.  Analytic in omega away from poles, so the
+    same function, bound to its problem, is the pole-search evaluator at
+    complex frequencies.  Like the kernel, an array ``omega`` reads inf on a
+    pole (Newton steps onto one, the correct limit for h = 1/f).  omega = 0
+    is a removable point of the witness (delta ~ gamma omega G) that
+    symmetric search contours may sample, so an exact 0 is moved to 1e-30.
     """
     emitter = problem.emitter
+    if np.any(np.equal(omega, 0)):
+        omega = np.where(np.equal(omega, 0), 1e-30, omega)[()]
     g = green_function(problem, emitter.x_a, emitter.x_a, omega)
-    return emitter.gamma * _free_space_wavenumber(problem, omega) * g
-
-
-def witness_evaluator(problem: WaveProblem):
-    """Witness of the problem's emitter on complex arrays, for the pole search.
-
-    Newton refinement deliberately steps onto poles, where the kernel returns
-    inf for those entries, which is the correct limit for h = 1/f.
-    """
-    def f(w):
-        # omega = 0 is a removable point of the witness (delta ~ gamma omega G);
-        # nudge exact zeros so symmetric scan contours may cross the origin
-        w = np.asarray(w, dtype=complex)
-        if np.any(w == 0):
-            w = np.where(w == 0, 1e-30 + 0j, w)
-        with np.errstate(all="ignore"):
-            return levshift_exact(problem, w)
-
-    return f
+    k_free = np.asarray(omega, dtype=complex) if np.ndim(omega) else complex(omega)
+    if np.any(problem.k_par):
+        k_free = np.sqrt(k_free * k_free - problem.k_par ** 2)
+    return emitter.gamma * k_free * g
 
 
 # ---------------------------------------------------------------------------

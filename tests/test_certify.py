@@ -260,6 +260,29 @@ def test_bragg_window_on_emitter(n_high, periods):
     assert lo < rep.omega_min < hi
 
 
+def test_no_poles_in_a_given_region():
+    # a region between the first two modes of n = 20 holds no pole
+    region = qnm.ScanRegion(1.4 * np.pi, 1.6 * np.pi, 0.01)
+    with pytest.raises(AmbiguityError, match="^no poles found in the scan region$") as info:
+        cf.classify(fp_problem(20.0), region=region)
+    assert info.value.candidates == ()
+
+
+def test_no_dip_near_the_emitter():
+    # the emitter at 0.45 pi: the n = 20 dips over (0.25, 3.4) omega_a lie
+    # outside (0.55, 1.55) omega_a, and the error carries them all
+    stack = fp_problem(20.0).stack
+    problem = ly.WaveProblem(dataclasses.replace(
+        stack, emitter=dataclasses.replace(stack.emitter, omega_a=0.45 * np.pi)))
+    with pytest.raises(AmbiguityError, match="no reflectance minimum near the fundamental"
+                       ) as info:
+        cf.classify(problem)
+    omega_a = problem.emitter.omega_a
+    dips = cf._reflectance_dips(problem, (0.25 * omega_a, 3.4 * omega_a))
+    assert info.value.candidates == dips and len(dips) == 2
+    assert not any(0.55 * omega_a <= d <= 1.55 * omega_a for d in dips)
+
+
 @pytest.mark.parametrize("n_mirror", [20.0, 4.0])
 def test_report_thresholds_reproduce_at_normal_incidence(n_mirror):
     # the report echoes its window; given back at k_par = 0, the window is
@@ -434,7 +457,7 @@ def test_lossy_unpaired_negative_poles_counted():
     # omega = 0 have no mirror partner, so each counts as a mode of its own
     problem = lossy_problem(8.0 + 0.5j)
     _, region = cf._default_window_region(problem)
-    exp = qnm.build_expansion(wt.witness_evaluator(problem), region)
+    exp = qnm.build_expansion(functools.partial(wt.levshift_exact, problem), region)
     negative = [p for p in exp.poles if p.omega_pole.real < 0]
     assert len(negative) == 3
     assert all(len(mode) == 1 for mode in exp.modes)
@@ -513,12 +536,13 @@ def test_xray_angle_minima(material_table):
 
 def test_xray_mode4_report(material_table):
     problem = cf.xray_problem(material_table, 4)
-    rep, spec = cf.classify(problem), cf.nuclear_spectrum(problem, 40.0)
+    rep, (omega, r_total) = cf.classify(problem), cf.nuclear_spectrum(problem, 40.0)
     assert rep.off_resonant_mm
     assert rep.delta_at_min < 0
-    assert spec["reflectance"].shape == spec["omega"].shape
+    assert r_total.shape == omega.shape == (801,)
     # critically coupled minimum: the nuclear line stands on a dark background
-    assert np.max(spec["reflectance"]) > 10 * np.abs(spec["r_cav"][0]) ** 2
+    r_cav = ly.reflection(problem, omega[:1])
+    assert np.max(np.abs(r_total) ** 2) > 10 * np.abs(r_cav[0]) ** 2
 
 
 def test_xray_report_thresholds_reproduce(material_table):
@@ -549,21 +573,30 @@ def test_xray_given_window_reproduces_report(material_table, monkeypatch):
 def test_xray_window_from_one_sampling(material_table, monkeypatch, mode_index, n_curves):
     # classify picks the grazing-incidence window of the bare problem from
     # its own witness curve: one curve (two on minimum 6, whose widest window
-    # fraction brackets two Delta zeros), and no window grid of its own
-    curves, arrays = [], []
-    curve_fn, exact_fn = cf.levshift_curve, cf.levshift_exact
+    # fraction brackets two Delta zeros), and no window grid of its own; the
+    # pole search's arrays, inside build_expansion, are not window grids
+    curves, arrays, searching = [], [], []
+    curve_fn, exact_fn, expansion_fn = cf.levshift_curve, cf.levshift_exact, cf.build_expansion
 
     def curve_spy(problem, window, **kwargs):
         curves.append(window)
         return curve_fn(problem, window, **kwargs)
 
     def exact_spy(problem, omega):
-        if np.ndim(omega):
+        if np.ndim(omega) and not searching:
             arrays.append(np.size(omega))
         return exact_fn(problem, omega)
 
+    def expansion_spy(*args, **kwargs):
+        searching.append(True)
+        try:
+            return expansion_fn(*args, **kwargs)
+        finally:
+            searching.pop()
+
     monkeypatch.setattr(cf, "levshift_curve", curve_spy)
     monkeypatch.setattr(cf, "levshift_exact", exact_spy)
+    monkeypatch.setattr(cf, "build_expansion", expansion_spy)
     theta = cf.xray_angle_minima(material_table)[mode_index - 1]
     rep = cf.classify(ly.build_xray_cavity(material_table, theta))
     assert len(curves) == n_curves

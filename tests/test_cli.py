@@ -608,12 +608,20 @@ def _callers(module, name: str) -> list:
             and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
 
 
+def _users(module, name: str) -> set:
+    """Top-level definitions of ``module`` that read the name ``name``."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+            for n in ast.walk(top) if isinstance(n, ast.Name) and n.id == name}
+
+
 def test_one_certificate_path():
     # every kind is certified by the one classify call of _run_classify, and
-    # within certify only the certificate and the nuclear line evaluate the
-    # witness directly (no window search samples it on grids of its own)
+    # within certify only the certificate (which binds it to its problem)
+    # and the nuclear line evaluate the witness (no window search samples it
+    # on grids of its own)
     assert _callers(cli, "classify") == ["_run_classify"]
-    assert set(_callers(certify, "levshift_exact")) == {"classify", "nuclear_spectrum"}
+    assert _users(certify, "levshift_exact") == {"classify", "nuclear_spectrum"}
 
 
 def test_run_unknown_command(tmp_path):
@@ -684,7 +692,42 @@ def test_main_bad_xray_halfwidth_named(tmp_path, capsys, halfwidth):
     out = tmp_path / "o"
     assert cli.main(["--scenario", str(scenario), "--out", str(out), "classify"]) == 1
     err = capsys.readouterr().err
-    assert "expected a finite number > 0 at /xray/spectrum_halfwidth" in err
+    # a boolean is refused by the one rule for booleans anywhere
+    what = "a non-boolean value" if halfwidth is True else "a finite number > 0"
+    assert f"expected {what} at /xray/spectrum_halfwidth" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario,path", [
+    ({**MINIMAL_FP, "thresholds": {"shift_tol": True}}, "/thresholds/shift_tol"),
+    ({**MINIMAL["xray"], "xray": {"mode_index": True}}, "/xray/mode_index"),
+    ({**MINIMAL_FP, "fabry_perot": {"L": True}}, "/fabry_perot/L"),
+    ({**MINIMAL_FP, "scan": {"window": [True, 3]}}, "/scan/window/0"),
+    ({**MINIMAL_CUSTOM, "custom_stack": {**MINIMAL_CUSTOM["custom_stack"], "k_par": False}},
+     "/custom_stack/k_par"),
+    ({**MINIMAL_FP, "version": True}, "/version"),
+    ({**MINIMAL_FP, "scan": {"window": "13"}}, "null or a list of numbers at /scan/window"),
+    ({**MINIMAL_FP, "scan": {"window": ["1", "3"]}}, "null or a list of numbers at /scan/window"),
+    ({**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"n_modes": 3.7}},
+     "an integer >= 1 at /synthetic_pfm/n_modes"),
+    ({**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"n_modes": 0}},
+     "an integer >= 1 at /synthetic_pfm/n_modes"),
+    ({**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"n_freq": True}}, "/synthetic_pfm/n_freq"),
+], ids=["shift_tol-true", "mode_index-true", "L-true", "window-[true,3]", "k_par-false",
+        "version-true", "window-string", "window-strings", "n_modes-3.7", "n_modes-0",
+        "n_freq-true"])
+def test_scenario_value_types_named(tmp_path, capsys, scenario, path):
+    # a boolean passed wherever a number is read (shift_tol True, minimum 1,
+    # L = 1), strings as a window ("13" and ["1", "3"] were (1.0, 3.0)) and
+    # n_modes 3.7 ran 3 modes while scenario.json echoed 3.7: each is
+    # refused where it stands
+    with pytest.raises(ConfigurationError, match=re.escape(path)):
+        cli.parse_scenario(scenario)
+    path_file = tmp_path / "bad.json"
+    path_file.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", str(path_file), "--out", str(out), "classify"]) == 1
+    assert path in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -733,7 +776,7 @@ _NO_THICKNESS = {**MINIMAL_CUSTOM["custom_stack"],
     ({**MINIMAL_FP, "fabry_perot": {"L": "abc"}}, "classify", "/fabry_perot"),
     ({**MINIMAL_FP, "fabry_perot": {"L": -1.0}}, "sweep", "/fabry_perot"),
     ({**MINIMAL_CUSTOM, "custom_stack": _NO_THICKNESS}, "classify", "/custom_stack"),
-    ({**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"n_modes": 0}}, "pfm-check",
+    ({**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"seed": -1}}, "pfm-check",
      "/synthetic_pfm"),
     ({**MINIMAL["xray"], "xray": {"material_table": "missing.json"}}, "classify", "/xray"),
     ({**MINIMAL_FP, "scan": {"n_mirror_values": [4.0, 0.5]}}, "sweep",
@@ -773,16 +816,17 @@ def test_main_refuses_non_finite_fabry_perot_values(tmp_path, scenario, command,
 
 def test_run_poles_through_zero_frequency(tmp_path, monkeypatch):
     # the root box of a region symmetric about omega = 0 samples omega = 0
-    # exactly on its top edge, a removable point of the witness that the
-    # pole-search evaluator nudges off; unnudged, the kernel raises DomainError
+    # exactly on its top edge, a removable point of the witness that
+    # levshift_exact nudges off; unnudged, the kernel raises DomainError
     nudged = []
-    exact = witness.levshift_exact
+    kernel = witness.green_function
 
-    def spy(problem, omega):
+    def spy(problem, x, xp, omega):
+        assert not np.any(np.asarray(omega) == 0)
         nudged.append(np.any(np.asarray(omega) == 1e-30))
-        return exact(problem, omega)
+        return kernel(problem, x, xp, omega)
 
-    monkeypatch.setattr(witness, "levshift_exact", spy)
+    monkeypatch.setattr(witness, "green_function", spy)
     lossy = {"name": "m", "n_re": 8.0, "n_im": 0.5}
     section = {**MINIMAL_CUSTOM["custom_stack"],
                "layers": [{"material": lossy, "thickness": 0.01},

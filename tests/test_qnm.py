@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import inspect
 from pathlib import Path
 
@@ -9,7 +10,12 @@ import numpy as np
 import pytest
 
 from modecert import certify as cf, layered as ly, qnm, witness as wt
-from modecert.errors import AccuracyError, BranchPointError, ExceptionalPointError
+from modecert.errors import (
+    AccuracyError,
+    BranchPointError,
+    ExceptionalPointError,
+    UnresolvedRegionError,
+)
 
 from conftest import fp_problem, lossy_problem, rational_instance
 
@@ -278,6 +284,34 @@ def test_higher_order_pole_rejected():
                        qnm.ScanRegion(4.0, 6.0, 1.0))
 
 
+def test_unresolved_box_at_the_subdivision_limit(monkeypatch):
+    # three poles and the two zeros of their sum: with one subdivision level
+    # the left half holds a pole and a zero (winding 0, moments nonzero),
+    # which is neither empty nor one pole, so the search names that box
+    zs = np.array([2 - 0.3j, 5.5 - 1.3j, 8 - 0.6j])
+    monkeypatch.setattr(qnm, "_MAX_LEVELS", 1)
+    with pytest.raises(UnresolvedRegionError, match=r"max subdivision \(winding 0\)") as info:
+        qnm.find_poles(lambda z: np.sum(1.0 / (z[..., None] - zs), axis=-1), REGION)
+    assert info.value.box == (0.0, 5.0, -2.0, 0.0)
+
+
+def test_ill_conditioned_boundary_after_four_perturbations():
+    # f is NaN on a band that every perturbed root boundary crosses: the
+    # search gives up after four attempts and names the last perturbed box
+    zs = np.array([2 - 0.3j, 8 - 0.6j])
+
+    def f(z):
+        return np.where(np.abs(z.real - 5.0) < 0.5, np.nan,
+                        np.sum(1.0 / (z[..., None] - zs), axis=-1))
+
+    with pytest.raises(UnresolvedRegionError, match="boundary winding ill-conditioned") as info:
+        qnm.find_poles(f, REGION)
+    box = REGION.box
+    for attempt in range(4):
+        box = qnm._perturbed(box, attempt)
+    assert info.value.box == box
+
+
 def test_conjugate_symmetry_fabry_perot():
     # real-coefficient problem scanned over a symmetric region: the full
     # search finds mirror poles omega(-) = -omega(+)*, r(-) = r(+)*, and the
@@ -285,7 +319,7 @@ def test_conjugate_symmetry_fabry_perot():
     # conjugate residue of its twin
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(-3.71 * np.pi, 3.73 * np.pi, 1.2 * np.pi)
-    f = wt.witness_evaluator(pr)
+    f = functools.partial(wt.levshift_exact, pr)
     exp = qnm.build_expansion(f, region)
     pos = sorted((p for p in exp.poles if p.omega_pole.real > 0.1),
                  key=lambda p: p.omega_pole.real)
@@ -397,7 +431,7 @@ def test_mirrored_fabry_perot_modes_are_mirror_pairs():
     # expansion is a pole p with its mirror -p*, carrying the residue r*
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(-3.71 * np.pi, 3.73 * np.pi, 1.2 * np.pi)
-    exp = qnm.build_expansion(wt.witness_evaluator(pr), region, mirror=True)
+    exp = qnm.build_expansion(functools.partial(wt.levshift_exact, pr), region, mirror=True)
     members = sorted((q for mode in exp.modes for q in mode),
                      key=lambda p: (p.omega_pole.real, p.omega_pole.imag))
     assert members == list(exp.poles)
@@ -543,7 +577,7 @@ def test_expansion_oracle_pairs():
 def test_expansion_fabry_perot_single_mode_limit():
     pr = fp_problem(20.0)
     region = qnm.ScanRegion(0.6 * np.pi, 1.5 * np.pi, 0.3)
-    exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
+    exp = qnm.build_expansion(functools.partial(wt.levshift_exact, pr), region)
     assert len(exp.poles) == 1
     assert abs(np.angle(exp.poles[0].residue)) < 0.05
 
@@ -551,7 +585,7 @@ def test_expansion_fabry_perot_single_mode_limit():
 def test_expansion_fabry_perot_multi_mode():
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(0.25 * np.pi, 9.75 * np.pi, 2.0 * np.pi)
-    exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
+    exp = qnm.build_expansion(functools.partial(wt.levshift_exact, pr), region)
     assert len(exp.poles) >= 4
     main = min(exp.poles, key=lambda p: abs(p.omega_pole.real - 1.386 * np.pi))
     assert abs(np.angle(main.residue)) > 0.05
@@ -645,7 +679,7 @@ def test_truncation_convergence_sweep_n4():
     # the n = 4 cavity over a wide symmetric region
     pr = fp_problem(4.0)
     region = qnm.ScanRegion(-14.77 * np.pi, 14.81 * np.pi, 1.2 * np.pi)
-    exp = qnm.build_expansion(wt.witness_evaluator(pr), region)
+    exp = qnm.build_expansion(functools.partial(wt.levshift_exact, pr), region)
     win = (0.92 * np.pi, 1.85 * np.pi)
     curve = wt.levshift_curve(pr, win, n=1001)
     errors = qnm.convergence_report(exp, curve, 1.386 * np.pi).errors

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modecert import layered as ly, witness as wt
-from modecert.errors import AmbiguityError
+from modecert.errors import AmbiguityError, DomainError
 
 from conftest import fp_problem
 
@@ -123,6 +123,21 @@ def test_free_space_normalization_grazing():
     om = np.linspace(4.0, 30.0, 50)
     d = wt.levshift_exact(pr, om)
     assert np.max(np.abs(d + 0.5j)) < 1e-12
+
+
+def test_levshift_exact_on_a_pole_and_at_zero():
+    # the one witness function serves the curve and the pole search: an
+    # array entry on a pole reads inf, and omega = 0, where the kernel
+    # raises, is a removable point that reads the long-wavelength limit
+    # -i gamma / 2 (the thin mirrors vanish)
+    pr = fp_problem(20.0)
+    x_a = pr.emitter.x_a
+    pole = (1.0412006217063068 - 0.004047325183637024j) * np.pi
+    d = wt.levshift_exact(pr, np.array([0.0, pole, 2.0]))
+    assert np.isinf(d[1]) and np.all(np.isfinite(d[[0, 2]]))
+    assert abs(d[0] + 0.5j) < 1e-12 and d[0] == wt.levshift_exact(pr, 0.0)
+    with pytest.raises(DomainError):
+        ly.green_function(pr, x_a, x_a, np.array([0.0, 2.0]))
 
 
 def test_levshift_array_k_par_matches_scalar_calls():
@@ -257,6 +272,19 @@ def test_find_omega_min_ambiguity():
         wt.find_omega_min(om, np.cos(6 * np.pi * om))  # several minima
     with pytest.raises(AmbiguityError):
         wt.find_omega_min(om, om)  # boundary minimum, none interior
+
+
+def test_find_omega_min_boundary_errors():
+    # two samples hold no interior point; one interior minimum lower than
+    # neither end still loses to the first sample
+    with pytest.raises(AmbiguityError, match="^not enough samples in window$") as info:
+        wt.find_omega_min([0.0, 1.0], [1.0, 0.0])
+    assert info.value.candidates == ()
+    om = np.linspace(0.0, 1.0, 11)
+    vals = np.array([0.0, 1.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    with pytest.raises(AmbiguityError, match="^minimum touches the window boundary$") as info:
+        wt.find_omega_min(om, vals)
+    assert info.value.candidates == [0.0]
 
 
 def _zero(fn, window, n=2001):
