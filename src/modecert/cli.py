@@ -89,6 +89,8 @@ _VALUE_CHECKS = {
     ("synthetic_pfm", "n_modes"): (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     ("synthetic_pfm", "n_freq"): (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     ("output", "dir"): (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    **dict.fromkeys((("region", f.name) for f in fields(ScanRegion)), (
+        lambda v: isinstance(v, (int, float)) and math.isfinite(v), "a finite number")),
 }
 
 
@@ -193,15 +195,15 @@ def parse_scenario(source) -> Scenario:
                 else _merged({key: _SECTIONS[name][key] for key in keys},
                              data.get(name, {}), f"/{name}")
                 for name, keys in held.items()}
+    for (name, key), (ok, what) in _VALUE_CHECKS.items():
+        if key in (sections.get(name) or ()) and not ok(sections[name][key]):
+            raise ConfigurationError(f"expected {what} at /{name}/{key}, "
+                                     f"not {sections[name][key]!r}")
     if kind in _WAVE_KINDS:
         _checked("/thresholds", Thresholds, **sections["thresholds"])
         _checked("/scan/window", Thresholds, window=sections["scan"]["window"])
         if sections["region"] is not None:
             _checked("/region", ScanRegion, **sections["region"])
-    for (name, key), (ok, what) in _VALUE_CHECKS.items():
-        if key in sections.get(name, ()) and not ok(sections[name][key]):
-            raise ConfigurationError(f"expected {what} at /{name}/{key}, "
-                                     f"not {sections[name][key]!r}")
     for path, value in _booleans(data):
         raise ConfigurationError(f"expected a non-boolean value at {path}, not {value!r}")
     return Scenario(kind, sections)

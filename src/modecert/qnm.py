@@ -18,18 +18,21 @@ s_2 = sum z_i z_{i+1} d_i / 2 pi i.  That is the trapezoid rule for
 s_k = z0^k W - (k / 2 pi i) oint z^{k-1} L dz, L a continuous branch of
 log h, summed by parts, so no branch is ever built.  A box counts as empty
 only if W = 0 and s_1, s_2 vanish; a box is accepted as "one simple pole"
-only if W = 1 and s_1 agrees with the Newton-refined location.  Anything
+only if W = 1 and s_1, s_2 agree with the Newton-refined location.  Anything
 else is subdivided until resolved or the depth budget is exhausted.
 
 The box tree is searched breadth first, because an evaluator call costs far
 more than the points it carries.  Each box boundary is one closed loop of
 samples, corners included, refined by inserting neighbour midpoints.  The
 loops of a subdivision level lie end to end in one flat array, examined in
-one array pass and sampled in one evaluator call per round.  The Newton
-runs of a level are one array iteration, one call per step.  A search over
-a grown region can start from the poles of an earlier search over a region
-inside it and subdivide only the strips the growth added.  The evaluator is
-called on arrays only; an error it raises ends the search unchanged.
+one array pass and sampled in one evaluator call per round.  A W = 1 box
+whose moments are those of one point (s_1 inside it, s_2 - s_1^2 near 0)
+stops subdividing and waits; once no box is left open, every waiting box
+gets its Newton run in one array iteration, one call per step, and a box
+whose run fails is split and searched on.  A search over a grown region can
+start from the poles of an earlier search over a region inside it and
+subdivide only the strips the growth added.  The evaluator is called on
+arrays only; an error it raises ends the search unchanged.
 
 Residues are evaluated by the trapezoid rule on a circle around each pole,
 which is exponentially convergent for meromorphic integrands and exact for
@@ -301,8 +304,13 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
     :func:`build_expansion`).
 
     The box tree is searched level by level: the boundary loops of a level
-    share one evaluator call per refinement round (:func:`_box_moments`) and
-    its Newton runs share one call per step (:func:`_newton`).
+    share one evaluator call per refinement round (:func:`_box_moments`).  A
+    W = 1 box waits for its Newton run once its moments are those of one
+    point, s1 inside the box and |s2 - s1^2| < diam (1e-2 diam + 2 dedupe);
+    at the depth limit it waits regardless.  When no box is left open, one
+    :func:`_newton` batch refines every waiting box from its s1, one call
+    per step.  A box whose run is not accepted is split, and a later batch
+    serves its children.
 
     ``previous`` is an earlier search ``(ScanRegion, poles)`` over a region
     inside this one.  Its poles are kept and only the added area,
@@ -331,24 +339,42 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
     h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
     if previous is not None:
         resolved = resolved[1:]
-    for level in range(_MAX_LEVELS + 1):
-        open_boxes = [(box, moments, tols) for box, moments in resolved
-                      if (tols := _gates(box, moments, dedupe)) is not None]
-        # single simple pole only if the refined location reproduces BOTH
-        # moments; hidden pole/zero pairs shift s1 or s2 and force a split
-        singles = [(box, s1, tols[0]) for box, (w, s1, _), tols in open_boxes if w == 1]
-        refined = iter(_newton(f, [_start(box, s1) for box, s1, _ in singles],
-                               [diam for _, _, diam in singles]))
-        children = []
-        for box, (w, s1, s2), (diam, match1, match2) in open_boxes:
-            if w == 1:
-                z_hat, resid = next(refined)
+    resolved = [(box, moments, 0) for box, moments in resolved]
+    waiting = []   # (box, moments, tols, level) of the W = 1 boxes that hold one point
+    while True:
+        unsettled = []
+        for box, moments, level in resolved:
+            tols = _gates(box, moments, dedupe)
+            if tols is None:
+                continue
+            w, s1, s2 = moments
+            diam = tols[0]
+            # one point: s2 - s1^2 is the same about any centre, and two poles
+            # p1, p2 with a zero z leave -2 (z - p1)(z - p2) in it
+            if w == 1 and (level == _MAX_LEVELS or (
+                    _inside(s1, box) and abs(s2 - s1 * s1) < diam * (1e-2 * diam + 2 * dedupe))):
+                waiting.append((box, moments, tols, level))
+            else:
+                unsettled.append((box, moments, tols, level))
+        if not unsettled and waiting:
+            # single simple pole only if the refined location reproduces BOTH
+            # moments; hidden pole/zero pairs shift s1 or s2 and force a split
+            refined = _newton(f, [s1 for _, (_, s1, _), _, _ in waiting],
+                              [diam for _, _, (diam, _, _), _ in waiting])
+            for entry, (z_hat, resid) in zip(waiting, refined):
+                box, (w, s1, s2), (diam, match1, match2), _ = entry
                 if (z_hat is not None and resid < h_tol
                         and _inside(z_hat, box, slack=0.02 * diam)
                         and abs(s1 - z_hat) < match1
                         and abs(s2 - z_hat * z_hat) < match2):
                     found.append((z_hat, resid))
-                    continue
+                else:
+                    unsettled.append(entry)
+            waiting = []
+        if not unsettled:
+            break
+        children = []
+        for box, (w, s1, s2), (diam, match1, match2), level in unsettled:
             if level == _MAX_LEVELS:
                 if w >= 2:
                     # moments consistent with one location of multiplicity w mean
@@ -363,10 +389,10 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
                             "simple-pole treatment does not apply")
                 raise UnresolvedRegionError(
                     f"sub-box not validated at max subdivision (winding {w})", box=box)
-            children.extend(_split(box))
-        if not children:
-            break
-        resolved, _ = _resolved_moments(f, children)
+            children += [(child, level + 1) for child in _split(box)]
+        boxes, levels = zip(*children)
+        resolved = [(box, moments, level) for (box, moments), level
+                    in zip(_resolved_moments(f, boxes)[0], levels)]
     return _dedupe(found, dedupe, region)
 
 
@@ -401,13 +427,6 @@ def _gates(box, moments, dedupe):
     if w == -1 and _inside(-s1, box, slack=0.02 * diam) and abs(s2 + s1 * s1) < match2:
         return None
     return diam, match1, match2
-
-
-def _start(box, s1):
-    """Newton start in a W = 1 box: the first moment, or the centre if it is outside."""
-    if _inside(s1, box, slack=0.0):
-        return s1
-    return complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
 
 
 def _resolved_moments(f, boxes):

@@ -381,11 +381,12 @@ def test_growth_call_budget(monkeypatch):
 
 
 def test_fabry_perot_call_budget(monkeypatch):
-    # n = 4: 35 kernel calls with the mirrored half search (47 searching the
-    # whole region, 82 with one search call per box)
+    # n = 4: 17 kernel calls with one Newton batch per search (35 with the
+    # Newton runs of every level, 47 searching the whole region, 82 with one
+    # search call per box)
     n_calls, n_points, rep = _kernel_work(monkeypatch, lambda: cf.classify(fp_problem(4.0)))
     assert rep.n_star >= 2
-    assert n_calls <= 35
+    assert n_calls <= 17
     assert n_points <= 3760     # 5100 searching the whole region, 9099 with
                                 # three samplings of the window
 
@@ -428,16 +429,40 @@ def test_mirrored_classify_matches_full_search(monkeypatch, n_mirror):
 
 
 def test_xray_call_budget(monkeypatch, material_table):
-    # rocking minimum 6, certificate plus nuclear line: 116 kernel calls (118
-    # with 801-point grids per tried window fraction, 235 with one search
+    # rocking minimum 6, certificate plus nuclear line: 58 kernel calls with
+    # one Newton batch per search (116 with the Newton runs of every level,
+    # 118 with 801-point grids per tried window fraction, 235 with one search
     # call per box)
     problem = cf.xray_problem(material_table, 6)
     n_calls, n_points, (rep, _) = _kernel_work(
         monkeypatch, lambda: (cf.classify(problem), cf.nuclear_spectrum(problem, 40.0)))
     assert rep.n_star >= 2
-    assert n_calls <= 116
+    assert n_calls <= 58
     assert n_points <= 18500    # 19466 with grids per window fraction, 23507
                                 # with three samplings of the window
+
+
+@pytest.mark.parametrize("xray", [False, True], ids=["fp4", "xray6"])
+def test_one_newton_batch_per_search(monkeypatch, material_table, xray):
+    # every Newton run of a search waits for one batch; none runs level by level
+    problem = cf.xray_problem(material_table, 6) if xray else fp_problem(4.0)
+    searches = []
+    find_poles, newton = qnm.find_poles, qnm._newton
+
+    def searched(*args, **kwargs):
+        searches.append([])
+        return find_poles(*args, **kwargs)
+
+    def batch(f, starts, scales):
+        searches[-1].append(len(starts))
+        return newton(f, starts, scales)
+
+    monkeypatch.setattr(qnm, "find_poles", searched)
+    monkeypatch.setattr(qnm, "_newton", batch)
+    rep = cf.classify(problem)
+    assert searches and rep.n_poles_region >= 2
+    for runs in searches:
+        assert len(runs) == 1 and runs[0] >= 1
 
 
 @pytest.mark.parametrize("problem", [

@@ -713,14 +713,22 @@ def test_main_bad_xray_halfwidth_named(tmp_path, capsys, halfwidth):
     ({**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"n_modes": 0}},
      "an integer >= 1 at /synthetic_pfm/n_modes"),
     ({**MINIMAL["synthetic_pfm"], "synthetic_pfm": {"n_freq": True}}, "/synthetic_pfm/n_freq"),
+    ({**MINIMAL_FP, "region": {"omega_lo": "-5", "omega_hi": "5", "depth": 1.0}},
+     "a finite number at /region/omega_lo"),
+    ({**MINIMAL_FP, "region": {"omega_lo": -5.0, "omega_hi": 5, "depth": "1"}},
+     "a finite number at /region/depth"),
+    ({**MINIMAL_FP, "region": {"omega_lo": -5.0, "omega_hi": float("inf"), "depth": 1.0}},
+     "a finite number at /region/omega_hi"),
 ], ids=["shift_tol-true", "mode_index-true", "L-true", "window-[true,3]", "k_par-false",
         "version-true", "window-string", "window-strings", "n_modes-3.7", "n_modes-0",
-        "n_freq-true"])
+        "n_freq-true", "region-strings", "depth-string", "omega_hi-inf"])
 def test_scenario_value_types_named(tmp_path, capsys, scenario, path):
     # a boolean passed wherever a number is read (shift_tol True, minimum 1,
-    # L = 1), strings as a window ("13" and ["1", "3"] were (1.0, 3.0)) and
-    # n_modes 3.7 ran 3 modes while scenario.json echoed 3.7: each is
-    # refused where it stands
+    # L = 1), strings as a window ("13" and ["1", "3"] were (1.0, 3.0)),
+    # n_modes 3.7 ran 3 modes while scenario.json echoed 3.7, and string
+    # region bounds ("-5" < "5" passed the region's order check, then poles
+    # ended in a TypeError traceback that left only scenario.json): each is
+    # refused where it stands, before the run writes anything
     with pytest.raises(ConfigurationError, match=re.escape(path)):
         cli.parse_scenario(scenario)
     path_file = tmp_path / "bad.json"

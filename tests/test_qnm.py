@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from modecert import certify as cf, layered as ly, qnm, witness as wt
 from modecert.errors import (
@@ -60,6 +61,52 @@ def test_randomized_rational_suite():
         want = np.array(sorted(zs, key=lambda c: (c.real, c.imag)))
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) < 1e-10
+
+
+# a rational instance in the style of conftest.rational_instance: poles one
+# per cell of a 9 x 4 grid over REGION (at least 0.25 apart and 0.2 inside
+# the edges), residues and a constant background, which puts zeros of f in
+# REGION next to the poles
+_CELL = st.tuples(st.integers(0, 8), st.integers(0, 3), st.floats(-0.3, 0.3),
+                  st.floats(-0.1, 0.1))
+_RESIDUE = st.builds(lambda m, a: m * np.exp(1j * a), st.floats(0.2, 3.0),
+                     st.floats(-np.pi, np.pi))
+
+
+@st.composite
+def rational_with_zeros(draw):
+    cells = draw(st.lists(_CELL, min_size=1, max_size=5, unique_by=lambda c: c[:2]))
+    zs = np.array([complex(1.0 + i + dx, -0.3 - 0.45 * j + dy) for i, j, dx, dy in cells])
+    rs = np.array(draw(st.lists(_RESIDUE, min_size=zs.size, max_size=zs.size)))
+    c0 = draw(_RESIDUE) / 3.0
+    # zeros of c0 + sum r/(z - p): roots of c0 prod(z - p) + sum r prod_{q != p}(z - q)
+    num = c0 * np.poly(zs) + sum(np.pad(r * np.poly(np.delete(zs, k)), (1, 0))
+                                 for k, r in enumerate(rs))
+    zeros = np.roots(num)
+    assume(any(qnm._inside(z, REGION.box) for z in zeros))
+    return zs, rs, c0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rational_with_zeros())
+def test_batched_search_finds_every_pole(instance):
+    # the one-point test lets a W = 1 box wait for the Newton batch only when
+    # its moments are those of one location; boxes holding zeros of f as
+    # well must be split until the batch can accept their poles, and no box
+    # may be left unresolved
+    zs, rs, c0 = instance
+
+    def f(z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # inf where a sample hits a pole, as the layered kernel returns
+            return np.where(np.isin(z, zs), np.inf,
+                            np.sum(rs / (z[..., None] - zs), axis=-1) + c0)
+
+    got = np.array(sorted((p.omega_pole for p in qnm.find_poles(f, REGION)),
+                          key=lambda c: (c.real, c.imag)))
+    want = np.array(sorted(zs, key=lambda c: (c.real, c.imag)))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_winding_consistency_pure_poles():
@@ -167,48 +214,80 @@ def test_newton_error_ends_only_the_raising_run():
     assert abs(got[0][0] - zs[0]) < 1e-12 and abs(got[2][0] - zs[2]) < 1e-12
 
 
-def test_find_poles_survives_raising_newton_steps():
-    # f vanishes below the region, where one of two lockstep Newton runs of
-    # a level steps: that run fails, its box is split, the other box keeps
-    # its run and every pole is still found
-    zs = np.array([2 - 0.3j, 8 - 1.9j, 8 - 0.6j, 3 - 1.5j])
-    calls = []   # (points, points below the region) per call
+def _newton_batches(monkeypatch):
+    """Spy on ``qnm._newton``: (starts, results) of every call."""
+    batches = []
+    newton = qnm._newton
+
+    def spy(f, starts, scales):
+        batches.append((list(starts), newton(f, starts, scales)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(qnm, "_newton", spy)
+    return batches
+
+
+# four poles: the pole 2 - 0.3j waits in the same batch as the others, and
+# the moments of its box put its Newton start some 3e-3 away from it
+SPOT_POLES = np.array([2 - 0.3j, 8 - 1.9j, 8 - 0.6j, 3 - 1.5j])
+
+
+def _spot(monkeypatch):
+    """The Newton start of the run for 2 - 0.3j in the one batch of a clean search."""
+    batches = _newton_batches(monkeypatch)
+    qnm.find_poles(lambda z: np.sum(1.0 / (z[..., None] - SPOT_POLES), axis=-1), REGION)
+    [(starts, _)] = batches
+    assert len(starts) == 4
+    batches.clear()
+    return min(starts, key=lambda z: abs(z - SPOT_POLES[0])), batches
+
+
+def test_find_poles_survives_raising_newton_steps(monkeypatch):
+    # f vanishes on a spot inside the box of 2 - 0.3j, where the batched
+    # Newton run of that box starts and no boundary loop samples: that run
+    # fails alone, the other runs of the batch are accepted, its box is
+    # split and a later batch serves its children
+    spot, batches = _spot(monkeypatch)
 
     def f(z):
         z = np.asarray(z, dtype=complex)
-        below = z.imag < -2.0
-        calls.append((z.size, np.count_nonzero(below)))
-        return np.where(below, 0.0, np.sum(1.0 / (z[..., None] - zs), axis=-1))
+        return np.where(np.abs(z - spot) < 1e-9, 0.0,
+                        np.sum(1.0 / (z[..., None] - SPOT_POLES), axis=-1))
 
     got = sorted((p.omega_pole for p in qnm.find_poles(f, REGION)),
                  key=lambda c: (c.real, c.imag))
-    out = [k for k, (_, m) in enumerate(calls) if m]
-    # a run left the region right after a step it shared with another run
-    assert out and any(calls[k - 1][0] >= 6 for k in out)
-    want = sorted(zs, key=lambda c: (c.real, c.imag))
+    (starts, first), *later = batches
+    k = starts.index(spot)
+    assert first[k] == (None, np.inf)
+    assert all(z is not None and z in got for z, _ in first[:k] + first[k + 1:])
+    # the children of that box wait for a batch of their own, which finds the pole
+    [(_, second)] = later
+    assert any(z is not None and abs(z - SPOT_POLES[0]) < 1e-12 for z, _ in second)
+    want = sorted(SPOT_POLES, key=lambda c: (c.real, c.imag))
     assert len(got) == 4
     assert np.max(np.abs(np.array(got) - want)) < 1e-10
 
 
-def test_newton_step_error_ends_the_search():
-    # the evaluator raises below the region, where a Newton step of the pole
-    # next to the bottom edge lands: the error comes out of find_poles as it
-    # was raised, not as a failed run
-    zs = np.array([2 - 0.3j, 8 - 1.9j, 8 - 0.6j, 3 - 1.5j])
+def test_newton_step_error_ends_the_search(monkeypatch):
+    # the evaluator raises on the spot where the batched Newton run of
+    # 2 - 0.3j starts: the error comes out of find_poles as it was raised,
+    # not as a failed run
+    spot, _ = _spot(monkeypatch)
     raised = []
 
     def f(z):
         z = np.asarray(z, dtype=complex)
-        if np.any(z.imag < -2.0):
-            raised.append(BranchPointError("below the region", omega=z))
+        if np.any(np.abs(z - spot) < 1e-9):
+            raised.append(BranchPointError("on the spot", omega=z))
             raise raised[-1]
-        return np.sum(1.0 / (z[..., None] - zs), axis=-1)
+        return np.sum(1.0 / (z[..., None] - SPOT_POLES), axis=-1)
 
     with pytest.raises(BranchPointError) as info:
         qnm.find_poles(f, REGION)
     assert len(raised) == 1 and info.value is raised[0]
-    # a Newton step: runs of (z, z + delta, z - delta)
+    # a Newton step of the four runs: (z, z + delta, z - delta) each
     z = info.value.omega.reshape(-1, 3)
+    assert z.shape == (4, 3) and spot in z[:, 0]
     assert np.allclose(z[:, 1] + z[:, 2], 2 * z[:, 0]) and np.all(z[:, 1] != z[:, 0])
 
 
