@@ -264,24 +264,23 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
              thresholds: Thresholds = Thresholds()) -> ClassificationReport:
     """Run the decision tree on the emitter of one cavity problem.
 
-    The probed emitter is ``problem.emitter``.  The witness curve is
-    sampled on the widest candidate window of :func:`_default_window_region`
-    (a given ``thresholds.window`` is the only one); the widest candidate
-    whose samples bracket one Delta zero is certified, sampled again if
-    narrower, and echoed in the report's thresholds.  With ``region=None``
-    the default region of the same function is searched (symmetric at
-    ``k_par = 0``, right of the cladding light-line branch points
-    otherwise); a given ``region`` is searched as it is.  The region is
-    doubled, up to ``_MAX_REGION_GROWTH`` times, while no N-mode sum meets
-    the truncation tolerance (slowly decaying mode ladders need wide
-    regions), and after the last one RegionTooSmallError carries the error
-    table; each growth searches only the area it adds and keeps the poles
-    already found.  A conjugate-symmetric problem
-    (:attr:`WaveProblem.conjugate_symmetric`) searches only the right part
-    of the region and mirrors its poles.  At ``k_par != 0`` growth keeps the
-    left edge, clear of the branch points.  The report carries the witness
-    curve its certificate was checked on and the reflectance scan of its
-    window.
+    The probed emitter is ``problem.emitter``.  The witness curve is sampled on
+    the widest of the windows about the probed dip that
+    :func:`_default_window_region` gives at every ``k_par`` (a given
+    ``thresholds.window`` is the only one); the widest whose samples bracket
+    one Delta zero is certified, sampled again if narrower, and echoed in the
+    report's thresholds.  With ``region=None`` the default region of the same
+    function is searched (symmetric at ``k_par = 0``, right of the cladding
+    light-line branch points otherwise); a given ``region`` is searched as it
+    is.  The region is doubled, up to ``_MAX_REGION_GROWTH`` times, while no
+    N-mode sum meets the truncation tolerance (slowly decaying mode ladders
+    need wide regions), and after the last one RegionTooSmallError carries the
+    error table; each growth searches only the area it adds and keeps the
+    poles already found.  A conjugate-symmetric problem
+    (:attr:`WaveProblem.conjugate_symmetric`) searches only the right part of
+    the region and mirrors its poles.  At ``k_par != 0`` growth keeps the left
+    edge, clear of the branch points.  The report carries the witness curve
+    its certificate was checked on and the reflectance scan of its window.
     """
     emitter = problem.emitter
     check_region(problem, region)
@@ -347,67 +346,64 @@ def _grow(region: ScanRegion, pinned: bool = False) -> ScanRegion:
 
 
 def _one_zero_window(curve: LevelShiftCurve, candidates) -> tuple:
-    """First of ``candidates`` whose samples of ``curve`` bracket one Delta zero."""
+    """First of ``candidates`` whose samples of ``curve`` bracket one Delta zero;
+    failing that, the error counts each one's Delta sign changes (``zero_counts``)."""
+    zero_counts = []
     for cand in candidates:
         inside = (curve.omega >= cand[0]) & (curve.omega <= cand[1])
         try:
             zero_bracket(curve.omega[inside], curve.Delta[inside])
-        except AmbiguityError:
+        except AmbiguityError as exc:
+            zero_counts.append(len(exc.candidates))
             continue
         return cand
     raise AmbiguityError("no candidate window brackets a single Delta zero",
-                         candidates=candidates)
+                         candidates=candidates, zero_counts=zero_counts)
 
 
 def _default_window_region(problem: WaveProblem, window=None):
     """Candidate windows about the probed dip, widest first, and the default region.
 
-    The probed dip is the reflectance minimum nearest omega_a; a given
-    ``window`` is the one candidate.  At ``k_par = 0`` the candidate is one
-    free spectral range (the median dip spacing over (0.25, 3.4) omega_a)
-    about a dip within (0.55, 1.55) omega_a, and the region is the window
-    centre +- 2.5 free spectral ranges, mirror half included.  At
-    ``k_par != 0`` the region spans :func:`_light_line_span` at depth 1.2 e,
-    right of the branch point where the witness stops being meromorphic, and
-    a given window needs no scan; the candidates are the fractions 0.35,
-    0.28, ... (> 0.08) of the gaps to the neighbouring dips, since strongly
-    dispersing neighbour modes add Delta zeros to wider ones.
+    The probed dip is the reflectance minimum nearest omega_a within
+    (0.55, 1.55) omega_a.  The candidates are the fractions 0.49, 0.39, ...
+    (> 0.08) of the gaps to the neighbouring dips, so each holds the probed
+    dip and no other; strongly dispersing neighbour modes add Delta zeros to
+    the wider ones.  A given ``window`` is the one candidate.  At
+    ``k_par = 0`` the dips are scanned over (0.25, 3.4) omega_a and the
+    region is the probed dip +- 2.5 free spectral ranges (the median dip
+    spacing), mirror half included.  At ``k_par != 0`` the region spans
+    :func:`_light_line_span` at depth 1.2 e, right of the branch point where
+    the witness stops being meromorphic, and a given window needs no scan.
     """
     scale = problem.emitter.omega_a
     if problem.k_par != 0:
-        span, e = _light_line_span(problem)
-        region = ScanRegion(*span, depth=1.2 * e)
+        span, size = _light_line_span(problem)
+        region = ScanRegion(*span, depth=1.2 * size)
         if window is not None:
-            return [tuple(map(float, window))], region
+            return [window], region
         dips = _reflectance_dips(problem, span, n=6000)
-        if not dips:
-            raise AmbiguityError("no reflectance minima found for the default window")
-        probed = min(dips, key=lambda d: abs(d - scale))
-        below = [d for d in dips if d < probed]
-        above = [d for d in dips if d > probed]
-        gap_lo = probed - below[-1] if below else (above[0] - probed if above else e)
-        gap_hi = above[0] - probed if above else gap_lo
-        candidates, factor = [], 0.35
-        while factor > 0.08:
-            candidates.append((probed - factor * gap_lo, probed + factor * gap_hi))
-            factor *= 0.8
-        return candidates, region
-    dips = _reflectance_dips(problem, (0.25 * scale, 3.4 * scale))
-    if not dips:
-        raise AmbiguityError("no reflectance minima found for the default window")
-    fsr = float(np.median(np.diff(dips))) if len(dips) > 1 else scale
-    if window is None:
-        near = [d for d in dips if 0.55 * scale <= d <= 1.55 * scale]
-        if not near:
-            raise AmbiguityError("no reflectance minimum near the fundamental window",
-                                 candidates=dips)
-        c = min(near, key=lambda d: abs(d - scale))
-        window = (c - 0.5 * fsr, c + 0.5 * fsr)
     else:
-        c = 0.5 * (window[0] + window[1])
-    span = c + 2.5 * fsr
-    region = ScanRegion(-(span + 0.017 * fsr), span + 0.031 * fsr, depth=1.2 * fsr)
-    return [tuple(map(float, window))], region
+        dips = _reflectance_dips(problem, (0.25 * scale, 3.4 * scale))
+        size = float(np.median(np.diff(dips))) if len(dips) > 1 else scale
+    near = [d for d in dips if 0.55 * scale <= d <= 1.55 * scale]
+    if not near:
+        raise AmbiguityError("no reflectance minimum near the fundamental window",
+                             candidates=dips)
+    probed = min(near, key=lambda d: abs(d - scale))
+    if problem.k_par == 0:
+        top = probed + 2.5 * size
+        region = ScanRegion(-(top + 0.017 * size), top + 0.031 * size, depth=1.2 * size)
+        if window is not None:
+            return [window], region
+    below = [d for d in dips if d < probed]
+    above = [d for d in dips if d > probed]
+    gap_lo = probed - below[-1] if below else (above[0] - probed if above else size)
+    gap_hi = above[0] - probed if above else gap_lo
+    candidates, factor = [], 0.49
+    while factor > 0.08:
+        candidates.append((probed - factor * gap_lo, probed + factor * gap_hi))
+        factor *= 0.8
+    return candidates, region
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ class NearPoleError(ModeCertError):
 class AmbiguityError(ModeCertError):
     """Feature extraction found zero or multiple candidates where one was required.
 
-    Payload: ``candidates``, the candidate locations found (empty by default).
+    Payload: ``candidates``, the candidate locations found (empty by default),
+    and from a failed window search ``zero_counts``, each window's Delta sign changes.
     """
 
     candidates = ()

@@ -40,6 +40,38 @@ def bragg_problem(n_high: float, periods: int, n_low: float = 1.5) -> ly.WavePro
         ly.VACUUM, left + ((ly.VACUUM, 1.0),) + left[::-1], ly.VACUUM, emitter))
 
 
+@functools.lru_cache(maxsize=None)
+def general_stacks(seed: int, count: int = 60, scale: float = 1.0) -> tuple:
+    """``count`` seeded random asymmetric lossy stacks at normal incidence.
+
+    Each side has 1-3 mirror layers of index 1.3-6 (real, or with an
+    imaginary part up to 0.6) and thickness 0.02-0.4 around a vacuum spacer
+    of length L = 0.5-2; the emitter (gamma = 1) sits at 0.2-0.8 of the
+    spacer with omega_a at 0.6-1.4 pi / L.  ``scale`` multiplies every
+    length and divides omega_a, and leaves the draws as they are.
+    """
+    rng = np.random.default_rng(seed)
+
+    def mirror():
+        layers = []
+        for _ in range(int(rng.integers(1, 4))):
+            n = complex(rng.uniform(1.3, 6.0),
+                        rng.uniform(0.0, 0.6) if rng.random() < 0.5 else 0.0)
+            layers.append((ly.Material.constant("mirror", n), float(rng.uniform(0.02, 0.4))))
+        return tuple(layers)
+
+    problems = []
+    for _ in range(count):
+        left, right = mirror(), mirror()
+        L = float(rng.uniform(0.5, 2.0))
+        x_a = sum(d for _, d in left) + float(rng.uniform(0.2, 0.8)) * L
+        omega_a = float(rng.uniform(0.6, 1.4)) * np.pi / L
+        layers = tuple((m, scale * d) for m, d in left + ((ly.VACUUM, L),) + right)
+        emitter = ly.EmitterSpec(x_a=scale * x_a, omega_a=omega_a / scale, gamma=1.0)
+        problems.append(ly.WaveProblem(ly.LayerStack(ly.VACUUM, layers, ly.VACUUM, emitter)))
+    return tuple(problems)
+
+
 def rational_instance(rng, region=(0.0, 10.0, -2.0, 0.0), max_poles=5,
                       min_sep=0.35, margin=0.5, background=False):
     """Random rational function with known poles/residues inside a region.
