@@ -68,7 +68,11 @@ class ExceptionalPointError(ModeCertError):
 
 
 class AccuracyError(ModeCertError):
-    """A quadrature error estimate exceeded the requested tolerance."""
+    """A quadrature error estimate exceeded the requested tolerance.
+
+    Payload of a residue ring: ``pole``, the found pole, its full ring
+    ``radius``, and the doubling ``error`` on the ring of half that radius.
+    """
 
 
 class RegionTooSmallError(ModeCertError):

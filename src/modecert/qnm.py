@@ -4,29 +4,31 @@ Poles of the witness observable (equivalently of the Green's function) are
 searched for in a scan region [omega_lo, omega_hi] x [-depth, 0]: passive
 poles lie below the real axis, and the witness is analytic across it.  They
 are located by recursive rectangle subdivision driven by the argument
-principle applied to h = 1/f, and polished by Newton iteration on h.  Winding numbers
-alone cannot certify a box: a pole of f and a zero of f in the same box
-cancel in the count.  Every boundary pass therefore also computes the first
-two moments of the singularity distribution (Delves & Lyness, 1967),
+principle applied to h = 1/f, and polished by Newton iteration on h.
+Winding numbers alone cannot certify a box: a pole of f and a zero of f in
+the same box cancel in the count.  Every boundary pass therefore also
+computes the first two moments of the singularity distribution (Delves &
+Lyness, 1967) about the box centre c, so every gate is in units of the box,
 
-    s_k = (1/2 pi i) oint z^k h'(z)/h(z) dz  =  sum_poles p^k - sum_zeros z^k,
+    s_k = (1/2 pi i) oint (z - c)^k h'/h dz  =  sum (p - c)^k - sum (z - c)^k
 
-as sums of the log increments d_i = log(h_{i+1}/h_i) (principal branch)
-between neighbour samples z_i, z_{i+1} of the closed boundary loop:
-W = sum Im d_i / 2 pi, s_1 = sum (z_i + z_{i+1}) d_i / 4 pi i and
-s_2 = sum z_i z_{i+1} d_i / 2 pi i.  That is the trapezoid rule for
-s_k = z0^k W - (k / 2 pi i) oint z^{k-1} L dz, L a continuous branch of
-log h, summed by parts, so no branch is ever built.  A box counts as empty
-only if W = 0 and s_1, s_2 vanish; a box is accepted as "one simple pole"
-only if W = 1 and s_1, s_2 agree with the Newton-refined location.  Anything
-else is subdivided until resolved or the depth budget is exhausted.
+over the poles p and zeros z of f, as sums of the log increments
+d_i = log(h_{i+1}/h_i) (principal branch) between neighbour samples z_i,
+z_{i+1} of the closed boundary loop: with u_i = z_i - c, W = sum Im d_i / 2 pi,
+s_1 = sum (u_i + u_{i+1}) d_i / 4 pi i and s_2 = sum u_i u_{i+1} d_i / 2 pi i.
+That is the trapezoid rule for s_k = u0^k W - (k / 2 pi i) oint u^{k-1} L dz,
+L a continuous branch of log h, summed by parts, so no branch is ever built.
+A box counts as empty only if W = 0 and s_1, s_2 vanish; a box is accepted
+as "one simple pole" only if W = 1 and s_1, s_2 agree with the
+Newton-refined location.  Anything else is subdivided until resolved or the
+depth budget is exhausted.
 
 The box tree is searched breadth first, because an evaluator call costs far
 more than the points it carries.  Each box boundary is one closed loop of
 samples, corners included, refined by inserting neighbour midpoints.  The
 loops of a subdivision level lie end to end in one flat array, examined in
 one array pass and sampled in one evaluator call per round.  A W = 1 box
-whose moments are those of one point (s_1 inside it, s_2 - s_1^2 near 0)
+whose moments are those of one point (c + s_1 inside it, s_2 - s_1^2 ~ 0)
 stops subdividing and waits; once no box is left open, every waiting box
 gets its Newton run in one array iteration, one call per step, and a box
 whose run fails is split and searched on.  A search over a grown region can
@@ -185,9 +187,9 @@ def _box_moments(f, boxes):
 
     The boundary loops lie end to end in one flat array with a box id per
     sample; a next-sample index closes each loop onto its own first sample.
-    The moments are per-loop sums of log increments (see the module
-    docstring).  Each round samples the midpoints of the too-large
-    increments of all open loops in one evaluator call.  Returns a list of
+    The moments are per-loop sums of log increments about the box centre
+    (see the module docstring).  Each round samples the midpoints of the
+    too-large increments of all open loops in one evaluator call.  Returns
     (W, s1, s2) per box, None where the boundary cannot be tracked within
     the budget, and the h samples of the first box's resolved loop.
     """
@@ -197,9 +199,11 @@ def _box_moments(f, boxes):
     z = (corners + t * (np.roll(corners, -1, axis=1) - corners)).ravel()
     zf = np.stack([z, f(z)])
     owner = np.repeat(np.arange(len(boxes)), 4 * _EDGE_POINTS)
+    centre = 0.5 * (b[:, 0] + b[:, 1] + 1j * (b[:, 2] + b[:, 3]))
     out, h_first = [None] * len(boxes), None
     for rnd in range(_MAX_REFINE_ROUNDS):
         z, n = zf[0], zf.shape[1]
+        u = z - centre[owner]   # about the centre of each sample's box
         first = np.flatnonzero(np.diff(owner, prepend=-1))
         sizes = np.diff(np.append(first, n))
         nxt = np.arange(1, n + 1)
@@ -208,8 +212,8 @@ def _box_moments(f, boxes):
             h = 1.0 / zf[1]
             d = np.log(h[nxt] / h)
             w_raw = np.add.reduceat(d.imag, first) / TWO_PI
-            s1 = np.add.reduceat(0.5 * (z + z[nxt]) * d, first) / (2j * np.pi)
-            s2 = np.add.reduceat(z * z[nxt] * d, first) / (2j * np.pi)
+            s1 = np.add.reduceat(0.5 * (u + u[nxt]) * d, first) / (2j * np.pi)
+            s2 = np.add.reduceat(u * u[nxt] * d, first) / (2j * np.pi)
         broken = np.logical_or.reduceat(~np.isfinite(h) | (h == 0), first)
         bad = (np.abs(d.imag) > _PHASE_STEP) | (np.abs(d.real) > _LOGMOD_STEP)
         refine = np.logical_or.reduceat(bad, first) & ~broken
@@ -304,13 +308,13 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
     :func:`build_expansion`).
 
     The box tree is searched level by level: the boundary loops of a level
-    share one evaluator call per refinement round (:func:`_box_moments`).  A
-    W = 1 box waits for its Newton run once its moments are those of one
-    point, s1 inside the box and |s2 - s1^2| < diam (1e-2 diam + 2 dedupe);
-    at the depth limit it waits regardless.  When no box is left open, one
-    :func:`_newton` batch refines every waiting box from its s1, one call
-    per step.  A box whose run is not accepted is split, and a later batch
-    serves its children.
+    share one evaluator call per refinement round (:func:`_box_moments`),
+    with moments about each box centre c.  A W = 1 box waits for its Newton
+    run once its moments are those of one point, c + s1 inside the box and
+    |s2 - s1^2| < diam (1e-2 diam + 2 dedupe); at the depth limit it waits
+    regardless.  When no box is left open, one :func:`_newton` batch refines
+    every waiting box from c + s1, one call per step.  A box whose run is
+    not accepted is split, and a later batch serves its children.
 
     ``previous`` is an earlier search ``(ScanRegion, poles)`` over a region
     inside this one.  Its poles are kept and only the added area,
@@ -327,19 +331,17 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
         single location at the resolution limit).
     """
     dedupe = _DEDUPE_REL * region.width
-    if previous is None:
-        found = []   # (z, residual)
-        boxes = [region.box]
-    else:
+    found, boxes = [], [region.box]   # found: (z, residual)
+    if previous is not None:
         prev_region, prev_poles = previous
         found = [(p.omega_pole, p.residual) for p in prev_poles]
-        boxes = [region.box] + _ring(region.box, prev_region.box)
+        boxes += _ring(region.box, prev_region.box)
     resolved, h_root = _resolved_moments(f, boxes)
     med_h = float(np.median(np.abs(h_root)))   # median |1/f| on the root boundary
     h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
-    if previous is not None:
-        resolved = resolved[1:]
-    resolved = [(box, moments, 0) for box, moments in resolved]
+    # a grown search samples its root box for h_tol only
+    resolved = [(box, moments, 0) for box, moments
+                in (resolved if previous is None else resolved[1:])]
     waiting = []   # (box, moments, tols, level) of the W = 1 boxes that hold one point
     while True:
         unsettled = []
@@ -348,25 +350,25 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
             if tols is None:
                 continue
             w, s1, s2 = moments
-            diam = tols[0]
+            c, diam = tols[:2]
             # one point: s2 - s1^2 is the same about any centre, and two poles
             # p1, p2 with a zero z leave -2 (z - p1)(z - p2) in it
-            if w == 1 and (level == _MAX_LEVELS or (
-                    _inside(s1, box) and abs(s2 - s1 * s1) < diam * (1e-2 * diam + 2 * dedupe))):
+            if w == 1 and (level == _MAX_LEVELS or (_inside(c + s1, box) and abs(
+                    s2 - s1 * s1) < diam * (1e-2 * diam + 2 * dedupe))):
                 waiting.append((box, moments, tols, level))
             else:
                 unsettled.append((box, moments, tols, level))
         if not unsettled and waiting:
             # single simple pole only if the refined location reproduces BOTH
             # moments; hidden pole/zero pairs shift s1 or s2 and force a split
-            refined = _newton(f, [s1 for _, (_, s1, _), _, _ in waiting],
-                              [diam for _, _, (diam, _, _), _ in waiting])
+            refined = _newton(f, [c + s1 for _, (_, s1, _), (c, _, _, _), _ in waiting],
+                              [diam for _, _, (_, diam, _, _), _ in waiting])
             for entry, (z_hat, resid) in zip(waiting, refined):
-                box, (w, s1, s2), (diam, match1, match2), _ = entry
+                box, (w, s1, s2), (c, diam, match1, match2), _ = entry
                 if (z_hat is not None and resid < h_tol
                         and _inside(z_hat, box, slack=0.02 * diam)
-                        and abs(s1 - z_hat) < match1
-                        and abs(s2 - z_hat * z_hat) < match2):
+                        and abs(s1 - (z_hat - c)) < match1
+                        and abs(s2 - (z_hat - c) ** 2) < match2):
                     found.append((z_hat, resid))
                 else:
                     unsettled.append(entry)
@@ -374,16 +376,15 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
         if not unsettled:
             break
         children = []
-        for box, (w, s1, s2), (diam, match1, match2), level in unsettled:
+        for box, (w, s1, s2), (c, diam, match1, match2), level in unsettled:
             if level == _MAX_LEVELS:
                 if w >= 2:
                     # moments consistent with one location of multiplicity w mean
                     # a higher-order pole (Newton converges there linearly but surely)
-                    centroid = s1 / w
-                    [(z_hat, _)] = _newton(f, [centroid], [diam])
+                    [(z_hat, _)] = _newton(f, [c + s1 / w], [diam])
                     if (z_hat is not None and _inside(z_hat, box, slack=0.05 * diam)
-                            and abs(centroid - z_hat) < match1
-                            and abs(s2 / w - z_hat * z_hat) < match2):
+                            and abs(s1 / w - (z_hat - c)) < match1
+                            and abs(s2 / w - (z_hat - c) ** 2) < match2):
                         raise ExceptionalPointError(
                             f"pole of order {w} near {z_hat}: "
                             "simple-pole treatment does not apply")
@@ -397,36 +398,31 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
 
 
 def _gates(box, moments, dedupe):
-    """Match tolerances (diam, match1, match2) of a box that may hold a pole.
+    """The centre c and tolerances (c, diam, match1, match2) of a box that may hold a pole.
 
-    Returns None when the moments show no pole: an empty box, a pole-zero
-    pair below the search resolution, or one lone zero of f.
+    The moments are about c, so each tolerance is diam or diam^2 times a
+    constant, plus the dedupe term.  None when the moments show no pole: an
+    empty box, a pole-zero pair below the search resolution, or a lone zero.
     """
     w, s1, s2 = moments
+    c = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
     diam = float(np.hypot(box[1] - box[0], box[3] - box[2]))
-    zmax = max(abs(complex(box[0], box[2])), abs(complex(box[1], box[3])))
-    eps1 = max(2e-4 * diam, 1e-13 * max(zmax, 1.0))
-    zscale = max(abs(s1), zmax, diam)
-    eps2 = max(2e-4 * diam * zscale, 1e-13 * zscale * zscale)
-
-    # pole-zero pairs tighter than the dedupe radius (symmetry-dark modes
-    # with near-cancelled residues) are below the search resolution; the
-    # moment gates tolerate them instead of subdividing forever
-    pair1 = dedupe
-    pair2 = dedupe * (2.0 * zmax + diam)
-    match1 = max(3e-3 * diam, 4 * eps1) + pair1
-    match2 = max(3e-3 * diam * zscale, 4 * eps2) + pair2
+    eps1, eps2 = 2e-4 * diam, 2e-4 * diam * diam
+    match1 = 3e-3 * diam + dedupe
+    match2 = match1 * diam
 
     if w == 0 and abs(s1) < eps1 and abs(s2) < eps2:
         return None
-    if (w == 0 and abs(s1) <= pair1
-            and abs(s2) <= (abs(s1) + eps1) * (2.0 * zmax + diam) + eps2):
+    # a pole p and a zero z tighter than the dedupe radius (symmetry-dark
+    # modes with near-cancelled residues) are below the search resolution:
+    # s1 = p - z and s2 = s1 (p + z - 2c), |p + z - 2c| <= diam
+    if w == 0 and abs(s1) <= dedupe and abs(s2) <= (abs(s1) + eps1) * diam + eps2:
         return None
-    # lone zero of f at zeta = -s1: then s2 = -zeta^2 = -s1^2, and any extra
-    # content breaks that identity; no refinement needed
-    if w == -1 and _inside(-s1, box, slack=0.02 * diam) and abs(s2 + s1 * s1) < match2:
+    # lone zero of f at zeta = c - s1: then s2 = -(zeta - c)^2 = -s1^2, and
+    # any extra content breaks that identity; no refinement needed
+    if w == -1 and _inside(c - s1, box, slack=0.02 * diam) and abs(s2 + s1 * s1) < match2:
         return None
-    return diam, match1, match2
+    return c, diam, match1, match2
 
 
 def _resolved_moments(f, boxes):
@@ -566,22 +562,22 @@ def build_expansion(f, region: ScanRegion, previous: PoleExpansion | None = None
                    z.imag + region.depth]
         radii.setdefault(i, min(0.45 * min(dists + [2.0 * min(d_edges)]),
                                 0.25 * region.width))
-    residues = {}
+    rings = {}   # (residue, doubling error) per ringed found pole, on its last ring
     todo = list(radii)
     # a singularity just below the region can spoil a ring: those rings are
     # retried at half the radius, all in one more call
     for shrink in (1.0, 0.5):
         if not todo:
             break
-        rings = _ring_residues(f, [found[i].omega_pole for i in todo],
-                               [shrink * radii[i] for i in todo], _RESIDUE_SAMPLES)
-        for i, (res, _) in zip(todo, rings):
-            residues[i] = res
-        todo = [i for i, (res, err) in zip(todo, rings) if not _accurate(res, err, _RESIDUE_TOL)]
+        rings.update(zip(todo, _ring_residues(f, [found[i].omega_pole for i in todo],
+                                              [shrink * radii[i] for i in todo], _RESIDUE_SAMPLES)))
+        todo = [i for i in todo if not _accurate(*rings[i], _RESIDUE_TOL)]
     if todo:
-        raise AccuracyError(f"residue error estimate above tolerance at "
-                            f"{found[todo[0]].omega_pole}, even at half the ring radius")
-    out = [Pole(z, residues[i].conjugate() if conj else residues[i], found[i].residual)
+        i = todo[0]
+        raise AccuracyError(f"residue error estimate above tolerance at {found[i].omega_pole}, "
+                            "even at half the ring radius",
+                            pole=found[i].omega_pole, radius=radii[i], error=rings[i][1])
+    out = [Pole(z, rings[i][0].conjugate() if conj else rings[i][0], found[i].residual)
            for z, i, conj in members]
     if out:
         # symmetry-dark modes survive as poles with near-cancelled residues;

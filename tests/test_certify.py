@@ -11,8 +11,8 @@ import pytest
 from scipy.optimize import brentq
 
 from modecert import certify as cf, layered as ly, qnm, witness as wt
-from modecert.errors import (AmbiguityError, ConfigurationError, ModeCertError,
-                             RegionTooSmallError)
+from modecert.errors import (AccuracyError, AmbiguityError, ConfigurationError,
+                             ModeCertError, RegionTooSmallError)
 
 from conftest import bragg_problem, fp_problem, general_stacks, lossy_problem
 
@@ -434,7 +434,7 @@ def test_mirrored_classify_matches_full_search(monkeypatch, n_mirror):
 
 
 def test_xray_call_budget(monkeypatch, material_table):
-    # rocking minimum 6, certificate plus nuclear line: 58 kernel calls with
+    # rocking minimum 6, certificate plus nuclear line: 57 kernel calls with
     # one Newton batch per search (116 with the Newton runs of every level,
     # 118 with 801-point grids per tried window fraction, 235 with one search
     # call per box)
@@ -443,8 +443,7 @@ def test_xray_call_budget(monkeypatch, material_table):
         monkeypatch, lambda: (cf.classify(problem), cf.nuclear_spectrum(problem, 40.0)))
     assert rep.n_star >= 2
     assert n_calls <= 58
-    assert n_points <= 18500    # 19466 with grids per window fraction, 23507
-                                # with three samplings of the window
+    assert n_points <= 24000    # 23632 with the complete pole search (12 poles)
 
 
 @pytest.mark.parametrize("xray", [False, True], ids=["fp4", "xray6"])
@@ -545,6 +544,20 @@ def test_general_stacks_certify_or_raise_typed():
     # of 120 measured when the bound was set
     reports = [_certified(p) for seed in (0, 1) for p in general_stacks(seed)]
     assert sum(rep is not None for rep in reports) >= 84
+
+
+def test_general_stacks_residue_error_payload():
+    # seed 1, stack 21: both rings around the found pole -6.22 - 0.0047j
+    # enclose a pole above the real axis, which the search does not look for;
+    # the error names the pole, its full ring radius and the half-ring error
+    with pytest.raises(AccuracyError, match="even at half the ring radius") as info:
+        cf.classify(general_stacks(1)[21])
+    exc = info.value
+    assert set(vars(exc)) == {"pole", "radius", "error"}
+    assert f"{exc.pole}" in str(exc)
+    assert exc.pole == pytest.approx(-6.2206 - 0.0047j, abs=1e-4)
+    assert exc.radius == pytest.approx(0.578, abs=1e-3)
+    assert exc.error > qnm._RESIDUE_TOL
 
 
 @pytest.mark.parametrize("scale", [0.5, 4.0])
@@ -673,6 +686,15 @@ def test_xray_window_from_one_sampling(material_table, monkeypatch, mode_index, 
     assert curves[-1] == rep.thresholds.window
     assert curves[-1][0] < rep.omega_a_zero < curves[-1][1]
     assert arrays == []
+
+
+@pytest.mark.parametrize("mode_index", [8, 10, 11])
+def test_xray_far_minima_certify(material_table, mode_index):
+    # minima far from omega = 0: their pole sets are complete only when every
+    # pole-search gate is read in units of its own box, not of |omega|
+    rep = cf.classify(cf.xray_problem(material_table, mode_index))
+    assert rep.multi_pole_mm
+    assert rep.multi_pole_mm == (rep.n_star > 1)
 
 
 def test_xray_no_single_zero_window(material_table):

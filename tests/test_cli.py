@@ -596,7 +596,7 @@ def test_run_poles_xray(tmp_path, material_table):
                                          "depth": region.depth}})
     assert cli.run(scn, command="poles", out_dir=tmp_path / "xp") == 0
     exp = json.loads((tmp_path / "xp" / "expansion.json").read_text())
-    assert len(exp["poles"]) == 7
+    assert len(exp["poles"]) == 8
     assert all(region.omega_lo < p["re"] < region.omega_hi for p in exp["poles"])
 
 

@@ -112,10 +112,10 @@ def test_batched_search_finds_every_pole(instance):
 def test_winding_consistency_pure_poles():
     # products of bare poles have no zeros, so the top-level winding of 1/f
     # equals the pole count exactly, and the moments are the power sums of
-    # the poles
+    # the poles about the box centre
     re_lo, re_hi, im_lo, im_hi = REGION.box
     diam = np.hypot(re_hi - re_lo, im_hi - im_lo)
-    zmax = max(abs(complex(re_lo, im_lo)), abs(complex(re_hi, im_hi)))
+    c = complex(0.5 * (re_lo + re_hi), 0.5 * (im_lo + im_hi))
     rng = np.random.default_rng(5)
     for _ in range(10):
         n = int(rng.integers(1, 5))
@@ -128,8 +128,23 @@ def test_winding_consistency_pure_poles():
         [(w, s1, s2)], _ = qnm._box_moments(f, [REGION.box])
         poles = qnm.find_poles(f, REGION)
         assert w == n == len(poles)
-        assert abs(s1 - np.sum(zs)) < 3e-3 * diam
-        assert abs(s2 - np.sum(zs ** 2)) < 3e-3 * diam * zmax
+        assert abs(s1 - np.sum(zs - c)) < 3e-3 * diam
+        assert abs(s2 - np.sum((zs - c) ** 2)) < 3e-3 * diam ** 2
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e2, 1e4])
+def test_translation_invariance(shift):
+    # every gate is read in units of its own box, so moving the frequency
+    # origin moves the poles and nothing else
+    region = qnm.ScanRegion(shift, 10.0 + shift, 2.0)
+    key = lambda c: (c.real, c.imag)
+    for seed in range(30):
+        f, zs, _ = rational_instance(np.random.default_rng(seed), background=True)
+        poles = qnm.find_poles(lambda z: f(z - shift), region)
+        got = np.array(sorted((p.omega_pole - shift for p in poles), key=key))
+        want = np.array(sorted(zs, key=key))
+        assert got.shape == want.shape, seed
+        assert np.max(np.abs(got - want)) < 1e-6, seed
 
 
 def _fewest_rounds(monkeypatch, f, box):
@@ -591,8 +606,11 @@ def test_residue_accuracy_error(monkeypatch):
     z0 = 5 - 1j
     f = lambda z: 1.0 / (z - z0) + 1.0 / (z - (z0 + 0.905)) + 1.0 / (z - (z0 - 0.455))
     monkeypatch.setattr(qnm, "find_poles", lambda f, region, previous=None: [qnm.Pole(z0)])
-    with pytest.raises(AccuracyError, match="even at half the ring radius"):
+    with pytest.raises(AccuracyError, match="even at half the ring radius") as info:
         qnm.build_expansion(f, REGION)
+    [(_, err)] = qnm._ring_residues(f, [z0], [0.45], qnm._RESIDUE_SAMPLES)
+    assert vars(info.value) == {"pole": z0, "radius": pytest.approx(0.9),
+                                "error": pytest.approx(err)}
 
 
 # ---------------------------------------------------------------------------
