@@ -252,12 +252,12 @@ def _n_star(errors, tol: float) -> int | None:
     return next((n for n, err in enumerate(errors, 1) if err < tol), None)
 
 
-def _region_too_small(errors, tol: float, n_poles: int) -> RegionTooSmallError:
-    """The error of an error table that never meets ``tol``; the table is its payload."""
+def _region_too_small(errors, tol: float, n_poles: int, **payload) -> RegionTooSmallError:
+    """The error of an error table that never meets ``tol``; the table joins its payload."""
     return RegionTooSmallError(
         f"tolerance {tol:g} unreachable with {len(errors)} modes of {n_poles} poles "
         f"(best {min(errors, default=math.inf):.3g}); enlarge the scan region",
-        errors=errors)
+        errors=errors, **payload)
 
 
 def classify(problem: WaveProblem, region: ScanRegion | None = None,
@@ -275,8 +275,9 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     is.  The region is doubled, up to ``_MAX_REGION_GROWTH`` times, while no
     N-mode sum meets the truncation tolerance (slowly decaying mode ladders
     need wide regions), and after the last one RegionTooSmallError carries the
-    error table; each growth searches only the area it adds and keeps the
-    poles already found.  A conjugate-symmetric problem
+    error table and the last region.  Each grown region is searched from
+    scratch, so the certificate depends on the final region only, not on the
+    growth that reached it.  A conjugate-symmetric problem
     (:attr:`WaveProblem.conjugate_symmetric`) searches only the right part of
     the region and mirrors its poles.  At ``k_par != 0`` growth keeps the left
     edge, clear of the branch points.  The report carries the witness curve
@@ -301,10 +302,8 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
 
     # the one witness evaluator: pole search, Delta-zero polish, delta(omega_min)
     exact = partial(levshift_exact, problem)
-    expansion = None
     for attempt in range(_MAX_REGION_GROWTH + 1):
-        expansion = build_expansion(exact, region, previous=expansion,
-                                    mirror=problem.conjugate_symmetric)
+        expansion = build_expansion(exact, region, mirror=problem.conjugate_symmetric)
         if not expansion.poles:
             raise AmbiguityError("no poles found in the scan region")
         conv = convergence_report(expansion, curve, omega_min)
@@ -312,7 +311,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
             break
         if attempt == _MAX_REGION_GROWTH:
             raise _region_too_small(conv.errors, thresholds.convergence_tol,
-                                    len(expansion.poles))
+                                    len(expansion.poles), region=region)
         region = _grow(region, pinned=problem.k_par != 0)
 
     # zero of the full Delta, bracketed on the curve, polished on the exact witness

@@ -81,10 +81,13 @@ class RegionTooSmallError(ModeCertError):
     Raised by ``certify.classify`` after its last region growth, and by a
     ``ClassificationReport`` given such an error table.  Advises enlarging
     the scan region.  Payload: ``errors``, the truncation error of each
-    N-mode sum over the last region (empty by default).
+    N-mode sum over the last region (empty by default); raised by
+    ``classify``, also ``region``, the last ``ScanRegion`` searched (None
+    by default).
     """
 
     errors = ()
+    region = None
 
 
 class ConfigurationError(ModeCertError):

@@ -31,9 +31,7 @@ one array pass and sampled in one evaluator call per round.  A W = 1 box
 whose moments are those of one point (c + s_1 inside it, s_2 - s_1^2 ~ 0)
 stops subdividing and waits; once no box is left open, every waiting box
 gets its Newton run in one array iteration, one call per step, and a box
-whose run fails is split and searched on.  A search over a grown region can
-start from the poles of an earlier search over a region inside it and
-subdivide only the strips the growth added.  The evaluator is called on
+whose run fails is split and searched on.  The evaluator is called on
 arrays only; an error it raises ends the search unchanged.
 
 Residues are evaluated by the trapezoid rule on a circle around each pole,
@@ -125,9 +123,7 @@ class ScanRegion:
 class PoleExpansion:
     """Poles and residues of the witness over a scan region.
 
-    ``candidates`` are the poles the search returned, before the residue
-    floor; a search over a larger region starts from them.  A mirrored
-    expansion searched only part of its region (:func:`_searched`).
+    A mirrored expansion searched only part of its region (:func:`_searched`).
 
     ``modes`` pairs the poles once, heads in (Re, Im) order.  The partner
     of p is the nearest other pole within ``10 * _DEDUPE_REL`` widths of
@@ -137,7 +133,6 @@ class PoleExpansion:
 
     poles: tuple
     region: ScanRegion
-    candidates: tuple = ()
     modes: tuple = field(init=False)
 
     def __post_init__(self):
@@ -298,7 +293,7 @@ def _perturbed(box, attempt: int):
 # pole search
 # ---------------------------------------------------------------------------
 
-def find_poles(f, region: ScanRegion, previous=None) -> list:
+def find_poles(f, region: ScanRegion) -> list:
     """All simple poles of ``f`` inside the region, Newton-refined on 1/f.
 
     ``f`` maps complex arrays to complex arrays (inf at a pole is allowed),
@@ -316,12 +311,6 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
     every waiting box from c + s1, one call per step.  A box whose run is
     not accepted is split, and a later batch serves its children.
 
-    ``previous`` is an earlier search ``(ScanRegion, poles)`` over a region
-    inside this one.  Its poles are kept and only the added area,
-    ``_ring(region.box, previous_region.box)``, is searched; the root box is
-    still sampled once so that the Newton acceptance bound is the one of a
-    search from scratch.
-
     Raises
     ------
     UnresolvedRegionError
@@ -331,17 +320,11 @@ def find_poles(f, region: ScanRegion, previous=None) -> list:
         single location at the resolution limit).
     """
     dedupe = _DEDUPE_REL * region.width
-    found, boxes = [], [region.box]   # found: (z, residual)
-    if previous is not None:
-        prev_region, prev_poles = previous
-        found = [(p.omega_pole, p.residual) for p in prev_poles]
-        boxes += _ring(region.box, prev_region.box)
-    resolved, h_root = _resolved_moments(f, boxes)
+    found = []   # (z, residual)
+    resolved, h_root = _resolved_moments(f, [region.box])
     med_h = float(np.median(np.abs(h_root)))   # median |1/f| on the root boundary
     h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
-    # a grown search samples its root box for h_tol only
-    resolved = [(box, moments, 0) for box, moments
-                in (resolved if previous is None else resolved[1:])]
+    resolved = [(box, moments, 0) for box, moments in resolved]
     waiting = []   # (box, moments, tols, level) of the W = 1 boxes that hold one point
     while True:
         unsettled = []
@@ -430,15 +413,14 @@ def _resolved_moments(f, boxes):
 
     Boxes whose boundary is unresolvable are perturbed (:func:`_perturbed`)
     and retried together, at most four attempts in all.  Also returns the h
-    samples of the first box's resolved boundary.
+    samples of the first resolved boundary of the last attempt: the root's,
+    when the root box is resolved alone.
     """
     boxes = list(boxes)
     out = [None] * len(boxes)
     todo = range(len(boxes))
     for attempt in range(4):
         moments, h_first = _box_moments(f, [boxes[i] for i in todo])
-        if todo[0] == 0:
-            h_root = h_first
         retry = []
         for i, m in zip(todo, moments):
             if m is None:
@@ -447,24 +429,9 @@ def _resolved_moments(f, boxes):
             else:
                 out[i] = (boxes[i], m)
         if not retry:
-            return out, h_root
+            return out, h_first
         todo = retry
     raise UnresolvedRegionError("boundary winding ill-conditioned", box=boxes[todo[0]])
-
-
-def _ring(outer, inner):
-    """Rectangles tiling the box ``outer`` minus the box ``inner`` inside it.
-
-    Full-height strips left and right of ``inner``, and strips below and
-    above it across its width; pieces of zero area are left out.
-    """
-    o_lo, o_hi, o_bot, o_top = outer
-    i_lo, i_hi, i_bot, i_top = inner
-    if not (o_lo <= i_lo < i_hi <= o_hi and o_bot <= i_bot < i_top <= o_top):
-        raise ValueError(f"box {inner} does not lie inside {outer}")
-    pieces = [(o_lo, i_lo, o_bot, o_top), (i_hi, o_hi, o_bot, o_top),
-              (i_lo, i_hi, o_bot, i_bot), (i_lo, i_hi, i_top, o_top)]
-    return [b for b in pieces if b[0] < b[1] and b[2] < b[3]]
 
 
 def _inside(z: complex, box, slack: float = 0.0) -> bool:
@@ -521,8 +488,7 @@ def _accurate(res, err, tol: float) -> bool:
     return not (err > tol * max(abs(res), 1e-300) and err > tol)
 
 
-def build_expansion(f, region: ScanRegion, previous: PoleExpansion | None = None,
-                    mirror: bool = False) -> PoleExpansion:
+def build_expansion(f, region: ScanRegion, mirror: bool = False) -> PoleExpansion:
     """Pole expansion of an evaluator ``f`` over a scan region.
 
     ``f`` maps complex arrays to complex arrays, as :func:`find_poles`
@@ -539,14 +505,9 @@ def build_expansion(f, region: ScanRegion, previous: PoleExpansion | None = None
     lies in the region, with the conjugate residue and the residual of p.
     Ring radii are sized over all poles of the region against its edges,
     but only the poles found are ringed.
-
-    ``previous`` is an expansion of the same function over a region inside
-    this one: its pole candidates are reused and only the added area is
-    searched.  Residues are always recomputed over the whole pole set.
     """
     searched = _searched(region, mirror)
-    found = find_poles(f, searched, None if previous is None
-                       else (_searched(previous.region, mirror), previous.candidates))
+    found = find_poles(f, searched)
 
     # the region's poles as (location, index of the found pole whose ring
     # gives the residue, whether that residue is conjugated)
@@ -584,7 +545,7 @@ def build_expansion(f, region: ScanRegion, previous: PoleExpansion | None = None
         # they are below the search resolution and carry no weight
         floor = 1e-7 * max(abs(p.residue) for p in out)
         out = [p for p in out if abs(p.residue) >= floor]
-    return PoleExpansion(poles=tuple(out), region=region, candidates=tuple(found))
+    return PoleExpansion(poles=tuple(out), region=region)
 
 
 def _searched(region: ScanRegion, mirror: bool) -> ScanRegion:
@@ -593,7 +554,7 @@ def _searched(region: ScanRegion, mirror: bool) -> ScanRegion:
     Mirrored: right of the strip [-a, a], a = ``_STRIP_REL`` widths, which
     keeps the left edge clear of the poles on the imaginary axis, and up to
     the mirror image of the left edge, so that every pole of the region is
-    found or mirrored.  A larger region's part contains a smaller one's.
+    found or mirrored.
     """
     if not mirror:
         return region

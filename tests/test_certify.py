@@ -302,23 +302,37 @@ def test_report_thresholds_reproduce_at_normal_incidence(n_mirror):
 # region growth on lossy mirrors
 # ---------------------------------------------------------------------------
 
-def test_growth_path_independent(monkeypatch):
-    # growing into a region gives the certificate of searching it at once
-    problem = lossy_problem(3.0 + 1.0j)
+# growing cases: the growths classify makes, and the problem, given the X-ray table
+GROWING = {
+    "lossy-3+1i": (1, lambda table: lossy_problem(3.0 + 1.0j)),
+    "bragg-3.5-5": (2, lambda table: bragg_problem(3.5, 5)),
+    "general-1-55": (2, lambda table: general_stacks(1)[55]),
+    # its third region still loses the main pole to the lone-zero gate: the
+    # grown and the direct run agree, and neither is pinned to certify
+    "xray-3": (3, lambda table: cf.xray_problem(table, 3)),
+}
+
+
+def _outcome(problem, **kwargs):
+    """The certificate's JSON and thresholds, or the error's type and message."""
+    try:
+        rep = cf.classify(problem, **kwargs)
+    except ModeCertError as exc:
+        return (type(exc), str(exc)), kwargs.get("thresholds", cf.Thresholds())
+    return rep.to_json(), rep.thresholds
+
+
+@pytest.mark.parametrize("case", GROWING)
+def test_growth_path_independent(monkeypatch, material_table, case):
+    # each grown region is searched from scratch, so growing into a region
+    # gives the certificate of searching it at once, to the byte
+    growths, make = GROWING[case]
+    problem = make(material_table)
     built = _expansion_spy(monkeypatch)
-    grown = cf.classify(problem)
-    assert len(built) == 2   # one growth
-    final = built[-1].region
-    assert final == cf._grow(cf._default_window_region(problem)[1])
-    direct = cf.classify(problem, region=final, thresholds=grown.thresholds)
-    assert len(built) == 3
-    assert grown.flags() == direct.flags()
-    assert grown.n_star == direct.n_star
-    assert grown.n_poles_region == direct.n_poles_region
-    main_g = complex(grown.re_main_pole, -0.5 * grown.kappa_main)
-    main_d = complex(direct.re_main_pole, -0.5 * direct.kappa_main)
-    assert abs(main_g - main_d) < 1e-10 * abs(main_d)
-    assert abs(grown.main_residue - direct.main_residue) < 1e-10 * abs(direct.main_residue)
+    grown, thresholds = _outcome(problem)
+    assert len(built) == growths + 1
+    direct, _ = _outcome(problem, region=built[-1].region, thresholds=thresholds)
+    assert direct == grown
 
 
 def test_region_too_small_after_the_last_growth(monkeypatch):
@@ -335,6 +349,7 @@ def test_region_too_small_after_the_last_growth(monkeypatch):
     assert str(info.value).startswith(
         f"tolerance 1e-06 unreachable with 33 modes of {len(last.poles)} poles")
     assert len(last.poles) == 65
+    assert info.value.region == last.region
 
 
 def test_growth_length_scaling():
@@ -375,14 +390,24 @@ def _kernel_work(monkeypatch, certify):
 # three samplings of the window cost 4002 points more per certificate)
 
 def test_growth_call_budget(monkeypatch):
-    # the anchored sums converge on the default region of lossy 8+0.5i: no
-    # growth, 59 kernel calls with the level-synchronous search (90 with one
-    # search call per box, 974 with four growths, 2016 from scratch)
+    # the anchored sums converge on the default region of lossy 8+0.5i: one
+    # build and no growth, 59 kernel calls with the level-synchronous search
+    # (90 with one search call per box)
+    built = _expansion_spy(monkeypatch)
     n_calls, n_points, rep = _kernel_work(
         monkeypatch, lambda: cf.classify(lossy_problem(8.0 + 0.5j)))
+    assert len(built) == 1
     assert rep.n_poles_region == 5
     assert n_calls <= 59
     assert n_points <= 5400     # 9388 with three samplings of the window
+    # lossy 3+1i grows once and searches its grown region from scratch: 44
+    # calls (35 when the growth searched only the strips it added)
+    built.clear()
+    n_calls, n_points, rep = _kernel_work(
+        monkeypatch, lambda: cf.classify(lossy_problem(3.0 + 1.0j)))
+    assert len(built) == 2
+    assert n_calls <= 44
+    assert n_points <= 10608    # 8244 searching the added strips only
 
 
 def test_fabry_perot_call_budget(monkeypatch):
@@ -400,8 +425,7 @@ def _full_search(monkeypatch):
     """Make classify search the whole region, mirroring nothing."""
     build = qnm.build_expansion
     monkeypatch.setattr(cf, "build_expansion",
-                        lambda f, region, previous=None, mirror=False:
-                        build(f, region, previous=previous))
+                        lambda f, region, mirror=False: build(f, region))
 
 
 def test_mirrored_growth_from_given_region(monkeypatch):

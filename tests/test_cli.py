@@ -258,9 +258,9 @@ def test_run_classify_custom_stack_at_oblique_incidence(tmp_path, monkeypatch):
     regions = []
     build = certify.build_expansion
 
-    def spy(f, region, previous=None, mirror=False):
+    def spy(f, region, mirror=False):
         regions.append(region)
-        return build(f, region, previous=previous, mirror=mirror)
+        return build(f, region, mirror=mirror)
 
     monkeypatch.setattr(certify, "build_expansion", spy)
     mirror = {"name": "m", "n_re": 8.0, "n_im": 0.5}
@@ -310,9 +310,9 @@ def test_mirrored_search_scope(tmp_path, monkeypatch, material_table):
     mirrors = []
     build = certify.build_expansion
 
-    def spy(f, region, previous=None, mirror=False):
+    def spy(f, region, mirror=False):
         mirrors.append(mirror)
-        return build(f, region, previous=previous, mirror=mirror)
+        return build(f, region, mirror=mirror)
 
     monkeypatch.setattr(certify, "build_expansion", spy)
     for name, scn in scenarios.items():
@@ -570,7 +570,7 @@ def test_run_classify_xray_searches_given_region(tmp_path, monkeypatch):
     # witness is not meromorphic, so classify and poles refuse it before any
     # search
     regions = []
-    spy = lambda f, region, previous=None, mirror=False: regions.append(region)
+    spy = lambda f, region, mirror=False: regions.append(region)
     monkeypatch.setattr(certify, "build_expansion", spy)
     monkeypatch.setattr(cli, "build_expansion", spy)
     given = {"omega_lo": 1.0, "omega_hi": 2.0, "depth": 0.5}

@@ -15,6 +15,11 @@ def test_list_payloads_default_to_empty():
     assert list(RegionTooSmallError("x").errors) == []
 
 
+def test_region_too_small_names_no_region_by_default():
+    # a report given an error table that never converges searched no region
+    assert RegionTooSmallError("x").region is None
+
+
 @pytest.mark.parametrize("cls,name,value", [
     (UnresolvedRegionError, "box", (0.0, 1.0, -1.0, 0.0)),
     (NearPoleError, "omega", 11.0 - 0.25j),

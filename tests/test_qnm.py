@@ -21,7 +21,7 @@ from modecert.errors import (
 from conftest import fp_problem, lossy_problem, rational_instance
 
 REGION = qnm.ScanRegion(0.0, 10.0, 2.0)
-# grown through previous with the left edge moving further out than the right one
+# growing with the left edge moving further out than the right one
 MIRROR_REGIONS = (qnm.ScanRegion(-4.0, 4.2, 2.0), qnm.ScanRegion(-7.0, 6.5, 2.0),
                   qnm.ScanRegion(-10.0, 9.0, 2.0))
 
@@ -313,63 +313,6 @@ def test_dedupe_merges_close_candidates():
     assert [p.omega_pole for p in poles] == [z0 + 0.2, z0 + 2.0]
 
 
-def _area(box):
-    return (box[1] - box[0]) * (box[3] - box[2])
-
-
-def _overlap(a, b):
-    return (max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
-            * max(0.0, min(a[3], b[3]) - max(a[2], b[2])))
-
-
-@pytest.mark.parametrize("outer, inner, n_pieces", [
-    ((0.0, 10.0, -2.0, 0.0), (2.5, 7.5, -2.0, 0.0), 2),     # symmetric growth
-    ((2.5, 10.0, -3.0, 0.0), (2.5, 5.0, -1.5, 0.0), 2),     # left edge pinned
-    ((0.0, 10.0, -4.0, 1.0), (2.0, 6.0, -2.5, 0.5), 4),     # inner box floating
-])
-def test_ring_tiles_grown_box(outer, inner, n_pieces):
-    pieces = qnm._ring(outer, inner)
-    assert len(pieces) == n_pieces
-    # dyadic edges: the areas add up without rounding
-    assert _area(inner) + sum(_area(b) for b in pieces) == _area(outer)
-    tiles = pieces + [inner]
-    for i, a in enumerate(tiles):
-        assert outer[0] <= a[0] < a[1] <= outer[1] and outer[2] <= a[2] < a[3] <= outer[3]
-        for b in tiles[i + 1:]:
-            assert _overlap(a, b) == 0.0
-
-
-def test_ring_rejects_box_outside():
-    with pytest.raises(ValueError):
-        qnm._ring((0.0, 10.0, -2.0, 0.0), (5.0, 11.0, -1.0, 0.0))
-
-
-@pytest.mark.parametrize("old, lo_min", [
-    (qnm.ScanRegion(3.0, 7.0, 2.0), None),      # symmetric growth
-    (qnm.ScanRegion(1.0, 5.0, 1.25), 1.0),      # left edge pinned, deeper
-])
-def test_incremental_search_matches_scratch(old, lo_min):
-    new = cf._grow(old, lo_min)
-    rng = np.random.default_rng(17)
-    checked = 0
-    while checked < 12:
-        f, zs, _ = rational_instance(rng, region=new.box, max_poles=6)
-        inside = [qnm._inside(z, old.box) for z in zs]
-        if all(inside) or not any(inside):
-            continue   # want poles both in the old box and in the added strips
-        previous = (old, qnm.find_poles(f, old))
-        grown = qnm.find_poles(f, new, previous)
-        scratch = qnm.find_poles(f, new)
-        key = lambda c: (c.real, c.imag)
-        got = np.array(sorted((p.omega_pole for p in grown), key=key))
-        ref = np.array(sorted((p.omega_pole for p in scratch), key=key))
-        want = np.array(sorted(zs, key=key))
-        assert got.shape == ref.shape == want.shape
-        assert np.max(np.abs(got - ref)) < 1e-10
-        assert np.max(np.abs(got - want)) < 1e-10
-        checked += 1
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_higher_order_pole_rejected():
     # Newton lands exactly on the double pole; the test lambda divides by zero
@@ -487,8 +430,8 @@ def _mirror_instance(rng, strip):
 
 
 def test_mirrored_search_matches_full_search():
-    # the regions grow through previous with the left edge moving further
-    # out than the right one, as the default region does from its second
+    # the regions grow with the left edge moving further out than the
+    # right one, as the default region does from its second
     # growth on: the slivers [-7, -6.5) and [-10, -9) hold poles whose twins
     # lie outside the region, so their sources lie right of it.  The strip
     # widens with the region: the pair just outside the first strip is
@@ -501,9 +444,8 @@ def test_mirrored_search_matches_full_search():
         f, zs, rs = _mirror_instance(rng, strip)
         w = np.array([1.3 - 0.7j, -2.1 - 1.4j])
         assert np.allclose(f(-np.conj(w)), -np.conj(f(w)), rtol=1e-13)
-        half = None
         for region in regions:
-            half = qnm.build_expansion(f, region, previous=half, mirror=True)
+            half = qnm.build_expansion(f, region, mirror=True)
             full = qnm.build_expansion(f, region)
             want = [(z, r) for z, r in zip(zs, rs) if qnm._inside(z, region.box)]
             assert qnm._searched(region, True).omega_lo == -qnm._STRIP_REL * region.width
@@ -542,9 +484,8 @@ def test_mirrored_modes_match_full_search():
     # modes, and the pair straddling the axis inside the strip is one mode
     strip = qnm._STRIP_REL * MIRROR_REGIONS[0].width
     f, _, _ = _mirror_instance(np.random.default_rng(2024), strip)
-    half = None
     for region in MIRROR_REGIONS:
-        half = qnm.build_expansion(f, region, previous=half, mirror=True)
+        half = qnm.build_expansion(f, region, mirror=True)
         full = qnm.build_expansion(f, region)
         assert len(half.modes) == len(full.modes)
         for exp in (half, full):
@@ -605,7 +546,7 @@ def test_residue_accuracy_error(monkeypatch):
     # the doubling tolerance
     z0 = 5 - 1j
     f = lambda z: 1.0 / (z - z0) + 1.0 / (z - (z0 + 0.905)) + 1.0 / (z - (z0 - 0.455))
-    monkeypatch.setattr(qnm, "find_poles", lambda f, region, previous=None: [qnm.Pole(z0)])
+    monkeypatch.setattr(qnm, "find_poles", lambda f, region: [qnm.Pole(z0)])
     with pytest.raises(AccuracyError, match="even at half the ring radius") as info:
         qnm.build_expansion(f, REGION)
     [(_, err)] = qnm._ring_residues(f, [z0], [0.45], qnm._RESIDUE_SAMPLES)
