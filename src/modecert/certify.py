@@ -114,8 +114,8 @@ class ClassificationReport:
     (:func:`single_pole_zero`), and multi_pole = omega_a0 - z_sp; they close
     by construction and ``closure_residual`` records the floating-point
     mismatch.  ``curve`` holds the witness samples the certificate was
-    checked on and ``reflectance`` the ``(omega, r)`` window scan that
-    located omega_min; neither is serialised.
+    checked on and ``reflectance`` the ``(omega, r)`` window scan on the
+    curve's grid that located omega_min; neither is serialised.
     """
 
     omega_min: float
@@ -281,7 +281,8 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     (:attr:`WaveProblem.conjugate_symmetric`) searches only the right part of
     the region and mirrors its poles.  At ``k_par != 0`` growth keeps the left
     edge, clear of the branch points.  The report carries the witness curve
-    its certificate was checked on and the reflectance scan of its window.
+    its certificate was checked on and the reflectance scan of its window,
+    both on the window's one 2001-point grid.
     """
     emitter = problem.emitter
     check_region(problem, region)
@@ -295,10 +296,10 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
     if window != candidates[0]:
         curve = levshift_curve(problem, window, n=2001)
     thresholds = replace(thresholds, window=window)
-    om = np.linspace(window[0], window[1], 2001)
-    r = reflection(problem, om)
+    # the window's one grid: the reflectance is read on the witness curve's
+    r = reflection(problem, curve.omega)
     omega_min = find_omega_min_refined(lambda w: np.abs(reflection(problem, w)) ** 2,
-                                       om, np.abs(r) ** 2)
+                                       curve.omega, np.abs(r) ** 2)
 
     # the one witness evaluator: pole search, Delta-zero polish, delta(omega_min)
     exact = partial(levshift_exact, problem)
@@ -327,7 +328,7 @@ def classify(problem: WaveProblem, region: ScanRegion | None = None,
         n_poles_region=len(expansion.poles),
         convergence_errors=[float(e) for e in conv.errors],
         curve=curve,
-        reflectance=(om, r),
+        reflectance=(curve.omega, r),
     )
 
 
@@ -517,7 +518,7 @@ def check_region(problem: WaveProblem, region: ScanRegion | None) -> None:
 
 
 def _branch_point(problem: WaveProblem) -> float:
-    """Largest cladding light-line frequency Re(c k_par / n) at the emitter frequency."""
+    """Largest cladding light-line frequency Re(c |k_par| / n) at the emitter frequency."""
     omega_a = problem.emitter.omega_a
-    return float(max((problem.k_par / cladding.index(omega_a)).real
+    return float(max((abs(problem.k_par) / cladding.index(omega_a)).real
                      for cladding in (problem.stack.left, problem.stack.right)))

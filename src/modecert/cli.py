@@ -74,6 +74,13 @@ _KIND_SECTIONS = {"fabry_perot": ("fabry_perot", "scan", *_WAVE_SECTIONS),
                   "xray": ("xray", ("scan", ("window",)), *_WAVE_SECTIONS),
                   "synthetic_pfm": ("synthetic_pfm", "output")}
 _WAVE_KINDS = ("fabry_perot", "custom_stack", "xray")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number (a boolean is refused by _booleans)."""
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 # values no builder checks before a command reads them: (section, key) ->
 # (test, what the value must be); no key takes a boolean (_booleans)
 _VALUE_CHECKS = {
@@ -89,8 +96,9 @@ _VALUE_CHECKS = {
     ("synthetic_pfm", "n_modes"): (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     ("synthetic_pfm", "n_freq"): (lambda v: isinstance(v, int) and v >= 1, "an integer >= 1"),
     ("output", "dir"): (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-    **dict.fromkeys((("region", f.name) for f in fields(ScanRegion)), (
-        lambda v: isinstance(v, (int, float)) and math.isfinite(v), "a finite number")),
+    **dict.fromkeys((("custom_stack", "k_par"), *(("region", f.name)
+                                                  for f in fields(ScanRegion))),
+                    (_finite, "a finite number")),
 }
 
 
@@ -209,20 +217,28 @@ def parse_scenario(source) -> Scenario:
     return Scenario(kind, sections)
 
 
+def _number(obj: dict, key: str, path: str) -> float:
+    """``obj[key]`` as a float; ConfigurationError at ``path/key`` unless a finite number."""
+    if not _finite(obj[key]):
+        raise ConfigurationError(f"expected a finite number at {path}/{key}, not {obj[key]!r}")
+    return float(obj[key])
+
+
 def _material_from_dict(d: dict, path: str) -> Material:
     m = _merged({"name": "custom", "n_re": 1.0, "n_im": 0.0}, d, path)
-    return Material.constant(m["name"], complex(m["n_re"], m["n_im"]))
+    return Material.constant(m["name"], complex(_number(m, "n_re", path),
+                                                _number(m, "n_im", path)))
 
 
 def _custom_stack_problem(left, layers, right, emitter, k_par) -> WaveProblem:
     stack = LayerStack(
         _material_from_dict(left or {}, "/custom_stack/left"),
         tuple((_material_from_dict(l["material"], f"/custom_stack/layers/{i}/material"),
-               float(l["thickness"]))
+               _number(l, "thickness", f"/custom_stack/layers/{i}"))
               for i, l in enumerate(layers)),
         _material_from_dict(right or {}, "/custom_stack/right"),
-        EmitterSpec(x_a=float(emitter["x_a"]), omega_a=float(emitter["omega_a"]),
-                    gamma=float(emitter["gamma"])))
+        EmitterSpec(**{key: _number(emitter, key, "/custom_stack/emitter")
+                       for key in ("x_a", "omega_a", "gamma")}))
     return WaveProblem(stack, k_par=float(k_par))
 
 
@@ -353,9 +369,9 @@ def _run_spectrum(scn: Scenario, art: _Artifacts) -> int:
     if window is None:
         omega_a = problem.emitter.omega_a
         window = (0.25 * omega_a, 3.25 * omega_a)
-    om = np.linspace(window[0], window[1], n_points)
-    art.write("reflectance.csv", _spectrum_csv(om, reflection(problem, om)), "curve")
     curve = levshift_curve(problem, window, n=n_points)
+    art.write("reflectance.csv", _spectrum_csv(curve.omega, reflection(problem, curve.omega)),
+              "curve")
     art.write("levelshift.csv", _curve_csv(curve), "curve")
     return 0
 

@@ -89,14 +89,13 @@ class Material:
     f_res: float = 0.0
 
     def __post_init__(self):
-        if self.n_const is not None:
-            if complex(self.n_const).imag < 0:
-                raise ValueError(f"material {self.name!r}: Im n < 0 (gain medium)")
-        else:
-            if complex(self.n_bg).imag < 0:
-                raise ValueError(f"material {self.name!r}: Im n_bg < 0 (gain medium)")
-            if self.f_res < 0 or self.gamma_res <= 0 or self.omega_res <= 0:
-                raise ValueError(f"material {self.name!r}: invalid Lorentzian parameters")
+        n = complex(self.n_bg if self.n_const is None else self.n_const)
+        if not np.isfinite(n):
+            raise ValueError(f"material {self.name!r}: index {n} is not finite")
+        if n.imag < 0:
+            raise ValueError(f"material {self.name!r}: Im n < 0 (gain medium)")
+        if self.n_const is None and (self.f_res < 0 or self.gamma_res <= 0 or self.omega_res <= 0):
+            raise ValueError(f"material {self.name!r}: invalid Lorentzian parameters")
 
     @classmethod
     def constant(cls, name: str, n: complex) -> "Material":
@@ -143,10 +142,10 @@ class EmitterSpec:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("emitter gamma must be > 0")
-        if self.omega_a <= 0:
-            raise ValueError("emitter omega_a must be > 0")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"emitter gamma must be finite and > 0, not {self.gamma!r}")
+        if not 0 < self.omega_a < math.inf:
+            raise ValueError(f"emitter omega_a must be finite and > 0, not {self.omega_a!r}")
 
 
 @dataclass(frozen=True)

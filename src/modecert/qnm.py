@@ -504,7 +504,10 @@ def build_expansion(f, region: ScanRegion, mirror: bool = False) -> PoleExpansio
     and each pole p found right of the strip gains the mirror -p* when that
     lies in the region, with the conjugate residue and the residual of p.
     Ring radii are sized over all poles of the region against its edges,
-    but only the poles found are ringed.
+    but only the poles found are ringed.  Every pole of the region is kept,
+    whatever its residue: a symmetry-dark mode, a pole with a zero closer
+    than the search resolution, is dropped by the search's pair gate
+    (:func:`_gates`) before it is ever ringed.
     """
     searched = _searched(region, mirror)
     found = find_poles(f, searched)
@@ -538,14 +541,9 @@ def build_expansion(f, region: ScanRegion, mirror: bool = False) -> PoleExpansio
         raise AccuracyError(f"residue error estimate above tolerance at {found[i].omega_pole}, "
                             "even at half the ring radius",
                             pole=found[i].omega_pole, radius=radii[i], error=rings[i][1])
-    out = [Pole(z, rings[i][0].conjugate() if conj else rings[i][0], found[i].residual)
-           for z, i, conj in members]
-    if out:
-        # symmetry-dark modes survive as poles with near-cancelled residues;
-        # they are below the search resolution and carry no weight
-        floor = 1e-7 * max(abs(p.residue) for p in out)
-        out = [p for p in out if abs(p.residue) >= floor]
-    return PoleExpansion(poles=tuple(out), region=region)
+    return PoleExpansion(poles=tuple(
+        Pole(z, rings[i][0].conjugate() if conj else rings[i][0], found[i].residual)
+        for z, i, conj in members), region=region)
 
 
 def _searched(region: ScanRegion, mirror: bool) -> ScanRegion:

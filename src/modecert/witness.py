@@ -6,9 +6,9 @@ curves call it, and bound to its problem it is the pole-search evaluator (inf
 on a pole; an exact omega = 0, a removable point, is moved to 1e-30).  The
 closed-form single-mode model supplies the reference behavior (reflection line
 and level shift), and the feature extractors locate the probed reflectance
-minimum omega_min and the zero crossing omega_a0 of Delta.  Sampled curves and
-minimum scans refine on one rule: ``_REFINE``-times denser local grids over two
-cells either side of each extremum or minimum of the uniform base grid.
+minimum omega_min and the zero crossing omega_a0 of Delta.  A sampled curve is
+its uniform grid, evaluated in one call; a minimum scan refines its minimum
+on a ``_REFINE``-times denser local grid over two cells either side of it.
 
 Normalization: the witness is calibrated once against the analytic free-space
 Green's function so that a homogeneous environment gives exactly
@@ -29,7 +29,7 @@ from .errors import AmbiguityError
 from .layered import WaveProblem, green_function
 
 TWO_PI = 2.0 * np.pi
-_REFINE = 10    # local grids around extrema and minima are this many times denser
+_REFINE = 10    # the local grid around a scanned minimum is this many times denser
 
 
 # ---------------------------------------------------------------------------
@@ -158,38 +158,20 @@ class LevelShiftCurve:
 def _local_grid(omega, x):
     """Two cells of the uniform grid ``omega`` either side of ``x``, ``_REFINE`` times denser.
 
-    ``4 * _REFINE + 1`` points, clipped to the grid's span; an array ``x``
-    gives one such column per point.
+    ``4 * _REFINE + 1`` points, clipped to the grid's span.
     """
     h = (omega[-1] - omega[0]) / (len(omega) - 1)
-    return np.linspace(np.maximum(omega[0], x - 2 * h), np.minimum(omega[-1], x + 2 * h),
-                       4 * _REFINE + 1)
-
-
-def _extrema(values) -> np.ndarray:
-    """Indices of interior samples where |values| turns from rising to falling or back."""
-    slope = np.diff(np.abs(values))
-    return np.nonzero(slope[:-1] * slope[1:] < 0)[0] + 1
+    return np.linspace(max(omega[0], x - 2 * h), min(omega[-1], x + 2 * h), 4 * _REFINE + 1)
 
 
 def levshift_curve(problem: WaveProblem, window, n: int = 2001) -> LevelShiftCurve:
-    """Sample the exact witness of the problem's emitter, refining around extrema.
+    """The exact witness of the problem's emitter on ``n`` uniform points of the window.
 
-    The base grid has ``n`` points; detected extrema of Re and Im get a
-    ``_REFINE``-times denser local grid, which is what the root finders need
-    to resolve shifts much smaller than the mode width.  Each grid point is
-    evaluated once: the second kernel call carries only the added points.
+    One kernel call; the grid is that of the window's reflectance scan in
+    :func:`modecert.certify.classify`, so both observables share it.
     """
     om = np.linspace(window[0], window[1], n)
-    de = levshift_exact(problem, om)
-    extra = np.setdiff1d(_local_grid(om, om[np.union1d(_extrema(de.real),
-                                                        _extrema(de.imag))]), om)
-    if extra.size:
-        om = np.concatenate([om, extra])
-        de = np.concatenate([de, levshift_exact(problem, extra)])
-        order = np.argsort(om)
-        om, de = om[order], de[order]
-    return LevelShiftCurve(om, de, "exact-green", tuple(window))
+    return LevelShiftCurve(om, levshift_exact(problem, om), "exact-green", tuple(window))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from modecert import certify as cf, layered as ly, qnm, witness as wt
@@ -385,9 +386,9 @@ def _kernel_work(monkeypatch, certify):
     return len(points), sum(points), result
 
 
-# the window is sampled once per certificate: 2001 points plus refinement,
-# which the Delta-zero search reads instead of a 2001-point resample (the
-# three samplings of the window cost 4002 points more per certificate)
+# the window is sampled once per certificate, on its 2001-point grid, which
+# the Delta-zero search reads instead of a 2001-point resample (the three
+# samplings of the window cost 4002 points more per certificate)
 
 def test_growth_call_budget(monkeypatch):
     # the anchored sums converge on the default region of lossy 8+0.5i: one
@@ -536,6 +537,18 @@ def test_emitter_below_the_light_line_rejected():
         cf.classify(ly.WaveProblem(stack, k_par=4.0))
 
 
+def test_negative_k_par_is_the_same_problem():
+    # k_z reads k_par^2 only: a Fabry-Perot-like stack at k_par = -0.5 has its
+    # branch point at +0.5, so its default region stays right of it and it
+    # certifies as at +0.5; a given region left of it is refused at either sign
+    stack = fp_problem(6.0).stack
+    plus, minus = (ly.WaveProblem(stack, k_par=k) for k in (0.5, -0.5))
+    assert cf._branch_point(minus) == cf._branch_point(plus) == 0.5
+    assert cf.classify(minus).to_json() == cf.classify(plus).to_json()
+    with pytest.raises(ConfigurationError, match="branch point 0.5"):
+        cf.check_region(minus, qnm.ScanRegion(0.3, 5.0, 1.0))
+
+
 def test_text_marks_decisions_near_threshold():
     # lossy 8+1i certifies N* = 2; its 1-mode sum misses the 0.05 tolerance
     # by 4%, so the decision for N* > 1 is marked with the table's own ratio
@@ -582,6 +595,18 @@ def test_general_stacks_residue_error_payload():
     assert exc.pole == pytest.approx(-6.2206 - 0.0047j, abs=1e-4)
     assert exc.radius == pytest.approx(0.578, abs=1e-3)
     assert exc.error > qnm._RESIDUE_TOL
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(n_mirror=st.floats(4.0, 20.0), scale=st.floats(0.25, 8.0))
+def test_fabry_perot_scale_invariant(n_mirror, scale):
+    # L -> sL on the Fabry-Perot builder: flags and N* stay, and every
+    # frequency of the certificate scales as 1/s
+    rep = cf.classify(fp_problem(n_mirror))
+    again = cf.classify(ly.WaveProblem(ly.build_fabry_perot(scale, n_mirror)))
+    assert again.flags() == rep.flags() and again.n_star == rep.n_star
+    for key in ("omega_min", "omega_a_zero", "re_main_pole", "kappa_main"):
+        assert getattr(again, key) * scale == pytest.approx(getattr(rep, key), rel=1e-9)
 
 
 @pytest.mark.parametrize("scale", [0.5, 4.0])
@@ -710,6 +735,34 @@ def test_xray_window_from_one_sampling(material_table, monkeypatch, mode_index, 
     assert curves[-1] == rep.thresholds.window
     assert curves[-1][0] < rep.omega_a_zero < curves[-1][1]
     assert arrays == []
+
+
+@pytest.mark.parametrize("case", ["fp4", "lossy8+0.5i", "xray6"])
+def test_window_has_one_grid(monkeypatch, material_table, case):
+    # the witness curve is the window's uniform 2001-point grid, evaluated in
+    # one kernel call, and the reflectance scan of omega_min reads that grid
+    problem = {"fp4": lambda: fp_problem(4.0), "lossy8+0.5i": lambda: lossy_problem(8.0 + 0.5j),
+               "xray6": lambda: cf.xray_problem(material_table, 6)}[case]()
+    calls, curves = [], []
+    kernel, curve_fn = wt.green_function, cf.levshift_curve
+
+    def kernel_spy(*args, **kwargs):
+        calls.append(np.size(args[3]))
+        return kernel(*args, **kwargs)
+
+    def curve_spy(*args, **kwargs):
+        before = len(calls)
+        curves.append(curve_fn(*args, **kwargs))
+        assert calls[before:] == [2001]
+        return curves[-1]
+
+    monkeypatch.setattr(wt, "green_function", kernel_spy)
+    monkeypatch.setattr(cf, "levshift_curve", curve_spy)
+    rep = cf.classify(problem)
+    grid = np.linspace(*rep.thresholds.window, 2001)
+    assert curves[-1] is rep.curve
+    assert np.array_equal(rep.curve.omega, grid)
+    assert np.array_equal(rep.reflectance[0], grid)
 
 
 @pytest.mark.parametrize("mode_index", [8, 10, 11])

@@ -719,9 +719,15 @@ def test_main_bad_xray_halfwidth_named(tmp_path, capsys, halfwidth):
      "a finite number at /region/depth"),
     ({**MINIMAL_FP, "region": {"omega_lo": -5.0, "omega_hi": float("inf"), "depth": 1.0}},
      "a finite number at /region/omega_hi"),
+    ({**MINIMAL_CUSTOM, "custom_stack": {**MINIMAL_CUSTOM["custom_stack"], "k_par": "0.5"}},
+     "a finite number at /custom_stack/k_par"),
+    ({**MINIMAL_CUSTOM, "custom_stack": {**MINIMAL_CUSTOM["custom_stack"],
+                                         "k_par": float("nan")}},
+     "a finite number at /custom_stack/k_par"),
 ], ids=["shift_tol-true", "mode_index-true", "L-true", "window-[true,3]", "k_par-false",
         "version-true", "window-string", "window-strings", "n_modes-3.7", "n_modes-0",
-        "n_freq-true", "region-strings", "depth-string", "omega_hi-inf"])
+        "n_freq-true", "region-strings", "depth-string", "omega_hi-inf", "k_par-string",
+        "k_par-nan"])
 def test_scenario_value_types_named(tmp_path, capsys, scenario, path):
     # a boolean passed wherever a number is read (shift_tol True, minimum 1,
     # L = 1), strings as a window ("13" and ["1", "3"] were (1.0, 3.0)),
@@ -737,6 +743,34 @@ def test_scenario_value_types_named(tmp_path, capsys, scenario, path):
     assert cli.main(["--scenario", str(path_file), "--out", str(out), "classify"]) == 1
     assert path in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("path,text", [
+    ("/custom_stack/emitter/gamma", "1e400"),
+    ("/custom_stack/emitter/omega_a", "NaN"),
+    ("/custom_stack/emitter/x_a", '"0.51"'),
+    ("/custom_stack/layers/0/thickness", '"0.01"'),
+    ("/custom_stack/layers/0/material/n_re", "NaN"),
+    ("/custom_stack/layers/1/material/n_im", "1e400"),
+    ("/custom_stack/left/n_re", "-Infinity"),
+])
+def test_custom_stack_values_are_finite_numbers(tmp_path, path, text):
+    # a NaN or infinite emitter or index ran the kernel on NaNs and ended in a
+    # misleading AmbiguityError; a numeric string ran as its number and was
+    # echoed as a string: each stops the run before the kernel, and error.txt
+    # names the value's path
+    scenario = json.loads(json.dumps(MINIMAL_CUSTOM))
+    *keys, last = path.split("/")[2:]
+    node = scenario["custom_stack"]
+    for key in keys:
+        node = node[int(key)] if key.isdigit() else node.setdefault(key, {})
+    node[last] = "@value@"
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(scenario).replace('"@value@"', text))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", str(file), "--out", str(out), "classify"]) == 1
+    error = (out / "error.txt").read_text()
+    assert error.startswith(f"ConfigurationError: expected a finite number at {path}, not ")
 
 
 @pytest.mark.parametrize("table", ["", {"Pt": {"delta": 1e-5, "beta": 1e-6}}, 5])

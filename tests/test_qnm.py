@@ -712,6 +712,24 @@ def test_error_table_matches_per_n_oracle(monkeypatch, material_table, case):
     assert conv.modes[0][0] == rep.main_pole
 
 
+@pytest.mark.parametrize("case", ["fp4", "fp20", "lossy8+0.5i", "xray6"])
+def test_expansion_keeps_no_dark_pole(monkeypatch, material_table, case):
+    # the pair gate drops sub-resolution pole-zero pairs before any residue
+    # is taken, so no certified expansion holds a pole of negligible weight:
+    # every residue is at least 1e-7 of the largest
+    problem = {"fp4": lambda: fp_problem(4.0), "fp20": lambda: fp_problem(20.0),
+               "lossy8+0.5i": lambda: lossy_problem(8.0 + 0.5j),
+               "xray6": lambda: cf.xray_problem(material_table, 6)}[case]()
+    build, built = qnm.build_expansion, []
+    monkeypatch.setattr(cf, "build_expansion",
+                        lambda *args, **kwargs: built.append(build(*args, **kwargs)) or built[-1])
+    cf.classify(problem)
+    assert built
+    for exp in built:
+        residues = np.abs([p.residue for p in exp.poles])
+        assert np.all(residues >= 1e-7 * residues.max())
+
+
 def test_truncation_convergence_sweep_n4():
     # recorded behavior: the 5 percent tolerance needs at least 3 modes on
     # the n = 4 cavity over a wide symmetric region
