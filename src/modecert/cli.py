@@ -231,14 +231,17 @@ def _material_from_dict(d: dict, path: str) -> Material:
 
 
 def _custom_stack_problem(left, layers, right, emitter, k_par) -> WaveProblem:
+    layers = [_merged(dict.fromkeys(("material", "thickness"), _REQUIRED), l,
+                      f"/custom_stack/layers/{i}") for i, l in enumerate(layers)]
+    emitter = _merged(dict.fromkeys(("x_a", "omega_a", "gamma"), _REQUIRED), emitter,
+                      "/custom_stack/emitter")
     stack = LayerStack(
         _material_from_dict(left or {}, "/custom_stack/left"),
         tuple((_material_from_dict(l["material"], f"/custom_stack/layers/{i}/material"),
                _number(l, "thickness", f"/custom_stack/layers/{i}"))
               for i, l in enumerate(layers)),
         _material_from_dict(right or {}, "/custom_stack/right"),
-        EmitterSpec(**{key: _number(emitter, key, "/custom_stack/emitter")
-                       for key in ("x_a", "omega_a", "gamma")}))
+        EmitterSpec(**{key: _number(emitter, key, "/custom_stack/emitter") for key in emitter}))
     return WaveProblem(stack, k_par=float(k_par))
 
 

@@ -30,9 +30,11 @@ Conventions
   solution as the right-outgoing one of the mirrored stack with A and B
   swapped, marched to the same medium.  ``transfer_matrix`` with
   ``interface_matrix`` and ``propagation_matrix`` is the scalar reference.
-* Evaluator contract: where the Wronskian falls below its numerical floor
-  (omega on a pole), ``green_function`` returns inf at those entries of an
-  array omega and raises NearPoleError for a scalar omega.
+* Evaluator contract: where the Wronskian is exactly 0, ``green_function``
+  returns inf at those entries of an array omega and raises NearPoleError
+  for a scalar omega.  There is no floor: next to a pole G is large and
+  finite, and so is the witness at a zero that sits on a pole the emitter
+  does not see.
 """
 
 from __future__ import annotations
@@ -402,13 +404,13 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
     referenced to the left edges of the original layers.  Both marches stop
     in the medium of x_<, so together they cross every interface once.
 
-    Where the Wronskian falls below its numerical floor (omega at a pole)
-    an array ``omega`` gets ``inf`` at those entries.
+    Where the Wronskian is exactly 0 an array ``omega`` gets ``inf`` at
+    those entries; next to a pole G is large and finite.
 
     Raises
     ------
     NearPoleError
-        If ``omega`` is a scalar and the Wronskian falls below the floor.
+        If ``omega`` is a scalar and the Wronskian is exactly 0.
     """
     ks = _wavenumbers(problem, omega)
     ds = problem.stack._thicknesses
@@ -420,13 +422,10 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
 
     # Wronskian in the layer of x_<; constant across layers analytically
     ar, br = er[j_lo]
-    two_ik = 2j * ks[j_lo]
-    u, v = bl * ar, al * br
-    w = two_ik * (u - v)
-    floor = 1e-13 * np.abs(two_ik) * (np.abs(u) + np.abs(v))
-    bad = np.abs(w) <= floor
+    w = 2j * ks[j_lo] * (bl * ar - al * br)
+    bad = w == 0
     if np.ndim(bad) == 0 and bad:
-        raise NearPoleError(f"Wronskian vanishes: omega at/near a pole ({omega})",
+        raise NearPoleError(f"Wronskian vanishes: omega at a pole ({omega})",
                             omega=omega)
     with np.errstate(divide="ignore", invalid="ignore"):
         ph_lo = np.exp(1j * ks[j_lo] * (x_lo - ref_lo))

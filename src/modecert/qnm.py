@@ -19,19 +19,23 @@ s_1 = sum (u_i + u_{i+1}) d_i / 4 pi i and s_2 = sum u_i u_{i+1} d_i / 2 pi i.
 That is the trapezoid rule for s_k = u0^k W - (k / 2 pi i) oint u^{k-1} L dz,
 L a continuous branch of log h, summed by parts, so no branch is ever built.
 A box counts as empty only if W = 0 and s_1, s_2 vanish; a box is accepted
-as "one simple pole" only if W = 1 and s_1, s_2 agree with the
-Newton-refined location.  Anything else is subdivided until resolved or the
-depth budget is exhausted.
+as "one simple pole" only if W = 1 and s_1, s_2 agree with the location
+Newton refines on 1/f, and as "one simple zero", and set aside, only if
+W = -1 and -s_1, -s_2 agree with the location Newton refines on f.  A zero
+is confirmed, never gated on its moments alone: a pole next to a zero plus
+a second zero has the winding of a zero and nearly its moments.  Anything
+else is cut into four equal pieces across its long side, until resolved or
+the depth budget is exhausted.
 
 The box tree is searched breadth first, because an evaluator call costs far
 more than the points it carries.  Each box boundary is one closed loop of
 samples, corners included, refined by inserting neighbour midpoints.  The
 loops of a subdivision level lie end to end in one flat array, examined in
-one array pass and sampled in one evaluator call per round.  A W = 1 box
-whose moments are those of one point (c + s_1 inside it, s_2 - s_1^2 ~ 0)
-stops subdividing and waits; once no box is left open, every waiting box
-gets its Newton run in one array iteration, one call per step, and a box
-whose run fails is split and searched on.  The evaluator is called on
+one array pass and sampled in one evaluator call per round.  A W = +-1 box
+whose moments are those of one point (c + W s_1 inside it, W s_2 - s_1^2
+~ 0) stops subdividing and waits; once no box is left open, every waiting
+box gets its Newton run in one array iteration, one call per step, and a
+box whose run fails is split and searched on.  The evaluator is called on
 arrays only; an error it raises ends the search unchanged.
 
 Residues are evaluated by the trapezoid rule on a circle around each pole,
@@ -61,9 +65,9 @@ from .errors import AccuracyError, ExceptionalPointError, UnresolvedRegionError
 
 TWO_PI = 2.0 * np.pi
 
-_MAX_LEVELS = 40        # subdivision depth budget of the pole search
+_MAX_LEVELS = 20        # subdivision depth budget of the pole search (4^20 = 2^40)
 _NEWTON_ITERS = 60      # Newton steps per refinement
-_NEWTON_REL = 1e-8      # accepted |1/f| at a pole, relative to the boundary median
+_NEWTON_REL = 1e-8      # accepted |h| of a Newton run, relative to the root boundary median
 _DEDUPE_REL = 1e-6      # merge radius of pole candidates, relative to the width
 _RESIDUE_SAMPLES = 64   # M of the residue trapezoid rule (the ring has 2M points)
 _RESIDUE_TOL = 1e-8     # relative doubling error accepted for a residue
@@ -231,9 +235,11 @@ def _box_moments(f, boxes):
     return out, h_first
 
 
-def _newton(f, starts, scales):
-    """Newton refinement of zeros of h = 1/f from several starts, as one array iteration.
+def _newton(f, starts, scales, windings=1):
+    """Newton refinement of zeros of h = f^-W from several starts, as one array iteration.
 
+    ``windings`` gives W per start (or one W for all): a run of W = 1
+    refines a pole of f on h = 1/f, a run of W = -1 a zero of f on h = f.
     Every step evaluates f at z and z +- delta (delta = 1e-4 * scale, a
     central difference; f is analytic) for all live runs in one call.  A run
     fails when h, the slope or the step is not finite, when the slope is 0,
@@ -243,21 +249,25 @@ def _newton(f, starts, scales):
     last call evaluates h at the stopped runs.  Returns one (z, |h(z)|) or
     (None, inf) per start.
     """
-    def h_at(w):
+    def h_at(w, pole):
         v = f(w)
-        # a non-finite f means h = 1/f vanished exactly: we are at the pole
-        return 1.0 / np.where(np.isfinite(v), v, np.inf)
+        # a non-finite f means 1/f vanished exactly: a pole run is at its
+        # pole, and a zero run has failed
+        v = np.where(np.isfinite(v), v, np.inf)
+        return np.where(pole, 1.0 / v, v)
 
     run = np.arange(len(starts))
     z0 = z = np.array(starts, dtype=complex)
     scale = np.array(scales, dtype=float)
+    pole = np.broadcast_to(np.asarray(windings) > 0, run.shape)
     stopped = []   # (runs, z) of the runs that stopped
     with np.errstate(all="ignore"):
         for _ in range(_NEWTON_ITERS):
             if not run.size:
                 break
             d = 1e-4 * scale
-            h = h_at(np.array([z, z + d, z - d]).T.ravel()).reshape(-1, 3)
+            h = h_at(np.array([z, z + d, z - d]).T.ravel(),
+                     np.repeat(pole[run], 3)).reshape(-1, 3)
             slope = (h[:, 1] - h[:, 2]) / (2.0 * d)
             step = h[:, 0] / slope
             z = z - step
@@ -270,7 +280,7 @@ def _newton(f, starts, scales):
         stopped.append((run, z))
         run = np.concatenate([r for r, _ in stopped])
         z = np.concatenate([zr for _, zr in stopped])
-        h = h_at(z) if run.size else []
+        h = h_at(z, pole[run]) if run.size else []
     out = [(None, np.inf)] * len(starts)
     for k, zk, hk in zip(run, z, h):
         if np.isfinite(hk):
@@ -304,12 +314,17 @@ def find_poles(f, region: ScanRegion) -> list:
 
     The box tree is searched level by level: the boundary loops of a level
     share one evaluator call per refinement round (:func:`_box_moments`),
-    with moments about each box centre c.  A W = 1 box waits for its Newton
-    run once its moments are those of one point, c + s1 inside the box and
-    |s2 - s1^2| < diam (1e-2 diam + 2 dedupe); at the depth limit it waits
+    with moments about each box centre c.  A box of winding W = 1 (a pole)
+    or W = -1 (a zero of f) waits for its Newton run once its moments are
+    those of one point, c + W s1 inside the box and
+    |W s2 - s1^2| < diam (1e-2 diam + 2 dedupe); at the depth limit it waits
     regardless.  When no box is left open, one :func:`_newton` batch refines
-    every waiting box from c + s1, one call per step.  A box whose run is
-    not accepted is split, and a later batch serves its children.
+    every waiting box from c + W s1 on h = f^-W, one call per step.  A run
+    is accepted when |h| is below ``_NEWTON_REL`` times the median |h| on
+    the root boundary, its point lies in the box and both moments match it;
+    an accepted pole is kept, an accepted zero is set aside with its box.
+    A box whose run is not accepted is cut in four (:func:`_split`), and a
+    later batch serves its children.
 
     Raises
     ------
@@ -322,10 +337,11 @@ def find_poles(f, region: ScanRegion) -> list:
     dedupe = _DEDUPE_REL * region.width
     found = []   # (z, residual)
     resolved, h_root = _resolved_moments(f, [region.box])
-    med_h = float(np.median(np.abs(h_root)))   # median |1/f| on the root boundary
-    h_tol = _NEWTON_REL * med_h if med_h > 0 else 1e-12
+    # accepted |h| of a run, W = 1 (h = 1/f) and W = -1 (h = f): _NEWTON_REL
+    # times the median |h| on the root boundary
+    h_tol = {w: _NEWTON_REL * float(np.median(np.abs(h_root) ** w)) for w in (1, -1)}
     resolved = [(box, moments, 0) for box, moments in resolved]
-    waiting = []   # (box, moments, tols, level) of the W = 1 boxes that hold one point
+    waiting = []   # (box, moments, tols, level) of the W = +-1 boxes that hold one point
     while True:
         unsettled = []
         for box, moments, level in resolved:
@@ -334,25 +350,29 @@ def find_poles(f, region: ScanRegion) -> list:
                 continue
             w, s1, s2 = moments
             c, diam = tols[:2]
-            # one point: s2 - s1^2 is the same about any centre, and two poles
-            # p1, p2 with a zero z leave -2 (z - p1)(z - p2) in it
-            if w == 1 and (level == _MAX_LEVELS or (_inside(c + s1, box) and abs(
-                    s2 - s1 * s1) < diam * (1e-2 * diam + 2 * dedupe))):
+            # one point, a pole (W = 1) or a zero (W = -1) at c + W s1:
+            # W s2 - s1^2 is the same about any centre, and two poles p1, p2
+            # with a zero z leave -2 (z - p1)(z - p2) in it
+            if abs(w) == 1 and (level == _MAX_LEVELS or (_inside(c + w * s1, box) and abs(
+                    w * s2 - s1 * s1) < diam * (1e-2 * diam + 2 * dedupe))):
                 waiting.append((box, moments, tols, level))
             else:
                 unsettled.append((box, moments, tols, level))
         if not unsettled and waiting:
-            # single simple pole only if the refined location reproduces BOTH
-            # moments; hidden pole/zero pairs shift s1 or s2 and force a split
-            refined = _newton(f, [c + s1 for _, (_, s1, _), (c, _, _, _), _ in waiting],
-                              [diam for _, _, (_, diam, _, _), _ in waiting])
+            # one simple pole or zero only if the refined location reproduces
+            # BOTH moments; hidden pole/zero pairs shift s1 or s2 and force a
+            # split.  A confirmed zero is set aside; so is its box.
+            refined = _newton(f, [c + w * s1 for _, (w, s1, _), (c, _, _, _), _ in waiting],
+                              [diam for _, _, (_, diam, _, _), _ in waiting],
+                              [w for _, (w, _, _), _, _ in waiting])
             for entry, (z_hat, resid) in zip(waiting, refined):
                 box, (w, s1, s2), (c, diam, match1, match2), _ = entry
-                if (z_hat is not None and resid < h_tol
+                if (z_hat is not None and resid < h_tol[w]
                         and _inside(z_hat, box, slack=0.02 * diam)
-                        and abs(s1 - (z_hat - c)) < match1
-                        and abs(s2 - (z_hat - c) ** 2) < match2):
-                    found.append((z_hat, resid))
+                        and abs(w * s1 - (z_hat - c)) < match1
+                        and abs(w * s2 - (z_hat - c) ** 2) < match2):
+                    if w == 1:
+                        found.append((z_hat, resid))
                 else:
                     unsettled.append(entry)
             waiting = []
@@ -385,7 +405,7 @@ def _gates(box, moments, dedupe):
 
     The moments are about c, so each tolerance is diam or diam^2 times a
     constant, plus the dedupe term.  None when the moments show no pole: an
-    empty box, a pole-zero pair below the search resolution, or a lone zero.
+    empty box, or a pole-zero pair below the search resolution.
     """
     w, s1, s2 = moments
     c = complex(0.5 * (box[0] + box[1]), 0.5 * (box[2] + box[3]))
@@ -400,10 +420,6 @@ def _gates(box, moments, dedupe):
     # modes with near-cancelled residues) are below the search resolution:
     # s1 = p - z and s2 = s1 (p + z - 2c), |p + z - 2c| <= diam
     if w == 0 and abs(s1) <= dedupe and abs(s2) <= (abs(s1) + eps1) * diam + eps2:
-        return None
-    # lone zero of f at zeta = c - s1: then s2 = -(zeta - c)^2 = -s1^2, and
-    # any extra content breaks that identity; no refinement needed
-    if w == -1 and _inside(c - s1, box, slack=0.02 * diam) and abs(s2 + s1 * s1) < match2:
         return None
     return c, diam, match1, match2
 
@@ -440,12 +456,13 @@ def _inside(z: complex, box, slack: float = 0.0) -> bool:
 
 
 def _split(box):
+    """The box cut into four equal pieces across its long side."""
     re_lo, re_hi, im_lo, im_hi = box
-    if (re_hi - re_lo) >= (im_hi - im_lo):
-        mid = 0.5 * (re_lo + re_hi)
-        return [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
-    mid = 0.5 * (im_lo + im_hi)
-    return [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
+    wide = (re_hi - re_lo) >= (im_hi - im_lo)
+    lo, hi = (re_lo, re_hi) if wide else (im_lo, im_hi)
+    cuts = [lo, lo + 0.25 * (hi - lo), 0.5 * (lo + hi), lo + 0.75 * (hi - lo), hi]
+    return [(a, b, im_lo, im_hi) if wide else (re_lo, re_hi, a, b)
+            for a, b in zip(cuts, cuts[1:])]
 
 
 def _dedupe(found, radius, region: ScanRegion):

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 
 from .errors import AmbiguityError
 from .layered import WaveProblem, green_function
@@ -250,22 +250,58 @@ def zero_bracket(omega, values) -> tuple:
     return float(omega[i - 1]), float(omega[i])
 
 
+# Chebyshev-Lobatto nodes of the degree-8 interpolant on [-1, 1], and the
+# matrix that maps the values there to its coefficients, highest power first:
+# column j holds the Lagrange polynomial of node j.  Built and applied without
+# BLAS or LAPACK, whose first call costs about 0.6 MB of peak memory
+_LOBATTO = np.cos(np.pi * np.arange(9) / 8)
+_TO_POWERS = np.array([np.poly(np.delete(_LOBATTO, j)) / np.prod(x - np.delete(_LOBATTO, j))
+                       for j, x in enumerate(_LOBATTO)]).T
+
+
 def find_zero_of_delta(curve: LevelShiftCurve, exact) -> float:
     """Root omega_a0 of Delta on the curve's window; requires one sign change.
 
     The sign change is bracketed on the curve's own samples
     (:func:`zero_bracket`), so the window is sampled once for the
-    certificate and for its zero; ``exact`` (a callable returning the
-    complex witness at a frequency) polishes the bracket with brentq to
-    1e-10 of the window width plus 4 eps relative, the larger term on
-    narrow windows far from omega = 0 (X-ray energies).
+    certificate and for its zero.  ``exact`` (the complex witness of a
+    frequency array) is then called once, on the 9 Chebyshev-Lobatto nodes
+    of the bracketing cell, and the root is that of the degree-8 interpolant
+    of Delta there, found by a Newton iteration kept inside the bracket.
     """
     a, b = zero_bracket(curve.omega, curve.Delta)
     if a == b:
         return a
-    lo, hi = curve.window
-    return float(brentq(lambda w: float(np.real(exact(w))), a, b,
-                        xtol=1e-10 * (hi - lo), rtol=4 * np.finfo(float).eps))
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    coef = np.sum(_TO_POWERS * np.real(exact(mid + half * _LOBATTO)), axis=1).tolist()
+    return mid + half * _bracketed_root(coef)
+
+
+def _bracketed_root(coef) -> float:
+    """Root in [-1, 1] of the polynomial ``coef`` (highest power first).
+
+    Needs values of opposite sign at -1 and 1.  A Newton step that leaves
+    the bracket, which shrinks to the last iterates, is replaced by its
+    midpoint; the iteration stops once a step is below 1e-14.
+    """
+    lo, hi = -1.0, 1.0
+    lo_negative = np.polyval(coef, lo) < 0
+    x = 0.0
+    for _ in range(100):
+        p = dp = 0.0
+        for c in coef:   # Horner for p(x) and p'(x)
+            dp = dp * x + p
+            p = p * x + c
+        if (p < 0) == lo_negative:
+            lo = x
+        else:
+            hi = x
+        newton = dp != 0 and lo <= x - p / dp <= hi
+        x_new = x - p / dp if newton else 0.5 * (lo + hi)
+        if abs(x_new - x) < 1e-14:
+            return x_new
+        x = x_new
+    return x
 
 
 # ---------------------------------------------------------------------------

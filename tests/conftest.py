@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from modecert import layered as ly
+from modecert import layered as ly, qnm
 
 
 @functools.lru_cache(maxsize=None)
@@ -70,6 +70,49 @@ def general_stacks(seed: int, count: int = 60, scale: float = 1.0) -> tuple:
         emitter = ly.EmitterSpec(x_a=scale * x_a, omega_a=omega_a / scale, gamma=1.0)
         problems.append(ly.WaveProblem(ly.LayerStack(ly.VACUUM, layers, ly.VACUUM, emitter)))
     return tuple(problems)
+
+
+def zero_wronskian(monkeypatch, at=True):
+    """Make the Wronskian of ``layered.green_function`` exactly 0 at the entries ``at``.
+
+    No frequency of a real stack gives an exact 0 in floating point, so the
+    left-outgoing march (the second, which keeps no medium) returns zero
+    amplitudes there.
+    """
+    march = ly._march
+
+    def spy(ks, ds, keep=(), stop=0):
+        (a, b), kept = march(ks, ds, keep, stop)
+        return (a, b) if keep else (np.where(at, 0, a), np.where(at, 0, b)), kept
+
+    monkeypatch.setattr(ly, "_march", spy)
+
+
+def split_in_halves(box):
+    """The box cut in two across its long side: the tiling quarters are checked against."""
+    re_lo, re_hi, im_lo, im_hi = box
+    if (re_hi - re_lo) >= (im_hi - im_lo):
+        mid = 0.5 * (re_lo + re_hi)
+        return [(re_lo, mid, im_lo, im_hi), (mid, re_hi, im_lo, im_hi)]
+    mid = 0.5 * (im_lo + im_hi)
+    return [(re_lo, re_hi, im_lo, mid), (re_lo, re_hi, mid, im_hi)]
+
+
+def pole_sets_by_tiling(f, region):
+    """The poles ``qnm.find_poles`` finds with boxes cut in quarters and in halves.
+
+    Two arrays sorted by (Re, Im).  Halves get twice the subdivision
+    levels, so that both tilings reach the same smallest box.
+    """
+    def poles():
+        return np.array(sorted((p.omega_pole for p in qnm.find_poles(f, region)),
+                               key=lambda c: (c.real, c.imag)))
+
+    quarters = poles()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qnm, "_split", split_in_halves)
+        mp.setattr(qnm, "_MAX_LEVELS", 2 * qnm._MAX_LEVELS)
+        return quarters, poles()
 
 
 def rational_instance(rng, region=(0.0, 10.0, -2.0, 0.0), max_poles=5,

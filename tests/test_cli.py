@@ -113,6 +113,25 @@ def test_parse_custom_stack_requires_layers_and_emitter():
         cli.parse_scenario({"version": 1, "kind": "custom_stack"})
 
 
+@pytest.mark.parametrize("path,key", [("/custom_stack/emitter", "gama"),
+                                      ("/custom_stack/layers/1", "thicknes")])
+def test_custom_stack_unknown_emitter_and_layer_keys(tmp_path, path, key):
+    # a misspelt key next to the right one ran with the right one's value and
+    # was echoed into scenario.json; like a material's, it stops the run at
+    # its place
+    scenario = json.loads(json.dumps(MINIMAL_CUSTOM))
+    section = scenario["custom_stack"]
+    node = section["emitter"] if key == "gama" else section["layers"][1]
+    node[key] = 5.0
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}' at {path}$"):
+        cli._problem_from_scenario(cli.parse_scenario(scenario))
+    file = tmp_path / "typo.json"
+    file.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    assert cli.main(["--scenario", str(file), "--out", str(out), "classify"]) == 1
+    assert (out / "error.txt").read_text() == f"ConfigurationError: unknown key '{key}' at {path}\n"
+
+
 def test_parse_version_mismatch():
     with pytest.raises(ConfigurationError, match="version"):
         cli.parse_scenario({**MINIMAL_FP, "version": 99})

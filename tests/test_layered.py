@@ -12,7 +12,7 @@ from modecert.errors import (
     ThicknessOverflowError,
 )
 
-from conftest import fp_problem
+from conftest import fp_problem, zero_wronskian
 
 
 GLASS2 = ly.Material.constant("glass2", 2.0)
@@ -239,24 +239,34 @@ def test_green_cauchy_riemann_smoke():
         assert abs(d_re - d_im) < 1e-6 * abs(d_re)
 
 
-def test_green_near_pole_error():
+# measured fundamental pole of the n = 20 cavity
+FP20_POLE = (1.0412006217063068 - 0.004047325183637024j) * np.pi
+
+
+def test_green_near_pole_error(monkeypatch):
+    # there is no floor: next to a pole G is large and finite, and only a
+    # Wronskian that is exactly 0 raises for a scalar omega
     pr = fp_problem(20.0)
     xa = pr.stack.emitter.x_a
-    # measured fundamental pole of the n = 20 cavity
-    pole = (1.0412006217063068 - 0.004047325183637024j) * np.pi
+    g = ly.green_function(pr, xa, xa, FP20_POLE)
+    assert np.isfinite(g) and abs(g) > 1e9 * abs(ly.green_function(pr, xa, xa, FP20_POLE - 0.01))
+    zero_wronskian(monkeypatch)
     with pytest.raises(NearPoleError):
-        ly.green_function(pr, xa, xa, pole)
+        ly.green_function(pr, xa, xa, FP20_POLE)
 
 
-def test_green_array_pole_entry_inf():
-    # array contract: the pole entry reads inf, the others stay finite
+def test_green_array_pole_entry_inf(monkeypatch):
+    # array contract: an entry whose Wronskian is exactly 0 reads inf, the
+    # others stay finite; the entry next to the pole is large and finite
     pr = fp_problem(20.0)
     xa = pr.stack.emitter.x_a
-    pole = (1.0412006217063068 - 0.004047325183637024j) * np.pi
-    om = np.array([pole - 0.01, pole, pole + 0.01j, 2.0 * np.pi])
+    om = np.array([FP20_POLE - 0.01, FP20_POLE, FP20_POLE + 0.01j, 2.0 * np.pi])
     g = ly.green_function(pr, xa, xa, om)
-    assert np.isinf(g[1])
-    assert np.all(np.isfinite(np.delete(g, 1)))
+    assert np.all(np.isfinite(g)) and abs(g[1]) > 1e9 * abs(g[0])
+    zero_wronskian(monkeypatch, at=np.arange(4) == 1)
+    zeroed = ly.green_function(pr, xa, xa, om)
+    assert np.isinf(zeroed[1])
+    assert np.array_equal(np.delete(zeroed, 1), np.delete(g, 1))
 
 
 # ---------------------------------------------------------------------------

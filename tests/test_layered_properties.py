@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from modecert import layered as ly, witness as wt
 from modecert.errors import NearPoleError
 
-from conftest import fp_problem
+from conftest import fp_problem, zero_wronskian
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -144,13 +144,20 @@ def test_green_matches_factor_matrix_reference(stack, w_re, w_im, s, data):
 
 
 @pytest.mark.parametrize("x", [0.005, 1.015], ids=["first_layer", "last_layer"])
-def test_green_pole_contract_emitter_in_end_layer(x):
+def test_green_pole_contract_emitter_in_end_layer(monkeypatch, x):
     # an emitter in the first or last layer leaves one march with a single
-    # step; the evaluator contract still holds at a pole
+    # step; the evaluator contract still holds: large and finite next to a
+    # pole, inf or NearPoleError where the Wronskian is exactly 0
     pr = fp_problem(20.0)
     pole = (1.0412006217063068 - 0.004047325183637024j) * np.pi
-    g = ly.green_function(pr, x, x, np.array([pole - 0.01, pole, pole + 0.01j]))
+    om = np.array([pole - 0.01, pole, pole + 0.01j])
+    g = ly.green_function(pr, x, x, om)
+    assert np.all(np.isfinite(g)) and abs(g[1]) > 1e9 * abs(g[0])
+    zero_wronskian(monkeypatch, at=np.arange(3) == 1)
+    g = ly.green_function(pr, x, x, om)
     assert np.isinf(g[1]) and np.all(np.isfinite(g[[0, 2]]))
+    monkeypatch.undo()
+    zero_wronskian(monkeypatch)
     with pytest.raises(NearPoleError):
         ly.green_function(pr, x, x, pole)
 
