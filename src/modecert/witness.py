@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 from .errors import AmbiguityError
 from .layered import WaveProblem, green_function
@@ -250,13 +250,16 @@ def zero_bracket(omega, values) -> tuple:
     return float(omega[i - 1]), float(omega[i])
 
 
-# Chebyshev-Lobatto nodes of the degree-8 interpolant on [-1, 1], and the
-# matrix that maps the values there to its coefficients, highest power first:
-# column j holds the Lagrange polynomial of node j.  Built and applied without
+# Chebyshev-Lobatto nodes of the degree-8 interpolant on [-1, 1], the
+# matrix that maps the values there to its coefficients, highest power first
+# (column j holds the Lagrange polynomial of node j), and the rows that map
+# them to its two highest Chebyshev coefficients.  Built and applied without
 # BLAS or LAPACK, whose first call costs about 0.6 MB of peak memory
 _LOBATTO = np.cos(np.pi * np.arange(9) / 8)
 _TO_POWERS = np.array([np.poly(np.delete(_LOBATTO, j)) / np.prod(x - np.delete(_LOBATTO, j))
                        for j, x in enumerate(_LOBATTO)]).T
+_TO_TAIL = np.array([np.cos(np.pi * k * np.arange(9) / 8) * np.r_[0.5, np.ones(7), 0.5]
+                     * (2.0 if k < 8 else 1.0) / 8 for k in (7, 8)])
 
 
 def find_zero_of_delta(curve: LevelShiftCurve, exact) -> float:
@@ -265,43 +268,33 @@ def find_zero_of_delta(curve: LevelShiftCurve, exact) -> float:
     The sign change is bracketed on the curve's own samples
     (:func:`zero_bracket`), so the window is sampled once for the
     certificate and for its zero.  ``exact`` (the complex witness of a
-    frequency array) is then called once, on the 9 Chebyshev-Lobatto nodes
-    of the bracketing cell, and the root is that of the degree-8 interpolant
-    of Delta there, found by a Newton iteration kept inside the bracket.
+    frequency or a frequency array) is then called once, on the 9
+    Chebyshev-Lobatto nodes of the bracketing cell, and the root is that of
+    the degree-8 interpolant of Delta there.  The root is kept when its error
+    estimate, the larger of the interpolant's two highest Chebyshev
+    coefficients over its slope at the root, is within 1e-10 of the window
+    width plus 4 eps relative, the larger term on narrow windows far from
+    omega = 0 (X-ray energies).  Otherwise, as when a pole closer to the
+    axis than the cell width leaves Delta a jump there, brentq polishes the
+    bracket on ``exact`` to that tolerance.
     """
     a, b = zero_bracket(curve.omega, curve.Delta)
     if a == b:
         return a
+    lo, hi = curve.window
+    eps = np.finfo(float).eps
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    coef = np.sum(_TO_POWERS * np.real(exact(mid + half * _LOBATTO)), axis=1).tolist()
-    return mid + half * _bracketed_root(coef)
-
-
-def _bracketed_root(coef) -> float:
-    """Root in [-1, 1] of the polynomial ``coef`` (highest power first).
-
-    Needs values of opposite sign at -1 and 1.  A Newton step that leaves
-    the bracket, which shrinks to the last iterates, is replaced by its
-    midpoint; the iteration stops once a step is below 1e-14.
-    """
-    lo, hi = -1.0, 1.0
-    lo_negative = np.polyval(coef, lo) < 0
-    x = 0.0
-    for _ in range(100):
-        p = dp = 0.0
-        for c in coef:   # Horner for p(x) and p'(x)
-            dp = dp * x + p
-            p = p * x + c
-        if (p < 0) == lo_negative:
-            lo = x
-        else:
-            hi = x
-        newton = dp != 0 and lo <= x - p / dp <= hi
-        x_new = x - p / dp if newton else 0.5 * (lo + hi)
-        if abs(x_new - x) < 1e-14:
-            return x_new
-        x = x_new
-    return x
+    values = np.real(exact(mid + half * _LOBATTO))
+    if values[0] * values[-1] < 0:   # the ends are a and b, evaluated anew
+        coef = np.sum(_TO_POWERS * values, axis=1)
+        t = brentq(lambda t: np.polyval(coef, t), -1.0, 1.0, xtol=1e-14)
+        tail = np.max(np.abs(np.sum(_TO_TAIL * values, axis=1)))
+        root = mid + half * t
+        if half * tail <= (1e-10 * (hi - lo) + 4 * eps * abs(root)) * abs(
+                np.polyval(np.polyder(coef), t)):
+            return float(root)
+    return float(brentq(lambda w: float(np.real(exact(w))), a, b,
+                        xtol=1e-10 * (hi - lo), rtol=4 * eps))
 
 
 # ---------------------------------------------------------------------------

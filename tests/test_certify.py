@@ -483,27 +483,50 @@ def test_xray_call_budget(monkeypatch, material_table):
 def test_one_newton_batch_per_search(monkeypatch, material_table, xray):
     # every Newton run of a search waits for one batch, none runs level by
     # level; only the children of a box whose run is rejected wait for a
-    # later one (on minimum 6, a W = -1 box whose zero sits next to a pole
-    # and a second zero)
+    # later one.  On minimum 6 that is one W = -1 box, whose zero sits next
+    # to a pole and a second zero: its children hold two zeros and a pole
     problem = cf.xray_problem(material_table, 6) if xray else fp_problem(4.0)
-    searches = []
-    find_poles, newton = qnm.find_poles, qnm._newton
+    searches = []   # per search, per batch: starts, windings, boxes it rejects
+    cutting = []    # the rejected-box list of the last batch, until it is sampled
+    find_poles, newton, split, moments = (qnm.find_poles, qnm._newton, qnm._split,
+                                          qnm._resolved_moments)
 
     def searched(*args, **kwargs):
         searches.append([])
         return find_poles(*args, **kwargs)
 
-    def batch(f, starts, *args):
-        searches[-1].append(len(starts))
-        return newton(f, starts, *args)
+    def batch(f, starts, scales, windings=1):
+        searches[-1].append((list(starts), list(np.broadcast_to(windings, len(starts))), []))
+        cutting[:] = [searches[-1][-1][2]]
+        return newton(f, starts, scales, windings)
+
+    def cut(box):
+        # the boxes cut between a batch and the next moments call are the
+        # ones whose runs it rejected
+        for rejected in cutting:
+            rejected.append(box)
+        return split(box)
+
+    def sampled(f, boxes):
+        cutting.clear()
+        return moments(f, boxes)
 
     monkeypatch.setattr(qnm, "find_poles", searched)
     monkeypatch.setattr(qnm, "_newton", batch)
+    monkeypatch.setattr(qnm, "_split", cut)
+    monkeypatch.setattr(qnm, "_resolved_moments", sampled)
     rep = cf.classify(problem)
     assert searches and rep.n_poles_region >= 2
-    for runs in searches:
-        assert runs[0] > sum(runs[1:])
-    assert xray or all(len(runs) == 1 for runs in searches)
+    if not xray:
+        assert all(len(runs) == 1 and len(runs[0][0]) >= 1 for runs in searches)
+        return
+    [[(starts, windings, [rejected]), (later, later_windings, [])]] = searches
+    assert (len(starts), windings.count(-1)) == (21, 10)
+    # the one rejected run is a W = -1 one, and the later batch, which
+    # rejects none, holds only starts in its box
+    assert [w for z, w in zip(starts, windings) if qnm._inside(z, rejected)] == [-1]
+    assert sorted(later_windings) == [-1, -1, 1]
+    assert all(qnm._inside(z, rejected) for z in later)
 
 
 @pytest.mark.parametrize("problem", [
