@@ -70,8 +70,8 @@ class ExceptionalPointError(ModeCertError):
 class AccuracyError(ModeCertError):
     """A quadrature error estimate exceeded the requested tolerance.
 
-    Payload of a residue ring: ``pole``, the found pole, its full ring
-    ``radius``, and the doubling ``error`` on the ring of half that radius.
+    Payload of a residue ring: ``pole``, the found pole, its ring ``radius``
+    and doubling ``error``; an unfound singularity lies within ~1.3 radii.
     """
 
 

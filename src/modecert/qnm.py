@@ -2,9 +2,10 @@
 
 Poles of the witness observable (equivalently of the Green's function) are
 searched for in a scan region [omega_lo, omega_hi] x [-depth, 0]: passive
-poles lie below the real axis, and the witness is analytic across it.  They
-are located by recursive rectangle subdivision driven by the argument
-principle applied to h = 1/f, and polished by Newton iteration on h.
+poles lie below the real axis (a constant complex index is a gain medium at
+Re omega < 0, with poles above the axis that are not sought).  They are
+located by recursive rectangle subdivision driven by the argument principle
+applied to h = 1/f, and polished by Newton iteration on h.
 Winding numbers alone cannot certify a box: a pole of f and a zero of f in
 the same box cancel in the count.  Every boundary pass therefore also
 computes the first two moments of the singularity distribution (Delves &
@@ -42,7 +43,10 @@ Residues are evaluated by the trapezoid rule on a circle around each pole,
 which is exponentially convergent for meromorphic integrands and exact for
 the pole's own 1/(z - z0) part; one 2M-point ring gives the M- and 2M-point
 sums, whose difference is the error estimate.  An expansion evaluates all
-its residue rings in one call.
+its residue rings in one call.  A ring's radius is 0.45 of its pole's
+distance to every other pole and every region edge, the real axis included,
+so a ring failing its doubling test has an unfound singularity within about
+1.3 radii of its pole.
 
 A conjugate-symmetric evaluator, f(-z*) = -f(z)* (the witness at normal
 incidence with constant real indices), has a partner pole -p* with residue
@@ -511,10 +515,9 @@ def build_expansion(f, region: ScanRegion, mirror: bool = False) -> PoleExpansio
     ``f`` maps complex arrays to complex arrays, as :func:`find_poles`
     requires; the witness of a problem is
     ``functools.partial(modecert.witness.levshift_exact, problem)``.
-    Locates the poles of ``f`` and computes residues by contour integration
-    with radii that keep clear of neighboring poles and of the region's side
-    and bottom edges (the witness is analytic across the real axis, so
-    circles may cross the top edge).
+    Locates the poles of ``f`` and computes their residues, one ring per
+    found pole in one call (radii as in the module notes); a ring failing
+    its doubling test raises ``AccuracyError``.
 
     ``mirror`` asserts f(-z*) = -f(z)*.  Then only the part of the region
     right of a strip Re z >= -a (a = ``_STRIP_REL`` widths) is searched,
@@ -540,24 +543,18 @@ def build_expansion(f, region: ScanRegion, mirror: bool = False) -> PoleExpansio
     for k, (z, i, _) in enumerate(members):
         dists = [abs(z - w) for j, (w, _, _) in enumerate(members) if j != k]
         d_edges = [z.real - region.omega_lo, region.omega_hi - z.real,
-                   z.imag + region.depth]
-        radii.setdefault(i, min(0.45 * min(dists + [2.0 * min(d_edges)]),
-                                0.25 * region.width))
-    rings = {}   # (residue, doubling error) per ringed found pole, on its last ring
-    todo = list(radii)
-    # a singularity just below the region can spoil a ring: those rings are
-    # retried at half the radius, all in one more call
-    for shrink in (1.0, 0.5):
-        if not todo:
-            break
-        rings.update(zip(todo, _ring_residues(f, [found[i].omega_pole for i in todo],
-                                              [shrink * radii[i] for i in todo], _RESIDUE_SAMPLES)))
-        todo = [i for i in todo if not _accurate(*rings[i], _RESIDUE_TOL)]
-    if todo:
-        i = todo[0]
-        raise AccuracyError(f"residue error estimate above tolerance at {found[i].omega_pole}, "
-                            "even at half the ring radius",
-                            pole=found[i].omega_pole, radius=radii[i], error=rings[i][1])
+                   z.imag + region.depth, -z.imag]
+        radii.setdefault(i, 0.45 * min(dists + d_edges))
+    rings = {}   # (residue, doubling error) per ringed found pole
+    if radii:
+        rings = dict(zip(radii, _ring_residues(f, [found[i].omega_pole for i in radii],
+                                               list(radii.values()), _RESIDUE_SAMPLES)))
+    for i, (res, err) in rings.items():
+        if not _accurate(res, err, _RESIDUE_TOL):
+            raise AccuracyError(f"residue error estimate above tolerance at {found[i].omega_pole}: "
+                                "a singularity the search did not find lies within about "
+                                "1.3 ring radii of it, inside the searched region",
+                                pole=found[i].omega_pole, radius=radii[i], error=err)
     return PoleExpansion(poles=tuple(
         Pole(z, rings[i][0].conjugate() if conj else rings[i][0], found[i].residual)
         for z, i, conj in members), region=region)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from modecert import certify as cf, layered as ly, qnm, witness as wt
 from modecert.errors import (
@@ -601,16 +601,19 @@ def test_residue_one_evaluator_call():
 
 
 def test_residue_accuracy_error(monkeypatch):
-    # the search is made to miss two poles of f, one just outside each ring
-    # around the pole it returns (radius 0.9, then 0.45): neither ring meets
-    # the doubling tolerance
+    # the search is made to miss a pole of f inside the one ring (radius
+    # 0.45 of the distance 1 to the top and bottom edges) around the pole it
+    # returns: the ring fails the doubling tolerance, and the error names
+    # that ring
     z0 = 5 - 1j
-    f = lambda z: 1.0 / (z - z0) + 1.0 / (z - (z0 + 0.905)) + 1.0 / (z - (z0 - 0.455))
+    f = lambda z: 1.0 / (z - z0) + 1.0 / (z - (z0 + 0.4))
     monkeypatch.setattr(qnm, "find_poles", lambda f, region: [qnm.Pole(z0)])
-    with pytest.raises(AccuracyError, match="even at half the ring radius") as info:
+    with pytest.raises(AccuracyError, match="within about 1.3 ring radii of it, inside "
+                                            "the searched region") as info:
         qnm.build_expansion(f, REGION)
     [(_, err)] = qnm._ring_residues(f, [z0], [0.45], qnm._RESIDUE_SAMPLES)
-    assert vars(info.value) == {"pole": z0, "radius": pytest.approx(0.9),
+    assert err > qnm._RESIDUE_TOL
+    assert vars(info.value) == {"pole": z0, "radius": pytest.approx(0.45),
                                 "error": pytest.approx(err)}
 
 
@@ -632,9 +635,9 @@ def test_expansion_single_mode_synthetic():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_expansion_residue_clear_of_pole_below_region():
-    # the far pole sits 0.05 below the bottom edge; the first ring radius
-    # (0.9 of the distance to that edge) passes close to it.  Newton lands
-    # exactly on the near pole, where the test lambda divides by zero
+    # the far pole sits 0.05 below the bottom edge, 2.3 ring radii (0.45 of
+    # the distance to that edge) from the near pole.  Newton lands exactly
+    # on the near pole, where the test lambda divides by zero
     f = lambda z: 1.0 / (z - (5 - 1j)) + 1.0 / (z - (5 - 2.05j))
     exp = qnm.build_expansion(f, REGION)
     assert len(exp.poles) == 1
@@ -642,11 +645,25 @@ def test_expansion_residue_clear_of_pole_below_region():
     assert abs(exp.poles[0].residue - 1.0) < 1e-10
 
 
+def _spy_rings(monkeypatch):
+    """The calls of ``qnm._ring_residues``, as one list of centres each."""
+    calls = []
+    ring_residues = qnm._ring_residues
+
+    def spy(f, centres, radii, samples):
+        calls.append(list(centres))
+        return ring_residues(f, centres, radii, samples)
+
+    monkeypatch.setattr(qnm, "_ring_residues", spy)
+    return calls
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_expansion_residue_rings_share_calls():
-    # three poles in the region: all rings go in one call, and the ring of the
-    # pole above the one just below the region is retried in one more call
+def test_expansion_residue_rings_share_calls(monkeypatch):
+    # three poles in the region and one just below it: the three rings go in
+    # one evaluator call of 3 rings of 2M points, and none is retried
     sizes = []
+    calls = _spy_rings(monkeypatch)
 
     def f(z):
         sizes.append(np.size(z))
@@ -654,9 +671,56 @@ def test_expansion_residue_rings_share_calls():
 
     exp = qnm.build_expansion(f, REGION)
     assert len(exp.poles) == 3
-    assert sizes[-2:] == [3 * 2 * qnm._RESIDUE_SAMPLES, 2 * qnm._RESIDUE_SAMPLES]
+    assert len(calls) == 1 and sizes[-1] == 3 * 2 * qnm._RESIDUE_SAMPLES
     for p in exp.poles:
         assert abs(p.residue - 1.0) < 1e-10
+
+
+@st.composite
+def poles_beyond_edges(draw):
+    """A rational instance with 1-2 more poles just outside REGION.
+
+    (poles, residues) of ``conftest.rational_instance`` inside REGION and of
+    the outer poles, each 0.02-0.3 above the top edge or below the bottom
+    edge.
+    """
+    _, zs, rs = rational_instance(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    n = draw(st.integers(1, 2))
+    outer = []
+    for _ in range(n):
+        gap = draw(st.floats(0.02, 0.3))
+        im = gap if draw(st.booleans()) else -REGION.depth - gap
+        outer.append(complex(draw(st.floats(0.0, 10.0)), im))
+    return zs, rs, np.array(outer), np.array(draw(st.lists(_RESIDUE, min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(poles_beyond_edges())
+# a constant complex index has poles above the real axis at Re z < 0, which
+# the search does not seek.  Here one sits 0.1 from the found pole: a ring
+# that crossed the axis enclosed both and read their summed residue 2 with a
+# passing doubling test
+@example((np.array([5 - 0.05j]), np.array([1.0]), np.array([5.1 + 0.05j]), np.array([1.0])))
+def test_expansion_residues_exact_beside_outer_poles(instance):
+    # poles of f just outside the region, above the axis or below the bottom
+    # edge, cannot spoil a ring: the region's residues are exact, from one
+    # ring call
+    zs, rs, outer, outer_rs = instance
+    poles, residues = np.concatenate([zs, outer]), np.concatenate([rs, outer_rs])
+
+    def f(z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sum(residues / (z[..., None] - poles), axis=-1)
+
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_rings(mp)
+        exp = qnm.build_expansion(f, REGION)
+    got = sorted(exp.poles, key=lambda p: (p.omega_pole.real, p.omega_pole.imag))
+    want = sorted(zip(zs, rs), key=lambda t: (t[0].real, t[0].imag))
+    assert len(calls) == 1 and len(got) == len(want)
+    for p, (z, r) in zip(got, want):
+        assert abs(p.omega_pole - z) < 1e-10
+        assert abs(p.residue - r) < 1e-10 * max(1.0, abs(r))
 
 
 def test_expansion_oracle_pairs():
