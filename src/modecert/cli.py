@@ -13,8 +13,10 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import repeat, tee, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -260,68 +262,136 @@ def _problem_from_scenario(scn: Scenario) -> WaveProblem:
 # ---------------------------------------------------------------------------
 
 class _Artifacts:
-    """Serialized writer for the output directory plus the content manifest."""
+    """Serialized writer for the output directory plus the content manifest.
+
+    A file's text is a string or an iterable of string chunks; each chunk is
+    encoded once and the same bytes go to the file and to its sha256, so the
+    manifest hashes exactly the bytes on disk.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.entries = []
 
-    def write(self, name: str, text: str, role: str) -> Path:
-        path = self.out_dir / name
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.entries.append({"path": name, "sha256": digest, "role": role})
-        return path
+    def write(self, name: str, text, role: str):
+        self.write_together([(name, text, role)])
+
+    def write_together(self, files):
+        """Write ``(name, text, role)`` files in lockstep: chunk i of each, then chunk i + 1.
+
+        Tables that share a column's text blocks (``itertools.tee``) hold one
+        block of it at a time.
+        """
+        sinks = []
+        with ExitStack() as stack:
+            for name, _, _ in files:
+                sinks.append((stack.enter_context(open(self.out_dir / name, "wb")),
+                              hashlib.sha256()))
+            for chunks in zip_longest(*((text,) if isinstance(text, str) else text
+                                        for _, text, _ in files), fillvalue=""):
+                for (fh, digest), chunk in zip(sinks, chunks):
+                    data = chunk.encode("utf-8")
+                    fh.write(data)
+                    digest.update(data)
+        self.entries += [{"path": name, "sha256": digest.hexdigest(), "role": role}
+                         for (name, _, role), (_, digest) in zip(files, sinks)]
 
     def finish(self) -> Path:
         manifest = json.dumps(sorted(self.entries, key=lambda e: e["path"]),
                               indent=2, sort_keys=True)
         path = self.out_dir / "manifest.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(manifest)
+        path.write_bytes(manifest.encode("utf-8"))
         return path
 
 
-def _float_table(header: str, rows, tag: str | None = None) -> str:
-    """CSV text: the header line, then one line per row of a float table.
+# Every number of an artifact is the ``repr`` of a Python float (``tolist``
+# turns numpy scalars into plain floats), formatted once per artifact set.
+# Tables are formatted and written ``_BLOCK_ROWS`` rows at a time, so no
+# whole column of a long table is held as text.
+_BLOCK_ROWS = 64
 
-    Every value is written as the ``repr`` of a Python float (``tolist``
-    turns numpy scalars into plain floats); ``tag``, when given, ends each
-    row as a constant text field.  Lines end in ``\n``.
+
+def _texts(values) -> list:
+    """The ``repr`` of each value, read as a Python float."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _blocks(values):
+    """The texts of a float column, ``_BLOCK_ROWS`` values at a time."""
+    values = np.asarray(values, dtype=float)
+    for start in range(0, values.size, _BLOCK_ROWS):
+        yield _texts(values[start:start + _BLOCK_ROWS])
+
+
+def _text_blocks(texts: list):
+    """An already formatted column, cut into the blocks of :func:`_blocks`."""
+    return (texts[start:start + _BLOCK_ROWS] for start in range(0, len(texts), _BLOCK_ROWS))
+
+
+def _float_table(header: str, columns, tag: str | None = None):
+    """CSV chunks: the header line, then one chunk per block of rows.
+
+    ``columns`` holds each column's text blocks (:func:`_blocks` or
+    :func:`_text_blocks`); ``tag``, when given, ends each row as a constant
+    text field.  Lines end in ``\n``.
     """
-    end = ("" if tag is None else "," + tag) + "\n"
-    return header + "\n" + "".join(",".join(map(repr, row.tolist())) + end
-                                   for row in np.asarray(rows, dtype=float))
+    yield header + "\n"
+    tags = () if tag is None else (repeat(tag),)
+    for block in zip(*columns):
+        yield "\n".join(map(",".join, zip(*block, *tags))) + "\n"
 
 
-def _spectrum_csv(omega, r) -> str:
-    """``omega,r_re,r_im,reflectance`` rows of a reflection spectrum."""
+def _spectrum_csv(omega, r):
+    """``omega,r_re,r_im,reflectance`` chunks of a spectrum; ``omega`` holds text blocks."""
     r = np.asarray(r, dtype=complex)
     # the expression classify locates omega_min with
     return _float_table("omega,r_re,r_im,reflectance",
-                        np.column_stack([omega, r.real, r.imag, np.abs(r) ** 2]))
+                        [omega, _blocks(r.real), _blocks(r.imag), _blocks(np.abs(r) ** 2)])
 
 
-def _curve_csv(curve: LevelShiftCurve) -> str:
-    """``omega,delta_re,delta_im,provenance`` rows of a witness curve."""
-    return _float_table("omega,delta_re,delta_im,provenance",
-                        np.column_stack([curve.omega, curve.delta.real, curve.delta.imag]),
-                        tag=curve.provenance)
+def _curve_csv(omega, delta_re, delta_im, provenance: str):
+    """``omega,delta_re,delta_im,provenance`` chunks of a witness curve's text blocks."""
+    return _float_table("omega,delta_re,delta_im,provenance", [omega, delta_re, delta_im],
+                        tag=provenance)
+
+
+def _json_numbers(texts: list) -> str:
+    """A JSON array's items from float texts, spelling non-finite values as ``json.dumps`` does."""
+    # no finite float's repr holds "nan" or "inf"
+    return ", ".join(texts).replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _write_curve(art: _Artifacts, curve: LevelShiftCurve) -> list:
+    """Write ``levelshift.csv`` and ``levelshift.json`` from one formatting of the curve.
+
+    The JSON is ``json.dumps`` of ``{window, provenance, omega, delta_re,
+    delta_im}`` to the byte.  Returns the omega texts.
+    """
+    columns = {"omega": _texts(curve.omega), "delta_re": _texts(curve.delta.real),
+               "delta_im": _texts(curve.delta.imag)}
+    art.write("levelshift.csv", _curve_csv(*map(_text_blocks, columns.values()),
+                                           curve.provenance), "curve")
+    art.write("levelshift.json", [
+        f'{{"window": {json.dumps(list(curve.window))}, '
+        f'"provenance": {json.dumps(curve.provenance)}',
+        *(f', "{key}": [{_json_numbers(texts)}]' for key, texts in columns.items()),
+        "}\n"], "curve")
+    return columns["omega"]
 
 
 def _run_classify(scn: Scenario, art: _Artifacts) -> int:
     problem = _problem_from_scenario(scn)
     report = classify(problem, scn.make_region(), scn.make_thresholds())
     if scn.kind == "xray":
-        art.write("nuclear_spectrum.csv", _spectrum_csv(
-            *nuclear_spectrum(problem, scn.sections["xray"]["spectrum_halfwidth"])), "spectrum")
+        omega, r = nuclear_spectrum(problem, scn.sections["xray"]["spectrum_halfwidth"])
+        art.write("nuclear_spectrum.csv", _spectrum_csv(_blocks(omega), r), "spectrum")
     else:
-        # the samples the certificate was checked on
-        art.write("levelshift.csv", _curve_csv(report.curve), "curve")
-        art.write("levelshift.json", report.curve.to_json() + "\n", "curve")
-        art.write("reflectance.csv", _spectrum_csv(*report.reflectance), "curve")
+        # the samples the certificate was checked on; the reflectance is read
+        # on the curve's grid, so its omega column is the curve's
+        omega = _write_curve(art, report.curve)
+        art.write("reflectance.csv", _spectrum_csv(_text_blocks(omega), report.reflectance[1]),
+                  "curve")
     art.write("report.json", report.to_json() + "\n", "report")
     art.write("report.txt", report.to_text() + "\n", "report")
     return 0
@@ -356,10 +426,10 @@ def _run_poles(scn: Scenario, art: _Artifacts) -> int:
     check_region(problem, region)
     expansion = build_expansion(partial(levshift_exact, problem), region,
                                 mirror=problem.conjugate_symmetric)
-    art.write("poles.csv", _float_table(
-        "re,im,res_re,res_im,residual",
-        [[p.omega_pole.real, p.omega_pole.imag, p.residue.real, p.residue.imag, p.residual]
-         for p in expansion.poles]), "poles")
+    table = np.array([[p.omega_pole.real, p.omega_pole.imag, p.residue.real, p.residue.imag,
+                       p.residual] for p in expansion.poles], dtype=float).reshape(-1, 5)
+    art.write("poles.csv", _float_table("re,im,res_re,res_im,residual", map(_blocks, table.T)),
+              "poles")
     art.write("expansion.json",
               json.dumps(expansion.to_dict(), indent=2, sort_keys=True) + "\n",
               "poles")
@@ -373,9 +443,14 @@ def _run_spectrum(scn: Scenario, art: _Artifacts) -> int:
         omega_a = problem.emitter.omega_a
         window = (0.25 * omega_a, 3.25 * omega_a)
     curve = levshift_curve(problem, window, n=n_points)
-    art.write("reflectance.csv", _spectrum_csv(curve.omega, reflection(problem, curve.omega)),
-              "curve")
-    art.write("levelshift.csv", _curve_csv(curve), "curve")
+    r = reflection(problem, curve.omega)
+    # both tables formatted and written block by block in lockstep, so the
+    # shared omega text is held one block at a time
+    omega = tee(_blocks(curve.omega))
+    art.write_together([
+        ("reflectance.csv", _spectrum_csv(omega[0], r), "curve"),
+        ("levelshift.csv", _curve_csv(omega[1], _blocks(curve.delta.real),
+                                      _blocks(curve.delta.imag), curve.provenance), "curve")])
     return 0
 
 

@@ -19,7 +19,6 @@ curves directly comparable across scenarios in units of gamma.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,15 +143,6 @@ class LevelShiftCurve:
 
     def __len__(self):
         return self.omega.size
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "window": list(self.window),
-            "provenance": self.provenance,
-            "omega": self.omega.tolist(),
-            "delta_re": self.delta.real.tolist(),
-            "delta_im": self.delta.imag.tolist(),
-        })
 
 
 def _local_grid(omega, x):

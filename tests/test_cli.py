@@ -264,10 +264,141 @@ def test_run_classify_writes_the_window_scan(tmp_path, monkeypatch):
 
 
 def test_float_table_format():
-    text = cli._float_table("a,b", np.array([[np.float64(0.1), 1.0], [2.5, -0.0]]),
-                            tag="t")
-    assert text == "a,b\n0.1,1.0,t\n2.5,-0.0,t\n"
-    assert cli._float_table("a", []) == "a\n"
+    columns = [cli._blocks(np.array([np.float64(0.1), 2.5])), cli._blocks([1.0, -0.0])]
+    assert "".join(cli._float_table("a,b", columns, tag="t")) == "a,b\n0.1,1.0,t\n2.5,-0.0,t\n"
+    assert "".join(cli._float_table("a", [cli._blocks([])])) == "a\n"
+
+
+# ---------------------------------------------------------------------------
+# artifact bytes against the row-by-row writer
+# ---------------------------------------------------------------------------
+
+def _oracle_table(header, rows, tag=None):
+    """A float table written row by row, the ``repr`` of each value."""
+    end = ("" if tag is None else "," + tag) + "\n"
+    return header + "\n" + "".join(",".join(map(repr, row.tolist())) + end
+                                   for row in np.asarray(rows, dtype=float))
+
+
+def _oracle_spectrum(omega, r):
+    return _oracle_table("omega,r_re,r_im,reflectance",
+                         np.column_stack([omega, r.real, r.imag, np.abs(r) ** 2]))
+
+
+def _oracle_curve_csv(curve):
+    return _oracle_table("omega,delta_re,delta_im,provenance",
+                         np.column_stack([curve.omega, curve.delta.real, curve.delta.imag]),
+                         tag=curve.provenance)
+
+
+def _oracle_curve_json(curve):
+    return json.dumps({"window": list(curve.window), "provenance": curve.provenance,
+                       "omega": curve.omega.tolist(), "delta_re": curve.delta.real.tolist(),
+                       "delta_im": curve.delta.imag.tolist()}) + "\n"
+
+
+def _assert_manifest_hashes(out):
+    """The manifest lists every written file once, with the sha256 of its bytes on disk."""
+    entries = _manifest(out)
+    assert sorted(e["path"] for e in entries) == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
+    for e in entries:
+        assert hashlib.sha256((out / e["path"]).read_bytes()).hexdigest() == e["sha256"]
+
+
+def _spy(monkeypatch, module, name, seen):
+    """Replace ``module.name`` by a wrapper appending each result to ``seen``."""
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        seen.append(fn(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
+                                  3 * cli._BLOCK_ROWS + 5])
+def test_float_table_matches_row_writer(rows):
+    table = np.random.default_rng(rows).normal(size=(rows, 3)) * 10.0 ** np.arange(-8, 10, 6)
+    for tag in (None, "t"):
+        text = "".join(cli._float_table("a,b,c", map(cli._blocks, table.T), tag=tag))
+        assert text == _oracle_table("a,b,c", table, tag=tag)
+
+
+@pytest.mark.parametrize("scenario", ["fabry_perot", "lossy", "xray"])
+def test_classify_artifacts_match_row_writer(tmp_path, monkeypatch, scenario):
+    scn = {"fabry_perot": cli.parse_scenario(MINIMAL_FP), "lossy": _lossy_scenario(8.0, 0.5),
+           "xray": cli.parse_scenario({"version": 1, "kind": "xray"})}[scenario]
+    reports, spectra, formatted = [], [], []
+    _spy(monkeypatch, cli, "classify", reports)
+    _spy(monkeypatch, cli, "nuclear_spectrum", spectra)
+    _spy(monkeypatch, cli, "_texts", formatted)
+    assert cli.run(scn, command="classify", out_dir=tmp_path) == 0
+    report, = reports
+    expected = {"scenario.json": scn.to_json() + "\n", "report.json": report.to_json() + "\n",
+                "report.txt": report.to_text() + "\n"}
+    if scenario == "xray":
+        expected["nuclear_spectrum.csv"] = _oracle_spectrum(*spectra[0])
+    else:
+        expected["levelshift.csv"] = _oracle_curve_csv(report.curve)
+        expected["levelshift.json"] = _oracle_curve_json(report.curve)
+        expected["reflectance.csv"] = _oracle_spectrum(*report.reflectance)
+        # each number once: the curve's three columns, then the reflectance's other three
+        assert sum(map(len, formatted)) == 6 * len(report.curve)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "manifest.json"} \
+        == {name: text.encode() for name, text in expected.items()}
+    _assert_manifest_hashes(tmp_path)
+
+
+@pytest.mark.parametrize("n_points", [cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+def test_spectrum_artifacts_match_row_writer(tmp_path, monkeypatch, n_points):
+    curves, spectra = [], []
+    _spy(monkeypatch, cli, "levshift_curve", curves)
+    _spy(monkeypatch, cli, "reflection", spectra)
+    scn = cli.parse_scenario({**MINIMAL_FP, "scan": {"n_points": n_points}})
+    assert cli.run(scn, command="spectrum", out_dir=tmp_path) == 0
+    curve, = curves
+    assert len(curve) == n_points
+    assert (tmp_path / "levelshift.csv").read_bytes() == _oracle_curve_csv(curve).encode()
+    assert ((tmp_path / "reflectance.csv").read_bytes()
+            == _oracle_spectrum(curve.omega, spectra[0]).encode())
+    _assert_manifest_hashes(tmp_path)
+
+
+@pytest.mark.parametrize("region,n_poles", [((0.6 * np.pi, 1.5 * np.pi, 0.3), 1),
+                                            ((0.2 * np.pi, 0.6 * np.pi, 0.3), 0)])
+def test_poles_artifacts_match_row_writer(tmp_path, monkeypatch, region, n_poles):
+    expansions = []
+    _spy(monkeypatch, cli, "build_expansion", expansions)
+    scn = cli.parse_scenario({**MINIMAL_FP, "region": dict(zip(("omega_lo", "omega_hi", "depth"),
+                                                               region))})
+    assert cli.run(scn, command="poles", out_dir=tmp_path) == 0
+    expansion, = expansions
+    assert len(expansion.poles) == n_poles
+    table = [[p.omega_pole.real, p.omega_pole.imag, p.residue.real, p.residue.imag, p.residual]
+             for p in expansion.poles]
+    assert (tmp_path / "poles.csv").read_bytes() == _oracle_table(
+        "re,im,res_re,res_im,residual", table).encode()
+    assert (tmp_path / "expansion.json").read_bytes() == (
+        json.dumps(expansion.to_dict(), indent=2, sort_keys=True) + "\n").encode()
+    _assert_manifest_hashes(tmp_path)
+
+
+def test_curve_artifacts_spell_non_finite_values(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    delta = np.array([complex(nan, -inf), complex(inf, 0.0), complex(-0.0, nan),
+                      complex(-inf, 0.5)])
+    curve = witness.LevelShiftCurve(np.arange(4.0), delta, "made-up", (0.0, 3.0))
+    assert cli._write_curve(cli._Artifacts(tmp_path), curve) == ["0.0", "1.0", "2.0", "3.0"]
+    csv_text = (tmp_path / "levelshift.csv").read_text()
+    json_text = (tmp_path / "levelshift.json").read_text()
+    assert csv_text == _oracle_curve_csv(curve)
+    assert csv_text.splitlines()[1:] == ["0.0,nan,-inf,made-up", "1.0,inf,0.0,made-up",
+                                         "2.0,-0.0,nan,made-up", "3.0,-inf,0.5,made-up"]
+    assert json_text == _oracle_curve_json(curve)
+    assert '"delta_re": [NaN, Infinity, -0.0, -Infinity]' in json_text
+    assert '"delta_im": [-Infinity, 0.0, NaN, 0.5]' in json_text
 
 
 def test_run_classify_custom_stack_at_oblique_incidence(tmp_path, monkeypatch):
@@ -983,9 +1114,4 @@ def test_shipped_scenario_runs(tmp_path, scenario, command):
     out = tmp_path / "out"
     code = cli.main(["--scenario", str(ROOT / scenario), "--out", str(out), command])
     assert code == 0
-    entries = _manifest(out)
-    # each written file listed once
-    assert sorted(e["path"] for e in entries) == sorted(
-        p.name for p in out.iterdir() if p.name != "manifest.json")
-    for e in entries:
-        assert hashlib.sha256((out / e["path"]).read_bytes()).hexdigest() == e["sha256"]
+    _assert_manifest_hashes(out)
