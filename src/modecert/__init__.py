@@ -30,7 +30,6 @@ from .layered import (
     green_function,
     load_material_table,
     reflection,
-    transfer_matrix,
 )
 
 __all__ = [
@@ -39,7 +38,7 @@ __all__ = [
     "RegionTooSmallError", "ThicknessOverflowError", "UnresolvedRegionError",
     "EmitterSpec", "LayerStack", "Material", "VACUUM", "WaveProblem",
     "build_fabry_perot", "build_xray_cavity", "green_function",
-    "load_material_table", "reflection", "transfer_matrix",
+    "load_material_table", "reflection",
 ]
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """1D layered dielectric structures and the scalar Helmholtz problem.
 
 Solves piece-wise constant index profiles at real and complex frequency:
-transfer matrices, reflection amplitudes, internal fields and the outgoing
-Green's function G(x, x', omega).
+reflection amplitudes, internal fields and the outgoing Green's function
+G(x, x', omega).
 
 Conventions
 -----------
@@ -28,8 +28,8 @@ Conventions
   ``reflectance_vs_angle`` march to the left cladding and read r = B_0/A_0;
   ``green_function`` marches to the medium of x_< and takes its left-outgoing
   solution as the right-outgoing one of the mirrored stack with A and B
-  swapped, marched to the same medium.  ``transfer_matrix`` with
-  ``interface_matrix`` and ``propagation_matrix`` is the scalar reference.
+  swapped, marched to the same medium.  A call forms each distinct k_z,
+  interface factor and layer phase once, held until its last use (:func:`_plan`).
 * Evaluator contract: where the Wronskian is exactly 0, ``green_function``
   returns inf at those entries of an array omega and raises NearPoleError
   for a scalar omega.  There is no floor: next to a pole G is large and
@@ -43,7 +43,7 @@ import bisect
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,20 +185,30 @@ class LayerStack:
 
     # constants of the kernel, computed on first use
     @functools.cached_property
-    def _thicknesses(self) -> np.ndarray:
-        return np.array([d for _, d in self.layers])
-
-    @functools.cached_property
     def _bounds(self) -> tuple:
         return tuple(self.boundaries.tolist())
 
     @functools.cached_property
+    def _rows(self) -> tuple:
+        """Each medium's row: media whose optics have one repr (-0.0 is not 0.0) share one."""
+        row = {}
+        return tuple(row.setdefault(repr(astuple(m)[1:]), len(row)) for m in self.media())
+
+    @functools.cached_property
+    def _distinct(self) -> tuple:   # the first medium of each row
+        return tuple(self.media()[self._rows.index(r)] for r in range(max(self._rows) + 1))
+
+    @functools.cached_property
+    def _depth(self) -> np.ndarray:   # summed layer thickness of each distinct medium
+        return np.bincount(self._rows[1:-1], [d for _, d in self.layers], len(self._distinct))
+
+    _plans = functools.cached_property(lambda self: {})   # see _plan
+
+    @functools.cached_property
     def _n_const(self):
-        """Index of every medium when none of them disperses, else None."""
-        media = self.media()
-        if any(m.n_const is None for m in media):
-            return None
-        return np.array([m.n_const for m in media])
+        """Index of every distinct medium when none of them disperses, else None."""
+        n = [m.n_const for m in self._distinct]
+        return None if None in n else np.array(n)
 
 
 @dataclass(frozen=True)
@@ -232,23 +242,18 @@ class WaveProblem:
 
 
 # ---------------------------------------------------------------------------
-# wavenumbers and elementary matrices
+# wavenumbers and the factors of the march
 # ---------------------------------------------------------------------------
 
-def _check_omega(omega):
+def _wavenumbers(problem: WaveProblem, omega):
+    """k_z of each distinct medium (``LayerStack._distinct``), stacked along a first axis.
+
+    Row r holds distinct medium r at the shape of ``omega`` broadcast against
+    k_par.  The exponent guard bounds the sum of |Im k_z| times ``_depth``.
+    """
     w = np.asarray(omega, dtype=complex)
     if np.any(w == 0):
         raise DomainError("zero frequency is outside the Helmholtz domain")
-    return w
-
-
-def _wavenumbers(problem: WaveProblem, omega):
-    """k_z of every medium (claddings included), stacked along a first axis.
-
-    Row j holds medium j at the shape of ``omega`` broadcast against k_par.
-    The exponent guard runs here, once over the sum of all finite layers.
-    """
-    w = _check_omega(omega)
     kp = problem.k_par
     normal = not np.any(kp)
     if not normal and np.ndim(kp):
@@ -256,11 +261,11 @@ def _wavenumbers(problem: WaveProblem, omega):
     stack = problem.stack
     n = stack._n_const
     if n is None:
-        n = np.array([np.broadcast_to(m.index(w), w.shape) for m in stack.media()])
+        n = np.array([np.broadcast_to(m.index(w), w.shape) for m in stack._distinct])
     else:
         n = n.reshape((-1,) + (1,) * w.ndim)
     if normal:
-        ks = n * w  # entire in omega, no branch cut
+        kz = n * w  # entire in omega, no branch cut
     else:
         nw2 = n * n * w * w
         kz2 = nw2 - kp * kp
@@ -270,93 +275,83 @@ def _wavenumbers(problem: WaveProblem, omega):
         floor *= 1e-14
         near = np.abs(kz2) < floor
         if np.any(near):
-            j = int(np.argmax(near.reshape(len(near), -1).any(axis=1)))
+            r = int(np.argmax(near.reshape(len(near), -1).any(axis=1)))
             raise BranchPointError(
-                f"k_z = 0 in medium {stack.media()[j].name!r}: branch point", omega=omega)
-        ks = np.sqrt(kz2, out=kz2)
-    _check_exponent(ks[1:-1], stack._thicknesses.reshape((-1,) + (1,) * (ks.ndim - 1)))
-    return ks
-
-
-def interface_matrix(k_a, k_b) -> np.ndarray:
-    """2x2 matrix mapping (A, B) just right of an interface to just left.
-
-    Continuity of the field and its derivative gives
-    I = 1/(2 k_a) [[k_a + k_b, k_a - k_b], [k_a - k_b, k_a + k_b]];
-    det I = k_b / k_a.  Direct division keeps I(k, k) an exact identity.
-    """
-    den = 2.0 * k_a
-    p = (k_a + k_b) / den
-    m = (k_a - k_b) / den
-    return np.array([[p, m], [m, p]], dtype=complex)
-
-
-def propagation_matrix(k, d) -> np.ndarray:
-    """2x2 matrix mapping right-edge-referenced to left-edge-referenced amplitudes."""
-    _check_exponent([k], d)
-    ph = np.exp(-1j * k * d)
-    return np.array([[ph, 0.0], [0.0, 1.0 / ph]], dtype=complex)
-
-
-def _check_exponent(k, d):
-    """Bound the whole march: |Im k_z| * thickness summed over the layer axis 0."""
-    ex = np.sum(np.abs(np.imag(k)) * d, axis=0)
+                f"k_z = 0 in medium {stack._distinct[r].name!r}: branch point", omega=omega)
+        kz = np.sqrt(kz2, out=kz2)
+    ex = np.sum(np.abs(kz.imag) * stack._depth.reshape((-1,) + (1,) * w.ndim), axis=0)
     if np.any(ex > _MAX_EXPONENT):
         raise ThicknessOverflowError(
             f"sum of |Im k_z| * thickness = {float(np.max(ex)):.3g} exceeds {_MAX_EXPONENT:g}")
+    return kz
 
 
-def transfer_matrix(problem: WaveProblem, omega: complex) -> np.ndarray:
-    """Transfer matrix of the whole stack at a single (possibly complex) omega.
+def _plan(stack: LayerStack, marches: tuple) -> list:
+    """The steps of the marches of a kernel call, made once per stack and call shape.
 
-    Maps (forward, backward) amplitudes in the right cladding (referenced to
-    the last interface) to those in the left cladding (referenced to the
-    first interface):  M = I_0 P_1 I_1 P_2 ... P_N I_N, composed left to
-    right.  det M equals k_right / k_left.
+    ``marches`` holds a (mirrored, keep, stop) per march.  A step (j, I key,
+    hold, P key, hold) takes the interface to medium j + 1, ("I", row_j,
+    row_j+1), and the phase of layer j, ("P", row_j, d_j) or None (``stop``
+    unless kept); ``hold`` marks a factor that a later step takes again.
     """
-    ks = _wavenumbers(problem, complex(omega))
-    ds = [d for _, d in problem.stack.layers]
-    m = interface_matrix(ks[0], ks[1])
-    for j, d in enumerate(ds, start=1):
-        m = m @ propagation_matrix(ks[j], d)
-        m = m @ interface_matrix(ks[j], ks[j + 1])
-    return m
+    plan = stack._plans.get(marches)
+    if plan is None:
+        plan, later = [], set()
+        for mirrored, keep, stop in marches[::-1]:
+            rows, ds, steps = stack._rows, [d for _, d in stack.layers], []
+            if mirrored:
+                rows, ds, stop = rows[::-1], ds[::-1], len(rows) - 1 - stop
+            for j in range(stop, len(ds) + 1):
+                i_key = ("I", rows[j], rows[j + 1])
+                p_key = ("P", rows[j], ds[j - 1]) if j and (j > stop or j in keep) else None
+                steps.insert(0, (j, i_key, i_key in later, p_key, p_key in later))
+                later |= {i_key, p_key}
+            plan.insert(0, steps)
+        stack._plans[marches] = plan
+    return plan
+
+
+def _factor(kz, held, key, hold):
+    """Factor ``key`` of :func:`_plan`, formed once and held while ``hold``: (p, m) =
+    (k_a +- k_b) / (2 k_a) of I = [[p, m], [m, p]], or ph = exp(-i k d) of diag(ph, 1/ph)."""
+    value = held.pop(key, None)
+    if value is None:
+        kind, r, s = key
+        if kind == "I":
+            inv = 0.5 / kz[r]
+            value = (kz[r] + kz[s]) * inv, (kz[r] - kz[s]) * inv
+        else:
+            value = np.exp(-1j * kz[r] * s)
+    if hold:
+        held[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
 # the march: reflection, outgoing solutions and the Green's function
 # ---------------------------------------------------------------------------
 
-def _march(ks, ds, keep=(), stop=0):
-    """March the right-outgoing solution from the right cladding to medium ``stop``.
+def _march(kz, steps, held, keep=()):
+    """March the right-outgoing solution from the right cladding along ``steps``.
 
-    ``ks`` stacks the wavenumbers of every medium along its first axis (see
-    :func:`_wavenumbers`) and ``ds`` is the thickness array of the layers.
-    Starts from (A, B) = (1, 0) in the right cladding, so the first interface
-    step gives (p, m), and applies the factors of :func:`transfer_matrix` right
-    to left (I_N, P_N, ..., P_stop+1, I_stop); with ``stop = 0`` the left
-    cladding ends with (A_0, B_0) = (m11, m21) and r = B_0 / A_0.  Broadcasts
-    over whatever shape the wavenumbers have (omega, k_par or both).  Returns
-    (right, kept): the amplitudes at the right edge of medium ``stop`` (the
-    inner boundary of a cladding), and for each medium index in ``keep`` (none
-    below ``stop``) its amplitudes (A, B) referenced to the medium's left
-    edge; the claddings use their inner boundary.  P_stop is applied only
-    when ``stop`` is kept.
+    ``steps`` is a march of a :func:`_plan` and ``held`` the call's factors
+    that later steps take.  From (A, B) = (1, 0) it applies I_N, P_N, ...,
+    P_stop+1, I_stop of M = I_0 P_1 I_1 ... P_N I_N, so ``stop = 0`` ends with
+    (A_0, B_0) = (M_11, M_21) and r = B_0 / A_0.  Returns (A, B) where the
+    march ends and, for each medium in ``keep``, its (A, B) at its left edge
+    (a cladding's inner one).
     """
-    n_lay = len(ds)
-    right = (1.0, 0.0)
-    kept = {n_lay + 1: right} if n_lay + 1 in keep else {}
-    for j in range(n_lay, stop - 1, -1):
-        inv = 0.5 / ks[j]
-        p, m_ = (ks[j] + ks[j + 1]) * inv, (ks[j] - ks[j + 1]) * inv
-        a, b = (p, m_) if j == n_lay else (p * a + m_ * b, m_ * a + p * b)
-        right = (a, b)
-        if j and (j > stop or j in keep):
-            ph = np.exp(-1j * ks[j] * ds[j - 1])
+    a, b = 1.0, 0.0
+    kept = dict.fromkeys(keep, (a, b))      # the right cladding keeps (1, 0)
+    for n, (j, i_key, i_hold, p_key, p_hold) in enumerate(steps):
+        p, m_ = _factor(kz, held, i_key, i_hold)
+        a, b = (p * a + m_ * b, m_ * a + p * b) if n else (p, m_)
+        if p_key:
+            ph = _factor(kz, held, p_key, p_hold)
             a, b = a * ph, b / ph                   # shift reference to left edge
         if j in keep:
             kept[j] = (a, b)
-    return right, kept
+    return (a, b), kept
 
 
 def reflection(problem: WaveProblem, omega):
@@ -364,7 +359,8 @@ def reflection(problem: WaveProblem, omega):
 
     Accepts scalar or array omega; |r|^2 <= 1 for real omega in passive stacks.
     """
-    (a0, b0), _ = _march(_wavenumbers(problem, omega), problem.stack._thicknesses)
+    (steps,) = _plan(problem.stack, ((False, (), 0),))
+    (a0, b0), _ = _march(_wavenumbers(problem, omega), steps, {})
     return b0 / a0
 
 
@@ -412,24 +408,26 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
     NearPoleError
         If ``omega`` is a scalar and the Wronskian is exactly 0.
     """
-    ks = _wavenumbers(problem, omega)
-    ds = problem.stack._thicknesses
+    kz = _wavenumbers(problem, omega)
     x_lo, x_hi = (x, xp) if x <= xp else (xp, x)
     j_lo, ref_lo = _locate(problem.stack, x_lo)
     j_hi, ref_hi = _locate(problem.stack, x_hi)
-    _, er = _march(ks, ds, keep={j_lo, j_hi}, stop=j_lo)
-    (bl, al), _ = _march(ks[::-1], ds[::-1], stop=len(ks) - 1 - j_lo)
+    k_lo, k_hi = kz[problem.stack._rows[j_lo]], kz[problem.stack._rows[j_hi]]
+    right, left = _plan(problem.stack, ((False, (j_lo, j_hi), j_lo), (True, (), j_lo)))
+    held = {}
+    _, er = _march(kz, right, held, (j_lo, j_hi))
+    (bl, al), _ = _march(kz, left, held)
 
     # Wronskian in the layer of x_<; constant across layers analytically
     ar, br = er[j_lo]
-    w = 2j * ks[j_lo] * (bl * ar - al * br)
+    w = 2j * k_lo * (bl * ar - al * br)
     bad = w == 0
     if np.ndim(bad) == 0 and bad:
         raise NearPoleError(f"Wronskian vanishes: omega at a pole ({omega})",
                             omega=omega)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ph_lo = np.exp(1j * ks[j_lo] * (x_lo - ref_lo))
-        ph_hi = ph_lo if x_hi == x_lo else np.exp(1j * ks[j_hi] * (x_hi - ref_hi))
+        ph_lo = np.exp(1j * k_lo * (x_lo - ref_lo))
+        ph_hi = ph_lo if x_hi == x_lo else np.exp(1j * k_hi * (x_hi - ref_hi))
         g = _eval_amp((al, bl), ph_lo) * _eval_amp(er[j_hi], ph_hi) / w
     return np.where(bad, complex(np.inf, 0.0), g) if np.any(bad) else g
 
@@ -440,11 +438,14 @@ def field_profile(problem: WaveProblem, omega, xs):
     Normalized so that the left cladding holds exp(i k x) + r exp(-i k x);
     in free space psi(x) = exp(i k x).  ``omega`` scalar, ``xs`` array.
     """
-    ks = _wavenumbers(problem, complex(omega))
+    stack = problem.stack
+    kz = _wavenumbers(problem, complex(omega))
     xs_flat = [float(x) for x in np.atleast_1d(xs)]
-    where = [_locate(problem.stack, x) for x in xs_flat]
-    (a0, _), er = _march(ks, problem.stack._thicknesses, keep={j for j, _ in where})
-    out = [_eval_amp(er[j], np.exp(1j * ks[j] * (x - ref))) / a0
+    where = [_locate(stack, x) for x in xs_flat]
+    keep = tuple(sorted({j for j, _ in where}))
+    (steps,) = _plan(stack, ((False, keep, 0),))
+    (a0, _), er = _march(kz, steps, {}, keep)
+    out = [_eval_amp(er[j], np.exp(1j * kz[stack._rows[j]] * (x - ref))) / a0
            for x, (j, ref) in zip(xs_flat, where)]
     return np.array(out, dtype=complex).reshape(np.shape(xs))
 

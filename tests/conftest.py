@@ -81,8 +81,8 @@ def zero_wronskian(monkeypatch, at=True):
     """
     march = ly._march
 
-    def spy(ks, ds, keep=(), stop=0):
-        (a, b), kept = march(ks, ds, keep, stop)
+    def spy(kz, steps, held, keep=()):
+        (a, b), kept = march(kz, steps, held, keep)
         return (a, b) if keep else (np.where(at, 0, a), np.where(at, 0, b)), kept
 
     monkeypatch.setattr(ly, "_march", spy)

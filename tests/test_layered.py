@@ -1,4 +1,8 @@
-"""Layered-medium solver: transfer matrices, reflection, Green's function."""
+"""Layered-medium solver: transfer matrices, reflection, Green's function.
+
+The transfer-matrix tests check the scalar reference of ``layered_reference``
+that the property tests compare the march against.
+"""
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from modecert.errors import (
     ThicknessOverflowError,
 )
 
+import layered_reference as ref
 from conftest import fp_problem, zero_wronskian
 
 
@@ -31,7 +36,7 @@ def empty_problem():
 # ---------------------------------------------------------------------------
 
 def test_empty_stack_identity():
-    m = ly.transfer_matrix(empty_problem(), 2.3)
+    m = ref.transfer_matrix(empty_problem(), 2.3)
     assert (m == np.eye(2)).all()
 
 
@@ -48,13 +53,13 @@ def test_composition_bitwise_factor_product():
     m_b = ly.Material.constant("b", 3.1 + 0.2j)
     pr = ly.WaveProblem(ly.LayerStack(ly.VACUUM, ((m_a, 0.35), (m_b, 0.18)), ly.VACUUM))
     w = 4.2
-    ks = ly._wavenumbers(pr, complex(w))
-    m = ly.interface_matrix(ks[0], ks[1])
-    m = m @ ly.propagation_matrix(ks[1], 0.35)
-    m = m @ ly.interface_matrix(ks[1], ks[2])
-    m = m @ ly.propagation_matrix(ks[2], 0.18)
-    m = m @ ly.interface_matrix(ks[2], ks[3])
-    assert (m == ly.transfer_matrix(pr, w)).all()
+    ks = ref.wavenumbers(pr, complex(w))
+    m = ref.interface_matrix(ks[0], ks[1])
+    m = m @ ref.propagation_matrix(ks[1], 0.35)
+    m = m @ ref.interface_matrix(ks[1], ks[2])
+    m = m @ ref.propagation_matrix(ks[2], 0.18)
+    m = m @ ref.interface_matrix(ks[2], ks[3])
+    assert (m == ref.transfer_matrix(pr, w)).all()
 
 
 def test_composition_product_of_one_layer_stacks():
@@ -66,8 +71,8 @@ def test_composition_product_of_one_layer_stacks():
     one_a = ly.WaveProblem(ly.LayerStack(ly.VACUUM, ((m_a, 0.35),), ly.VACUUM))
     one_b = ly.WaveProblem(ly.LayerStack(ly.VACUUM, ((m_b, 0.18),), ly.VACUUM))
     w = 4.2
-    m2 = ly.transfer_matrix(two, w)
-    mp = ly.transfer_matrix(one_a, w) @ ly.transfer_matrix(one_b, w)
+    m2 = ref.transfer_matrix(two, w)
+    mp = ref.transfer_matrix(one_a, w) @ ref.transfer_matrix(one_b, w)
     assert np.max(np.abs(m2 - mp)) <= 1e-13 * np.max(np.abs(m2))
 
 
@@ -75,20 +80,32 @@ def test_determinant_is_cladding_wavenumber_ratio():
     st = ly.LayerStack(ly.Material.constant("L", 1.5),
                        ((GLASS2, 0.4),),
                        ly.Material.constant("R", 2.5 + 0.1j))
-    m = ly.transfer_matrix(ly.WaveProblem(st), 3.3)
+    m = ref.transfer_matrix(ly.WaveProblem(st), 3.3)
     assert abs(np.linalg.det(m) - (2.5 + 0.1j) / 1.5) < 1e-13
 
 
 def test_zero_frequency_domain_error():
     with pytest.raises(DomainError):
-        ly.transfer_matrix(empty_problem(), 0.0)
+        ly.reflection(empty_problem(), 0.0)
 
 
 def test_branch_point_error_at_kz_zero():
     st = ly.LayerStack(ly.VACUUM, ((ly.VACUUM, 1.0),), ly.VACUUM)
     pr = ly.WaveProblem(st, k_par=2.0)
     with pytest.raises(BranchPointError):
-        ly.transfer_matrix(pr, 2.0)  # omega == k_par in vacuum
+        ly.reflection(pr, 2.0)  # omega == k_par in vacuum
+
+
+def test_branch_point_error_names_first_medium():
+    # "a" and "b" share a row of distinct media and both hit k_z = 0 (as
+    # does the right cladding); the error names the first medium that hits
+    layers = ((ly.Material.constant("a", 1.0), 1.0), (GLASS2, 0.5),
+              (ly.Material.constant("b", 1.0), 1.0))
+    pr = ly.WaveProblem(ly.LayerStack(GLASS2, layers, ly.VACUUM), k_par=np.array([1.0, 2.0]))
+    with pytest.raises(BranchPointError, match="'a'"):
+        ly.reflection(pr, 2.0)
+    with pytest.raises(BranchPointError, match="'a'"):
+        ref.reflection(pr, 2.0)
 
 
 def test_thickness_overflow_error():

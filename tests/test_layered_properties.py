@@ -3,9 +3,11 @@
 The reflection amplitude, the angle scan and both outgoing solutions of the
 Green's function come from one right-to-left march, which the Green's
 function stops in the medium of its leftmost point; these properties pin it
-against the scalar transfer-matrix reference and against itself on the
-mirrored stack.  A real index profile at k_par = 0 is also pinned to its
-conjugate symmetry, which is what pairs the mirror poles -p* with p.
+against the scalar transfer-matrix reference of ``layered_reference`` and
+against itself on the mirrored stack.  The stacks repeat media, layers and
+claddings, so the factors that one call shares are pinned as well.  A real
+index profile at k_par = 0 is also pinned to its conjugate symmetry, which
+is what pairs the mirror poles -p* with p.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from modecert import layered as ly, witness as wt
 from modecert.errors import NearPoleError
 
+import layered_reference as ref
 from conftest import fp_problem, zero_wronskian
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -25,18 +28,32 @@ PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=N
 # 0.19 omega^2 away from zero, i.e. away from the branch points
 index = st.builds(complex, st.floats(1.0, 4.0), st.floats(0.0, 0.5))
 real_index = st.floats(1.0, 4.0)
-layer = st.tuples(index, st.floats(0.05, 2.0))
 omega = st.floats(0.5, 10.0)
 par_fraction = st.sampled_from([0.0]) | st.floats(0.05, 0.9)
 
 
 @st.composite
-def stacks(draw, layer=layer):
-    layers = draw(st.lists(layer, min_size=1, max_size=6))
-    return ly.LayerStack(
-        ly.Material.constant("left", draw(real_index)),
-        tuple((ly.Material.constant(f"m{i}", n), d) for i, (n, d) in enumerate(layers)),
-        ly.Material.constant("right", draw(real_index)))
+def stacks(draw, index=index):
+    """Stacks drawn from a small palette, so that rows of the kernel are shared.
+
+    The claddings take one or two real materials, and the layers take the
+    claddings, one to three materials of ``index``, a renamed copy of the
+    last of them and a material that differs from it in Im n only (when Im n
+    is not 0), each with one of one to three thicknesses: media, (medium,
+    thickness) layers and equal claddings all repeat, and near-twins must not.
+    """
+    claddings = [ly.Material.constant(f"c{i}", n)
+                 for i, n in enumerate(draw(st.lists(real_index, min_size=1, max_size=2)))]
+    palette = claddings + [ly.Material.constant(f"m{i}", n)
+                           for i, n in enumerate(draw(st.lists(index, min_size=1, max_size=3)))]
+    n = palette[-1].n_const
+    palette += [ly.Material.constant("twin", n),
+                ly.Material.constant("kin", complex(n.real, n.imag / 2))]
+    thickness = st.sampled_from(draw(st.lists(st.floats(0.05, 2.0), min_size=1, max_size=3)))
+    layers = draw(st.lists(st.tuples(st.sampled_from(palette), thickness),
+                           min_size=1, max_size=6))
+    return ly.LayerStack(draw(st.sampled_from(claddings)), tuple(layers),
+                         draw(st.sampled_from(claddings)))
 
 
 def reversed_stack(stack):
@@ -47,7 +64,7 @@ def reversed_stack(stack):
 @given(stacks(), omega, par_fraction)
 def test_reflection_matches_transfer_matrix(stack, w, s):
     pr = ly.WaveProblem(stack, k_par=s * w)
-    m = ly.transfer_matrix(pr, w)
+    m = ref.transfer_matrix(pr, w)
     r = ly.reflection(pr, w)
     assert abs(r - m[1, 0] / m[0, 0]) <= 1e-12 * abs(m[1, 0] / m[0, 0]) + 1e-15
 
@@ -79,15 +96,15 @@ def reference_green(stack, k_par, x, xp, w):
     # right[j] maps right-cladding amplitudes to medium j (left edge)
     left = [np.eye(2, dtype=complex)]
     for j in range(1, n_lay + 2):
-        step = ly.interface_matrix(ks[j - 1], ks[j])
+        step = ref.interface_matrix(ks[j - 1], ks[j])
         if j > 1:
-            step = ly.propagation_matrix(ks[j - 1], ds[j - 2]) @ step
+            step = ref.propagation_matrix(ks[j - 1], ds[j - 2]) @ step
         left.append(left[-1] @ step)
     right = [np.eye(2, dtype=complex)]
     for j in range(n_lay, -1, -1):
-        step = ly.interface_matrix(ks[j], ks[j + 1])
+        step = ref.interface_matrix(ks[j], ks[j + 1])
         if j:
-            step = ly.propagation_matrix(ks[j], ds[j - 1]) @ step
+            step = ref.propagation_matrix(ks[j], ds[j - 1]) @ step
         right.insert(0, step @ right[0])
     m11 = left[-1][0, 0]   # = right[0][0, 0], the whole-stack M_11
 
@@ -186,7 +203,7 @@ def test_passive_reflection_bounded(stack, s):
 
 
 @PROPERTY
-@given(stacks(st.tuples(real_index, st.floats(0.05, 2.0))), st.floats(0.5, 10.0),
+@given(stacks(real_index), st.floats(0.5, 10.0),
        st.floats(-0.5, 0.5), st.floats(-0.2, 1.2), st.floats(-0.2, 1.2))
 def test_conjugate_symmetry_real_index(stack, w_re, w_im, u, v):
     # real coefficients at k_par = 0: G(-z*) = G(z)*; the witness carries one
