@@ -43,7 +43,7 @@ import bisect
 import functools
 import json
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -192,7 +192,8 @@ class LayerStack:
     def _rows(self) -> tuple:
         """Each medium's row: media whose optics have one repr (-0.0 is not 0.0) share one."""
         row = {}
-        return tuple(row.setdefault(repr(astuple(m)[1:]), len(row)) for m in self.media())
+        return tuple(row.setdefault(repr((m.n_const, m.n_bg, m.omega_res, m.gamma_res, m.f_res)),
+                                    len(row)) for m in self.media())
 
     @functools.cached_property
     def _distinct(self) -> tuple:   # the first medium of each row
@@ -230,6 +231,11 @@ class WaveProblem:
             raise ConfigurationError("no emitter on the stack")
         return self.stack.emitter
 
+    @functools.cached_property
+    def normal_incidence(self) -> bool:
+        """k_par = 0: a zero scalar, or an angle array of zeros only."""
+        return not np.any(self.k_par)
+
     @property
     def conjugate_symmetric(self) -> bool:
         """G(-omega*) = G(omega)*: normal incidence and every index constant and real.
@@ -238,7 +244,7 @@ class WaveProblem:
         pairs -p*, p.  Dispersive media do not qualify.
         """
         n = self.stack._n_const
-        return not np.any(self.k_par) and n is not None and not np.any(n.imag)
+        return self.normal_incidence and n is not None and not n.imag.any()
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +258,10 @@ def _wavenumbers(problem: WaveProblem, omega):
     k_par.  The exponent guard bounds the sum of |Im k_z| times ``_depth``.
     """
     w = np.asarray(omega, dtype=complex)
-    if np.any(w == 0):
+    if (w == 0).any():
         raise DomainError("zero frequency is outside the Helmholtz domain")
     kp = problem.k_par
-    normal = not np.any(kp)
+    normal = problem.normal_incidence
     if not normal and np.ndim(kp):
         w = np.broadcast_to(w, np.broadcast_shapes(w.shape, np.shape(kp)))
     stack = problem.stack
@@ -274,13 +280,13 @@ def _wavenumbers(problem: WaveProblem, omega):
         floor += kp * kp
         floor *= 1e-14
         near = np.abs(kz2) < floor
-        if np.any(near):
+        if near.any():
             r = int(np.argmax(near.reshape(len(near), -1).any(axis=1)))
             raise BranchPointError(
                 f"k_z = 0 in medium {stack._distinct[r].name!r}: branch point", omega=omega)
         kz = np.sqrt(kz2, out=kz2)
-    ex = np.sum(np.abs(kz.imag) * stack._depth.reshape((-1,) + (1,) * w.ndim), axis=0)
-    if np.any(ex > _MAX_EXPONENT):
+    ex = (np.abs(kz.imag) * stack._depth.reshape((-1,) + (1,) * w.ndim)).sum(axis=0)
+    if (ex > _MAX_EXPONENT).any():
         raise ThicknessOverflowError(
             f"sum of |Im k_z| * thickness = {float(np.max(ex)):.3g} exceeds {_MAX_EXPONENT:g}")
     return kz
@@ -429,7 +435,7 @@ def green_function(problem: WaveProblem, x: float, xp: float, omega):
         ph_lo = np.exp(1j * k_lo * (x_lo - ref_lo))
         ph_hi = ph_lo if x_hi == x_lo else np.exp(1j * k_hi * (x_hi - ref_hi))
         g = _eval_amp((al, bl), ph_lo) * _eval_amp(er[j_hi], ph_hi) / w
-    return np.where(bad, complex(np.inf, 0.0), g) if np.any(bad) else g
+    return np.where(bad, complex(np.inf, 0.0), g) if bad.any() else g
 
 
 def field_profile(problem: WaveProblem, omega, xs):

@@ -31,13 +31,14 @@ the depth budget is exhausted.
 The box tree is searched breadth first, because an evaluator call costs far
 more than the points it carries.  Each box boundary is one closed loop of
 samples, corners included, refined by inserting neighbour midpoints.  The
-loops of a subdivision level lie end to end in one flat array, examined in
-one array pass and sampled in one evaluator call per round.  A W = +-1 box
-whose moments are those of one point (c + W s_1 inside it, W s_2 - s_1^2
-~ 0) stops subdividing and waits; once no box is left open, every waiting
-box gets its Newton run in one array iteration, one call per step, and a
-box whose run fails is split and searched on.  The evaluator is called on
-arrays only; an error it raises ends the search unchanged.
+loops of a subdivision level lie end to end in one flat array, tracked by
+their lengths, examined in one array pass and sampled in one evaluator call
+per round.  A W = +-1 box whose moments are those of one point (c + W s_1
+inside it, W s_2 - s_1^2 ~ 0) stops subdividing and waits; once no box is
+left open, every waiting box gets its Newton run in one array iteration, one
+call per step, and a box whose run fails is split and searched on.  The
+evaluator is called on arrays only; an error it raises ends the search
+unchanged.
 
 Residues are evaluated by the trapezoid rule on a circle around each pole,
 which is exponentially convergent for meromorphic integrands and exact for
@@ -183,34 +184,37 @@ _LOGMOD_STEP = 2.0     # max |d log|h|| between adjacent samples
 _EDGE_POINTS = 32      # initial samples per box edge
 _MAX_REFINE_ROUNDS = 14
 _MAX_BOUNDARY_POINTS = 120_000
+_EDGE_T = np.linspace(0.0, 1.0, _EDGE_POINTS, endpoint=False)   # edge grid, from each corner
 
 
 def _box_moments(f, boxes):
     """Winding number and first two singularity moments of h = 1/f over boxes.
 
-    The boundary loops lie end to end in one flat array with a box id per
-    sample; a next-sample index closes each loop onto its own first sample.
-    The moments are per-loop sums of log increments about the box centre
-    (see the module docstring).  Each round samples the midpoints of the
-    too-large increments of all open loops in one evaluator call.  Returns
-    (W, s1, s2) per box, None where the boundary cannot be tracked within
-    the budget, and the h samples of the first box's resolved loop.
+    The open boundary loops lie end to end in one flat array, tracked by
+    their lengths ``sizes`` and their boxes ``ids``; a next-sample index
+    closes each loop onto its own first sample.  The moments are per-loop
+    sums of log increments about the box centre (see the module docstring).
+    Each round samples the midpoints of the too-large increments of all open
+    loops in one evaluator call.  Returns (W, s1, s2) per box, None where the
+    boundary cannot be tracked within the budget, and the h samples of the
+    first box's resolved loop.
     """
-    t = np.linspace(0.0, 1.0, _EDGE_POINTS, endpoint=False)
     b = np.asarray(boxes)   # rows (re_lo, re_hi, im_lo, im_hi); corners counter-clockwise
     corners = (b[:, [0, 1, 1, 0]] + 1j * b[:, [2, 2, 3, 3]])[..., None]
-    z = (corners + t * (np.roll(corners, -1, axis=1) - corners)).ravel()
+    z = (corners + _EDGE_T * (corners[:, [1, 2, 3, 0]] - corners)).ravel()
     zf = np.stack([z, f(z)])
-    owner = np.repeat(np.arange(len(boxes)), 4 * _EDGE_POINTS)
+    ids = np.arange(len(boxes))
+    sizes = np.full(len(boxes), 4 * _EDGE_POINTS)
     centre = 0.5 * (b[:, 0] + b[:, 1] + 1j * (b[:, 2] + b[:, 3]))
     out, h_first = [None] * len(boxes), None
     for rnd in range(_MAX_REFINE_ROUNDS):
-        z, n = zf[0], zf.shape[1]
-        u = z - centre[owner]   # about the centre of each sample's box
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
-        sizes = np.diff(np.append(first, n))
-        nxt = np.arange(1, n + 1)
-        nxt[first + sizes - 1] = first
+        z = zf[0]
+        last = np.cumsum(sizes)
+        first = last - sizes
+        last -= 1
+        u = z - np.repeat(centre[ids], sizes)   # about the centre of each sample's box
+        nxt = np.arange(1, last[-1] + 2)
+        nxt[last] = first
         with np.errstate(divide="ignore", invalid="ignore"):
             h = 1.0 / zf[1]
             d = np.log(h[nxt] / h)
@@ -219,23 +223,23 @@ def _box_moments(f, boxes):
             s2 = np.add.reduceat(u * u[nxt] * d, first) / (2j * np.pi)
         broken = np.logical_or.reduceat(~np.isfinite(h) | (h == 0), first)
         bad = (np.abs(d.imag) > _PHASE_STEP) | (np.abs(d.real) > _LOGMOD_STEP)
-        refine = np.logical_or.reduceat(bad, first) & ~broken
+        n_bad = np.add.reduceat(bad, first)   # bad pairs per loop
+        refine = (n_bad > 0) & ~broken
         w = np.round(w_raw)
         for i in np.flatnonzero(~broken & ~refine & (np.abs(w_raw - w) <= 0.1)):
-            out[owner[first[i]]] = (int(w[i]), s1[i], s2[i])
-        if owner[0] == 0 and out[0] is not None:
+            out[ids[i]] = (int(w[i]), s1[i], s2[i])
+        if ids[0] == 0 and out[0] is not None:
             h_first = h[:sizes[0]]
         grow = refine & (sizes <= _MAX_BOUNDARY_POINTS) & (rnd < _MAX_REFINE_ROUNDS - 1)
-        if not np.any(grow):
+        if not grow.any():
             break
         # midpoints of the bad neighbour pairs; corners are samples, so every
         # midpoint lies on the boundary.  Finished loops are dropped.
         keep = np.repeat(grow, sizes)
         idx = np.flatnonzero(bad & keep)
         z_mid = 0.5 * (z[idx] + z[nxt[idx]])
-        keep = np.insert(keep, idx + 1, True)
-        zf = np.insert(zf, idx + 1, [z_mid, f(z_mid)], axis=1)[:, keep]
-        owner = np.insert(owner, idx + 1, owner[idx])[keep]
+        zf = np.insert(zf[:, keep], np.cumsum(keep)[idx], [z_mid, f(z_mid)], axis=1)
+        ids, sizes = ids[grow], sizes[grow] + n_bad[grow]
     return out, h_first
 
 

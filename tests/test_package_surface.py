@@ -5,10 +5,6 @@ from pathlib import Path
 
 import modecert
 
-# closed forms and fits that only the paper-limit tests compare against
-TEST_REFERENCES = {"witness.single_mode_levshift", "witness.single_mode_atom_reflection",
-                   "witness.kk_reconstruct_delta", "witness.fit_complex_lorentzian"}
-
 
 def _package():
     """Each module's top-level statements, and for each name the statements using it."""
@@ -46,11 +42,11 @@ def _unused(private: bool) -> list:
 
 def test_every_public_definition_is_used():
     # each public top-level function or class is referenced by another
-    # top-level definition of the package, exported from modecert, the
-    # command-line entry point, or a named test reference
+    # top-level definition of the package, exported from modecert, or the
+    # command-line entry point: a test reference lives with the tests
     assert [name for name in _unused(private=False)
             if name.split(".")[1] not in modecert.__all__
-            and name not in {"cli.main"} | TEST_REFERENCES] == []
+            and name != "cli.main"] == []
 
 
 def test_every_import_is_used():

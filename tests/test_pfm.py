@@ -8,9 +8,9 @@ import pytest
 from modecert import pfm
 from modecert.errors import ExceptionalPointError, NearPoleError
 from modecert.qnm import Pole
-from modecert.witness import SingleModeParams, single_mode_levshift
 
 from conftest import random_pfm
+from witness_reference import SingleModeParams, single_mode_levshift
 
 
 # ---------------------------------------------------------------------------

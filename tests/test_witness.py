@@ -9,6 +9,7 @@ from modecert import layered as ly, witness as wt
 from modecert.errors import AmbiguityError, DomainError
 
 from conftest import fp_problem, zero_wronskian
+import witness_reference as wref
 
 TWO_PI = 2.0 * np.pi
 
@@ -20,8 +21,8 @@ def sm_params(omega1=10.0, kappa=0.4, coupling="critical", g=0.2, omega_a=10.0):
         kr = np.sqrt(kappa / TWO_PI)
     else:
         kr = coupling
-    return wt.SingleModeParams(omega1=omega1, kappa=kappa, kappa_R=kr, g=g,
-                               omega_a=omega_a)
+    return wref.SingleModeParams(omega1=omega1, kappa=kappa, kappa_R=kr, g=g,
+                                 omega_a=omega_a)
 
 
 # ---------------------------------------------------------------------------
@@ -30,29 +31,29 @@ def sm_params(omega1=10.0, kappa=0.4, coupling="critical", g=0.2, omega_a=10.0):
 
 def test_levshift_on_resonance():
     p = sm_params()
-    assert wt.single_mode_levshift(p, 10.0) == pytest.approx(-2j * 0.04 / 0.4)
+    assert wref.single_mode_levshift(p, 10.0) == pytest.approx(-2j * 0.04 / 0.4)
 
 
 def test_levshift_half_width_detuned():
     p = sm_params()
-    val = wt.single_mode_levshift(p, 10.0 + 0.2)
+    val = wref.single_mode_levshift(p, 10.0 + 0.2)
     assert val == pytest.approx(0.04 * (1 - 1j) / 0.4)
 
 
 def test_levshift_decoupled():
     p = sm_params(g=0.0)
-    assert np.all(wt.single_mode_levshift(p, np.linspace(0, 20, 7)) == 0)
+    assert np.all(wref.single_mode_levshift(p, np.linspace(0, 20, 7)) == 0)
 
 
 def test_reflection_on_resonance():
     p = sm_params(coupling=0.1)
-    r = wt.single_mode_reflection(p, 10.0)
+    r = wref.single_mode_reflection(p, 10.0)
     assert r == pytest.approx(1 - 2 * TWO_PI * 0.01 / 0.4)
 
 
 def test_reflection_critical_coupling_zero():
     p = sm_params()  # kappa = 4 pi kappa_R^2
-    assert abs(wt.single_mode_reflection(p, 10.0)) < 1e-14
+    assert abs(wref.single_mode_reflection(p, 10.0)) < 1e-14
 
 
 def test_reflection_lossless_unimodular():
@@ -60,7 +61,7 @@ def test_reflection_lossless_unimodular():
     # denominator complex conjugates, so |r| = 1 on the whole real axis
     p = sm_params(coupling="lossless")
     om = np.linspace(8.0, 12.0, 501)
-    r = wt.single_mode_reflection(p, om)
+    r = wref.single_mode_reflection(p, om)
     num = om - p.omega1 - 0.5j * p.kappa
     den = om - p.omega1 + 0.5j * p.kappa
     assert np.max(np.abs(r - num / den)) < 1e-14
@@ -69,33 +70,33 @@ def test_reflection_lossless_unimodular():
 
 def test_probed_channel_bound():
     with pytest.raises(ValueError):
-        wt.SingleModeParams(omega1=1.0, kappa=0.1, kappa_R=1.0)
+        wref.SingleModeParams(omega1=1.0, kappa=0.1, kappa_R=1.0)
 
 
 def test_atom_reflection_decoupled_matches_cavity():
     p = sm_params(g=0.0)
     om = np.linspace(9, 11, 101)
-    assert np.max(np.abs(wt.single_mode_atom_reflection(p, om)
-                         - wt.single_mode_reflection(p, om))) == 0.0
+    assert np.max(np.abs(wref.single_mode_atom_reflection(p, om)
+                         - wref.single_mode_reflection(p, om))) == 0.0
 
 
 def test_atom_reflection_far_detuned():
     p = sm_params(kappa=2.0, g=0.02, omega_a=10.0, coupling=0.1)
-    gamma_eff = -2 * wt.single_mode_levshift(p, 10.0).imag
+    gamma_eff = -2 * wref.single_mode_levshift(p, 10.0).imag
     om = 10.0 + 80.0 * gamma_eff
-    r = wt.single_mode_atom_reflection(p, om)
-    rc = wt.single_mode_reflection(p, om)
+    r = wref.single_mode_atom_reflection(p, om)
+    rc = wref.single_mode_reflection(p, om)
     assert abs(r - rc) < 1e-3 * abs(rc)
 
 
 def test_weak_coupling_line_shape_fit():
     # kappa = 100 |g|: fitted (center, width) match Delta, Gamma to 1e-3
     p = sm_params(kappa=2.0, g=0.02, omega_a=10.3, coupling=0.1)
-    d = wt.single_mode_levshift(p, p.omega_a)
+    d = wref.single_mode_levshift(p, p.omega_a)
     delta, gamma = d.real, -2 * d.imag
     om = np.linspace(p.omega_a - 30 * gamma, p.omega_a + 30 * gamma, 3001)
-    vals = wt.single_mode_atom_reflection(p, om) - wt.single_mode_reflection(p, om)
-    _, center, width, _ = wt.fit_complex_lorentzian(om, vals)
+    vals = wref.single_mode_atom_reflection(p, om) - wref.single_mode_reflection(p, om)
+    _, center, width, _ = wref.fit_complex_lorentzian(om, vals)
     assert abs(center - (p.omega_a + delta)) < 1e-3 * abs(delta)
     assert abs(width - gamma) < 1e-3 * gamma
 
@@ -143,6 +144,28 @@ def test_levshift_exact_on_a_pole_and_at_zero(monkeypatch):
     zero_wronskian(monkeypatch, at=np.arange(3) == 1)
     d = wt.levshift_exact(pr, om)
     assert np.isinf(d[1]) and np.all(np.isfinite(d[[0, 2]]))
+
+
+ZERO_OMEGAS = {"float": 0.0, "negative float": -0.0, "complex": 0j, "numpy scalar": np.float64(0.0),
+               "0-d array": np.array(0.0), "array": np.array([0.0, 2.0]),
+               "complex array": np.array([2.0, -0.0j])}
+
+
+@pytest.mark.parametrize("omega", ZERO_OMEGAS.values(), ids=ZERO_OMEGAS.keys())
+def test_levshift_exact_moves_exact_zero(omega, monkeypatch):
+    # an exact omega = 0 reaches the kernel as 1e-30 at scalar, 0-d and
+    # array omega, the other entries as they are; the witness keeps the shape
+    seen, kernel = [], wt.green_function
+
+    def spy(problem, x, xp, om):
+        seen.append(om)
+        return kernel(problem, x, xp, om)
+
+    monkeypatch.setattr(wt, "green_function", spy)
+    d = wt.levshift_exact(fp_problem(4.0), omega)
+    assert np.ndim(seen[0]) == np.ndim(d) == np.ndim(omega)
+    np.testing.assert_array_equal(seen[0], np.where(np.equal(omega, 0), 1e-30, omega))
+    assert np.all(np.isfinite(d))
 
 
 def test_levshift_array_k_par_matches_scalar_calls():
@@ -219,7 +242,7 @@ def test_dispersive_sheet_oracle():
     half = 30 * (gamma + g_res)
     om = np.linspace(om_res - half, om_res + half, 3001)
     vals = ly.reflection(prs, om) - ly.reflection(plain, om)
-    _, center, width, _ = wt.fit_complex_lorentzian(om, vals)
+    _, center, width, _ = wref.fit_complex_lorentzian(om, vals)
     assert abs(center - om_res - delta) < 0.02 * abs(delta)
     assert abs(width - (gamma + g_res)) < 0.01 * (gamma + g_res)
 
@@ -251,13 +274,13 @@ def test_levshift_curve_evaluates_each_point_once(monkeypatch):
 def test_find_omega_min_single_mode():
     p = sm_params()
     om = np.linspace(9.0, 11.03, 2001)
-    r2 = np.abs(wt.single_mode_reflection(p, om)) ** 2
+    r2 = np.abs(wref.single_mode_reflection(p, om)) ** 2
     assert abs(wt.find_omega_min(om, r2) - 10.0) < 2e-8 * p.kappa
     local = []
 
     def fn(w):
         local.append(w)
-        return np.abs(wt.single_mode_reflection(p, w)) ** 2
+        return np.abs(wref.single_mode_reflection(p, w)) ** 2
 
     refined = wt.find_omega_min_refined(fn, om, r2)
     # one call, on the local grid only
@@ -300,7 +323,7 @@ def _zero(fn, window, n=2001):
 
 def test_find_zero_of_delta_single_mode():
     p = sm_params()
-    z = _zero(lambda w: wt.single_mode_levshift(p, w), (9.0, 11.03))
+    z = _zero(lambda w: wref.single_mode_levshift(p, w), (9.0, 11.03))
     assert abs(z - 10.0) < 1e-8 * p.kappa
 
 
@@ -349,10 +372,10 @@ def test_scans_match_pointwise_loops(seed):
 def test_single_mode_feature_coincidence():
     # omega_min and omega_a0 both coincide with omega1 to 1e-8 kappa
     p = sm_params()
-    fn = lambda w: np.abs(wt.single_mode_reflection(p, w)) ** 2
+    fn = lambda w: np.abs(wref.single_mode_reflection(p, w)) ** 2
     om = np.linspace(9.0, 11.03, 2001)
     refined = wt.find_omega_min_refined(fn, om, fn(om))
-    z = _zero(lambda w: wt.single_mode_levshift(p, w), (9.0, 11.03))
+    z = _zero(lambda w: wref.single_mode_levshift(p, w), (9.0, 11.03))
     assert abs(refined - p.omega1) < 1e-8 * p.kappa
     assert abs(z - p.omega1) < 1e-8 * p.kappa
 
@@ -370,8 +393,8 @@ def test_curve_requires_increasing_grid():
 def test_kk_single_mode_synthetic():
     p = sm_params()
     om = np.linspace(0.0, 20.0, 4001)
-    d = wt.single_mode_levshift(p, om)
-    rec = wt.kk_reconstruct_delta(om, -2 * d.imag)
+    d = wref.single_mode_levshift(p, om)
+    rec = wref.kk_reconstruct_delta(om, -2 * d.imag)
     inner = (om > 20 / 3) & (om < 40 / 3)
     err = np.max(np.abs(rec - d.real)[inner]) / np.max(np.abs(d.real))
     assert err < 5e-4
@@ -390,7 +413,7 @@ def test_kk_fabry_perot_n8():
     win = (max(c - 2.5 * fsr, 0.05 * np.pi), c + 2.5 * fsr)
     omk = np.linspace(win[0], win[1], 4001)
     d = wt.levshift_exact(pr, omk)
-    rec = wt.kk_reconstruct_delta(omk, -2 * d.imag)
+    rec = wref.kk_reconstruct_delta(omk, -2 * d.imag)
     width = win[1] - win[0]
     inner = (omk > win[0] + width / 3) & (omk < win[1] - width / 3)
     err = np.max(np.abs(rec - d.real)[inner]) / np.max(np.abs(d.real[inner]))
